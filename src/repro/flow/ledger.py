@@ -37,19 +37,40 @@ substrate** for multiple concurrent workers:
   impossibility unless something is broken.
 
 The format is deliberately dumb: one self-contained JSON object per
-line, append-only, no header. A truncated final line (the crash case)
-is skipped on read, as is a *valid-JSON-but-schema-incomplete* row
-(a crash can fsync a prefix of a row that still happens to parse);
-unknown fields are ignored, so old ledgers stay readable as the record
-grows.
+newline-terminated line, append-only, no header. A truncated final line
+(the crash case) is skipped on read, as is a line that is not UTF-8, not
+JSON, or *valid-JSON-but-schema-incomplete* (a crash can fsync a prefix
+of a row that still happens to parse); unknown fields are ignored, so
+old ledgers stay readable as the record grows.
+
+Reads are incremental. Each :class:`RunLedger` keeps one private view of
+its file: the parsed entries, a running fold of open claims and of the
+latest ``ok`` row per key, and the byte offset parsed so far. A read
+parses only the newline-terminated lines appended since that offset; an
+unterminated last line is parsed on every read but never cached. Before
+reading, the view checks the file's device and inode, its size, and the
+last few KiB it parsed (they must still sit just before the offset); a
+replaced, truncated or rewritten file is re-read from byte 0. Appends
+never touch the view, and a lock guards it, so one instance can be read
+from several threads. ``acquire`` therefore costs two "stat and read
+the delta" calls plus its own fsync'd append, however long the ledger.
+
+**Finished keys.** A caller that looked a key up in the artifact store
+notes :meth:`RunLedger.position` first and passes it to ``acquire`` as
+``since``: an ``ok`` row for the key appended after that position means
+another worker finished the key while we looked, so ``acquire`` answers
+not-owned with ``finished=True`` and the finisher as holder, and the
+caller loads the key from the store instead of pricing it again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import pathlib
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -75,6 +96,12 @@ __all__ = [
 
 #: Schema version of the canonical merged-ledger/report documents.
 MERGE_FORMAT_VERSION = 1
+
+
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    """A record class's field names: what ``from_doc`` keeps of a row."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True)
@@ -160,7 +187,7 @@ class LedgerRecord:
         if not (doc.get("latency_ms") is None
                 or isinstance(doc["latency_ms"], (int, float))):
             raise ValueError("ledger row has non-numeric latency_ms")
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _field_names(cls)
         return cls(**{k: v for k, v in doc.items() if k in known})
 
 
@@ -173,6 +200,12 @@ class ClaimRecord:
     with new timestamps. A claim whose latest heartbeat is older than
     the lease timeout is *stale* — its owner is presumed dead and the
     scenario may be re-issued.
+
+    ``since`` is the ledger position the claimant noted before its store
+    lookup (see :meth:`RunLedger.acquire`). An ``ok`` row for the key
+    that lands between that position and the claim *voids* the claim:
+    its owner will see the key finished and never price it, so the claim
+    is not open. Heartbeats carry no ``since`` and are never void.
     """
 
     scenario_id: str
@@ -180,6 +213,7 @@ class ClaimRecord:
     worker: str
     ts: float
     shard: str | None = None
+    since: int | None = None
 
     _REQUIRED = {
         "scenario_id": str,
@@ -193,8 +227,10 @@ class ClaimRecord:
         for name, types in cls._REQUIRED.items():
             if name not in doc or not isinstance(doc[name], types):
                 raise ValueError(f"claim row missing/invalid field {name!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in known and k != "kind"})
+        if not (doc.get("since") is None or isinstance(doc["since"], int)):
+            raise ValueError("claim row has non-integer since")
+        known = _field_names(cls)
+        return cls(**{k: v for k, v in doc.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -206,17 +242,101 @@ class ClaimDecision:
     claim (``owned=False``); the scenario should be *deferred*.
     ``reissued`` — the claim supersedes a stale one left by a crashed
     worker (only meaningful when ``owned``).
+    ``finished`` — an ``ok`` row for the key landed after the caller's
+    ``since`` position (``owned=False``; ``holder`` is the finisher):
+    the result is in the store, so load it rather than defer or price.
     """
 
     owned: bool
     reissued: bool = False
     holder: str | None = None
+    finished: bool = False
 
 
-def _parse_entry(doc: dict) -> LedgerRecord | ClaimRecord:
+Entry = LedgerRecord | ClaimRecord
+
+
+def _parse_entry(doc: dict) -> Entry:
     if doc.get("kind") == "claim":
         return ClaimRecord.from_doc(doc)
     return LedgerRecord.from_doc(doc)
+
+
+def _parse_line(raw: bytes) -> Entry | None:
+    """One ledger line as a record, or ``None`` when it is not one.
+
+    Decoding happens here, per line, so an undecodable byte costs only
+    its own line, like any other unparseable one.
+    """
+    try:
+        doc = json.loads(raw.decode("utf-8").strip())
+        if not isinstance(doc, dict):
+            return None
+        return _parse_entry(doc)
+    except (ValueError, TypeError):
+        return None
+
+
+def _fold(entry: Entry, at: int, open_claims: dict[str, list[ClaimRecord]],
+          done: dict[str, tuple[int, LedgerRecord]]) -> None:
+    """Apply the entry whose line starts at byte ``at`` to the fold.
+
+    A result row closes every earlier claim for its key, and an ``ok``
+    one becomes the key's latest finish. A claim opens unless an ``ok``
+    row for its key lies between the claim's ``since`` and the claim.
+    """
+    if isinstance(entry, ClaimRecord):
+        finish = done.get(entry.key)
+        if entry.since is None or finish is None or finish[0] < entry.since:
+            open_claims.setdefault(entry.key, []).append(entry)
+        return
+    open_claims.pop(entry.key, None)
+    if entry.status == "ok":
+        done[entry.key] = (at, entry)
+
+
+class _LedgerView:
+    """What one :class:`RunLedger` has parsed of its file so far.
+
+    Every newline-terminated line before ``offset`` is folded into
+    ``entries`` (append order), ``open_claims`` and ``done`` (see
+    :func:`_fold`). ``ident`` (device, inode) and ``anchor`` (the last
+    parsed bytes, which must still end at ``offset``) validate the view
+    before each read; ``read_to`` also counts the unterminated tail
+    seen by the last read.
+    """
+
+    #: How many parsed bytes before ``offset`` the anchor keeps.
+    ANCHOR_BYTES = 4096
+
+    def __init__(self, ident: tuple[int, int] | None = None):
+        self.ident = ident
+        self.offset = 0
+        self.read_to = 0
+        self.anchor = b""
+        self.entries: list[Entry] = []
+        self.open_claims: dict[str, list[ClaimRecord]] = {}
+        self.done: dict[str, tuple[int, LedgerRecord]] = {}
+
+    def parse(self, data: bytes) -> Entry | None:
+        """Fold the complete lines of ``data`` (the bytes at ``offset``).
+
+        Returns the parsed unterminated tail, which is not folded.
+        """
+        end = data.rfind(b"\n") + 1
+        at = self.offset
+        for line in data[:end].split(b"\n")[:-1]:
+            entry = _parse_line(line)
+            if entry is not None:
+                self.entries.append(entry)
+                _fold(entry, at, self.open_claims, self.done)
+            at += len(line) + 1
+        if end:
+            recent = data[max(0, end - self.ANCHOR_BYTES):end]
+            self.anchor = (self.anchor + recent)[-self.ANCHOR_BYTES:]
+        self.offset = at
+        self.read_to = at + len(data) - end
+        return _parse_line(data[end:]) if end < len(data) else None
 
 
 class RunLedger:
@@ -234,6 +354,8 @@ class RunLedger:
         #: Policy for transient append/fsync failures; ``None`` disables
         #: retries (every I/O error is immediately fatal).
         self.retry = retry
+        self._view = _LedgerView()
+        self._lock = threading.Lock()
 
     def exists(self) -> bool:
         return self.path.is_file()
@@ -300,35 +422,71 @@ class RunLedger:
 
     def append(self, record: LedgerRecord | ClaimRecord) -> None:
         """Durably append one result or claim record."""
-        doc = dataclasses.asdict(record)
+        # Every field is a scalar: a shallow dict is what asdict returns.
+        doc = {name: getattr(record, name) for name in _field_names(type(record))}
         if isinstance(record, ClaimRecord):
             doc["kind"] = "claim"
         self._append_doc(doc)
 
     # -- read ------------------------------------------------------------------
 
-    def entries(self) -> list[LedgerRecord | ClaimRecord]:
+    def _read(self) -> tuple[_LedgerView, Entry | None]:
+        """Bring the view up to date; return it and the unterminated tail.
+
+        The caller holds ``self._lock``. The cached view is kept only
+        while the file is the same inode, no shorter than the parsed
+        offset, and still holds the anchor bytes just before it; anything
+        else (replacement, truncation, a rewrite in place) re-reads the
+        whole file.
+        """
+        view = self._view
+        try:
+            fh = open(self.path, "rb")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            # No ledger file (yet): nothing recorded.
+            self._view = _LedgerView()
+            return self._view, None
+        with fh:
+            st = os.fstat(fh.fileno())
+            ident = (st.st_dev, st.st_ino)
+            valid = ident == view.ident and st.st_size >= view.offset
+            if valid:
+                fh.seek(view.offset - len(view.anchor))
+                data = fh.read()
+                valid = data.startswith(view.anchor)
+            if valid:
+                data = data[len(view.anchor):]
+            else:
+                view = self._view = _LedgerView(ident)
+                fh.seek(0)
+                data = fh.read()
+        return view, view.parse(data)
+
+    def position(self) -> int:
+        """The byte offset this instance has read the ledger up to.
+
+        No file I/O: the value is the view's, as of the last read. Note
+        it before a store lookup and pass it to :meth:`acquire` as
+        ``since`` — every row appended after the lookup starts at or
+        beyond it.
+        """
+        with self._lock:
+            return self._view.read_to
+
+    def entries(self) -> list[Entry]:
         """Every parseable record — results *and* claims — in append order.
 
-        Unparseable lines — a line truncated by a crash, a valid-JSON
-        row missing core schema fields (crash mid-field-fsync), manual
-        edits — are skipped rather than fatal: the ledger is a recovery
-        aid, and a skipped line merely re-prices one scenario.
+        Unparseable lines — a line truncated by a crash, undecodable
+        bytes, a valid-JSON row missing core schema fields (crash
+        mid-field-fsync), manual edits — are skipped rather than fatal:
+        the ledger is a recovery aid, and a skipped line merely
+        re-prices one scenario.
         """
-        if not self.exists():
-            return []
-        out: list[LedgerRecord | ClaimRecord] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    continue
-                out.append(_parse_entry(doc))
-            except (ValueError, TypeError):
-                continue
+        with self._lock:
+            view, tail = self._read()
+            out = list(view.entries)
+        if tail is not None:
+            out.append(tail)
         return out
 
     def records(self) -> list[LedgerRecord]:
@@ -346,23 +504,40 @@ class RunLedger:
         retries failures (the crash that interrupted the run may well be
         what broke them).
         """
-        return {r.key for r in self.records() if r.status == "ok" and r.key}
+        with self._lock:
+            view, tail = self._read()
+            keys = {key for key in view.done if key}
+        if isinstance(tail, LedgerRecord) and tail.status == "ok" and tail.key:
+            keys.add(tail.key)
+        return keys
 
     def open_claims(self) -> dict[str, list[ClaimRecord]]:
         """Per-key claims not yet closed by a *later* result record.
 
         A result row (ok or error) closes every claim for its key that
         precedes it in the file; claims appended after the last result
-        start a fresh claim cycle. The returned lists preserve file
-        order — the arbitration order.
+        start a fresh claim cycle, unless an ``ok`` row voided them (see
+        :class:`ClaimRecord`). The returned lists preserve file order —
+        the arbitration order.
         """
-        open_by_key: dict[str, list[ClaimRecord]] = {}
-        for entry in self.entries():
-            if isinstance(entry, ClaimRecord):
-                open_by_key.setdefault(entry.key, []).append(entry)
-            elif entry.key in open_by_key:
-                del open_by_key[entry.key]
-        return open_by_key
+        with self._lock:
+            view, tail = self._read()
+            held = {key: list(claims) for key, claims in view.open_claims.items()}
+            if tail is not None:
+                _fold(tail, view.offset, held, dict(view.done))
+        return held
+
+    def _key_state(
+        self, key: str
+    ) -> tuple[list[ClaimRecord], tuple[int, LedgerRecord] | None]:
+        """``key``'s open claims and latest ``ok`` row (with its offset)."""
+        with self._lock:
+            view, tail = self._read()
+            held = {key: list(view.open_claims.get(key, ()))}
+            done = {key: view.done[key]} if key in view.done else {}
+            if tail is not None and tail.key == key:
+                _fold(tail, view.offset, held, done)
+        return held.get(key, []), done.get(key)
 
     # -- coordination ----------------------------------------------------------
 
@@ -375,15 +550,28 @@ class RunLedger:
         shard: str | None = None,
         lease_timeout_s: float = 300.0,
         now: float | None = None,
+        since: int = 0,
     ) -> ClaimDecision:
         """Try to claim ``key`` for ``worker``; first live claim wins.
 
-        Protocol: read the open claims; if another worker already holds
-        a live one, defer. Otherwise append our claim and *re-read* —
+        Protocol: read the key's state; if another worker already holds
+        a live claim, defer. Otherwise append our claim and *re-read* —
         two workers can race past the first check, but ``O_APPEND``
         gives their claim rows a total file order, and both sides agree
         the earliest live claimant owns the scenario. The loser simply
         defers; nothing is ever priced twice.
+
+        **Finished keys.** ``since`` is the :meth:`position` the caller
+        noted before looking the key up in the store (``0``, the
+        default, counts every row). If either read finds an ``ok`` row
+        for ``key`` at or after ``since``, another worker finished the
+        key after that lookup: the answer is ``owned=False,
+        finished=True`` with the finisher as holder, and the caller
+        should load the key from the store. A claim this call already
+        appended is void by the same rule, so it never reads as open.
+        An ``ok`` row *before* ``since`` does not count: if the store
+        still lacks the key, that row is stale and the key is arbitrated
+        like any other.
 
         A stale claim (latest heartbeat older than ``lease_timeout_s``)
         marks a crashed worker: the scenario is re-issued to us, with
@@ -406,18 +594,23 @@ class RunLedger:
                     return latest[w]
             return None
 
-        existing = self.open_claims().get(key, [])
+        existing, done = self._key_state(key)
+        if done is not None and done[0] >= since:
+            return ClaimDecision(owned=False, holder=done[1].worker, finished=True)
         holder = owner(existing)
         if holder is not None and holder.worker != worker:
             return ClaimDecision(owned=False, holder=holder.worker)
         reissued = any(c.worker != worker for c in existing)
         self.append(ClaimRecord(
             scenario_id=scenario_id, key=key, worker=worker, ts=now,
-            shard=shard,
+            shard=shard, since=since,
         ))
         # Arbitrate on the post-append file order: whoever's claim row
         # landed first (and is still live) owns the scenario.
-        winner = owner(self.open_claims().get(key, []))
+        existing, done = self._key_state(key)
+        if done is not None and done[0] >= since:
+            return ClaimDecision(owned=False, holder=done[1].worker, finished=True)
+        winner = owner(existing)
         if winner is None or winner.worker != worker:
             return ClaimDecision(
                 owned=False, holder=None if winner is None else winner.worker
@@ -428,7 +621,7 @@ class RunLedger:
         """Refresh a held claim's lease by appending a new timestamp."""
         faultpoint("ledger.heartbeat")
         self.append(dataclasses.replace(
-            claim, ts=time.time() if now is None else now
+            claim, ts=time.time() if now is None else now, since=None
         ))
 
     def __len__(self) -> int:

@@ -127,16 +127,22 @@ class SweepJob:
     ``job_id`` is a content hash of the expanded grid — resubmitting
     the same grid coalesces onto the running job, and resubmitting it
     after a restart resumes from the job's ledger (same id, same
-    ledger path).
+    ledger path). The sweep and every ``GET /jobs`` poll share the one
+    ``ledger`` instance, so a poll parses only the rows appended since
+    the previous read.
     """
 
     job_id: str
     grid: ScenarioGrid
-    ledger_path: pathlib.Path
+    ledger: RunLedger
     scenarios: int
     status: str = "running"          # running | done | error | stopped
     error: str | None = None
     summary: dict | None = None
+
+    @property
+    def ledger_path(self) -> pathlib.Path:
+        return self.ledger.path
 
     def doc(self) -> dict:
         out = {
@@ -592,7 +598,8 @@ class DseServer:
         job = SweepJob(
             job_id=job_id,
             grid=grid,
-            ledger_path=self.cache_dir / "jobs" / f"{job_id}.jsonl",
+            ledger=RunLedger(self.cache_dir / "jobs" / f"{job_id}.jsonl",
+                             retry=self.retry),
             scenarios=len(specs),
         )
         self._jobs[job_id] = job
@@ -608,7 +615,7 @@ class DseServer:
     def _run_job(self, job: SweepJob) -> None:
         """Run one sweep job to completion (pricer thread only)."""
         try:
-            ledger = RunLedger(job.ledger_path, retry=self.retry)
+            ledger = job.ledger
             result = run_sweep(
                 job.grid,
                 store=self.store,
@@ -652,9 +659,8 @@ class DseServer:
             raise _HttpError(400, "bad 'since' value") from None
         if since < 0:
             raise _HttpError(400, "bad 'since' value")
-        ledger = RunLedger(job.ledger_path)
         records = await asyncio.get_running_loop().run_in_executor(
-            self._readers, ledger.records
+            self._readers, job.ledger.records
         )
         doc = job.doc()
         doc["rows"] = [

@@ -900,7 +900,27 @@ def run_sweep(
                 key = spec.cache_key()
                 resumed = key in completed
                 corrupt_before = store.corrupt if store is not None else 0
-                cached = store.load(key) if store is not None else None
+                decision = None
+                while True:
+                    # Noted before the lookup, without file I/O: an ok
+                    # row past it means another worker finished the key
+                    # while we looked (ClaimDecision.finished).
+                    mark = ledger.position() if claims_active else 0
+                    cached = store.load(key) if store is not None else None
+                    if (cached is not None or not claims_active
+                            or result.heartbeat_lost):
+                        break
+                    decision = ledger.acquire(
+                        spec.scenario_id, key, worker,
+                        shard=shard_label,
+                        lease_timeout_s=lease_timeout_s,
+                        since=mark,
+                    )
+                    # Finished: look again — the finisher stored it. A
+                    # miss means the ok row is stale (artifact gone), and
+                    # the next acquire, past that row, arbitrates afresh.
+                    if not decision.finished:
+                        break
                 # A load that tripped the corruption audit quarantined
                 # the entry; the recompile below is *recovery*, not a
                 # fresh pricing (merge accounting must not double-count).
@@ -942,11 +962,6 @@ def run_sweep(
                             progress(outcome)
                         continue
                     if claims_active:
-                        decision = ledger.acquire(
-                            spec.scenario_id, key, worker,
-                            shard=shard_label,
-                            lease_timeout_s=lease_timeout_s,
-                        )
                         if not decision.owned:
                             # Another live worker owns this scenario; it
                             # will record the result. Nothing is priced

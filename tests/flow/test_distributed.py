@@ -148,6 +148,46 @@ class TestSweepClaims:
         assert result.n_compiled == 3
         assert all(r.reissued for r in ledger.records())
 
+    @pytest.mark.parametrize("damage", ["deleted", "quarantined"])
+    def test_stale_ok_row_is_repriced_exactly_once(self, tmp_path, damage):
+        """The ledger says ok, the store lost the artifact, two workers race.
+
+        Worker A's whole sweep runs inside worker B's store lookup, after
+        B's miss: A re-prices the stale key, then B must serve A's result
+        from the store instead of pricing it a second time.
+        """
+        grid = synth_grid("3")
+        ledger_path = tmp_path / "ledger.jsonl"
+        store = ArtifactStore(tmp_path / "store")
+        run_sweep(grid, store=store, ledger=RunLedger(ledger_path), worker="old")
+        (key,) = store.keys()
+        if damage == "deleted":
+            for f in store.path_for(key).iterdir():
+                f.unlink()
+        else:
+            (store.path_for(key) / "report.json").write_text("{ truncated")
+        rows_before = len(RunLedger(ledger_path).records())
+
+        class RacingStore(ArtifactStore):
+            raced = False
+
+            def load(self, k):
+                cached = super().load(k)
+                if cached is None and not self.raced:
+                    self.raced = True
+                    a = run_sweep(grid, store=ArtifactStore(tmp_path / "store"),
+                                  ledger=RunLedger(ledger_path), worker="A")
+                    assert a.n_compiled == 1
+                return cached
+
+        b = run_sweep(grid, store=RacingStore(tmp_path / "store"),
+                      ledger=RunLedger(ledger_path), worker="B")
+        (outcome,) = b.outcomes
+        assert outcome.ok and outcome.cached and not outcome.deferred
+        new_rows = RunLedger(ledger_path).records()[rows_before:]
+        assert [(r.worker, r.cached) for r in new_rows] == [("A", False), ("B", True)]
+        assert RunLedger(ledger_path).open_claims() == {}
+
     def test_cache_hits_skip_claims(self, tmp_path):
         grid = synth_grid("0-2")
         store = ArtifactStore(tmp_path / "store")

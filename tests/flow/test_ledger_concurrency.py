@@ -152,6 +152,54 @@ class TestClaimProtocol:
         assert ledger.open_claims() == {}
 
 
+class TestFinishedKeys:
+    """A key finished after the caller's store lookup is never re-owned."""
+
+    def test_acquire_after_anothers_ok_is_not_owned(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        alice, bob = RunLedger(path), RunLedger(path)
+        assert alice.acquire("sid", "k", "alice").owned
+        alice.append(_result("k", worker="alice", sid="sid"))
+        late = bob.acquire("sid", "k", "bob")
+        assert not late.owned and late.finished
+        assert late.holder == "alice"
+        assert [c.worker for c in bob.claims()] == ["alice"]   # none appended
+        assert bob.open_claims() == {}
+
+    def test_ok_before_the_noted_position_is_stale(self, tmp_path):
+        """A finish the caller already saw (store miss anyway) re-arbitrates."""
+        path = tmp_path / "run.jsonl"
+        alice, bob = RunLedger(path), RunLedger(path)
+        alice.acquire("sid", "k", "alice")
+        bob.open_claims()
+        mark = bob.position()
+        alice.append(_result("k", worker="alice", sid="sid"))
+        assert bob.acquire("sid", "k", "bob", since=mark).finished
+        again = bob.acquire("sid", "k", "bob", since=bob.position())
+        assert again.owned and not again.finished
+
+    def test_finish_inside_acquire_voids_the_late_claim(self, tmp_path,
+                                                       monkeypatch):
+        """Alice claims and finishes between Bob's first read and his claim."""
+        path = tmp_path / "run.jsonl"
+        alice, bob = RunLedger(path), RunLedger(path)
+        append = RunLedger.append
+
+        def racing_append(self, record):
+            if self is bob and isinstance(record, ClaimRecord):
+                assert alice.acquire("sid", "k", "alice").owned
+                append(alice, _result("k", worker="alice", sid="sid"))
+            append(self, record)
+
+        monkeypatch.setattr(RunLedger, "append", racing_append)
+        late = bob.acquire("sid", "k", "bob")
+        assert not late.owned and late.finished and late.holder == "alice"
+        assert [c.worker for c in bob.claims()] == ["alice", "bob"]
+        # Bob's claim landed after Alice's ok row, so it is void.
+        assert bob.open_claims() == {}
+        assert RunLedger(path).open_claims() == {}
+
+
 _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1,
     max_size=40,

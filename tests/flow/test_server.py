@@ -12,6 +12,7 @@ against a local sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -21,8 +22,10 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import ledger_oracle
 import pytest
 
+import repro.flow.ledger as ledger_module
 from repro.errors import ServeError
 from repro.faults import injected_faults
 from repro.flow.artifacts import ArtifactStore
@@ -254,6 +257,34 @@ def test_job_rows_are_ledger_records(tmp_path):
         assert client.job(job["job_id"], since=doc["next"])["rows"] == []
         out = json.dumps(doc["rows"][0], sort_keys=True)
         assert "traceback" in doc["rows"][0] and out  # full schema served
+
+
+def test_job_polls_parse_only_appended_rows(tmp_path, monkeypatch):
+    """Polls read the job's own ledger: an unchanged one parses nothing."""
+    parsed: list[bytes] = []
+    parse_line = ledger_module._parse_line
+
+    def counting_parse_line(raw: bytes):
+        parsed.append(raw)
+        return parse_line(raw)
+
+    monkeypatch.setattr(ledger_module, "_parse_line", counting_parse_line)
+    with running_server(tmp_path / "cache") as server:
+        client = _client(server)
+        job = client.submit_sweep({"workloads": ["synth:0-2"]})
+        assert client.wait_job(job["job_id"], timeout_s=60)["status"] == "done"
+        first = client.job(job["job_id"])
+        parsed.clear()
+        second = client.job(job["job_id"])
+        assert parsed == []
+        assert second["rows"] == first["rows"]
+        tail = client.job(job["job_id"], since=1)
+        assert parsed == [] and tail["rows"] == first["rows"][1:]
+    # The rows are the ones a from-scratch read of the file gives.
+    path = tmp_path / "cache" / "jobs" / f"{job['job_id']}.jsonl"
+    records = [e for e in ledger_oracle.entries(path) if isinstance(e, LedgerRecord)]
+    assert first["rows"] == [dataclasses.asdict(r) for r in records]
+    assert first["next"] == len(records) == 3
 
 
 def test_bad_since_cursor_is_a_client_error(tmp_path):
