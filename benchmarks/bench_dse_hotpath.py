@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
-"""DSE hot-path benchmark: partition-search strategies head to head.
+"""DSE hot-path benchmark: production Phase I against the scalar oracle.
 
 Times cold- and warm-cache :meth:`repro.dse.engine.DseEngine.explore`
-plus a small scenario-sweep grid for every ``partition_search`` mode
-(``dense`` — the reference serial scalar scan, ``bisect`` — the
-monotone crossing-point search over the batched NumPy kernels, and
-``auto``), verifies that every mode produces a byte-identical
-:class:`~repro.dse.engine.DseReport`, and writes the whole result set to
-``BENCH_dse_hotpath.json`` (repo root) — the seed of the repo's bench
-trajectory for this hot path.
+and its Phase I (:meth:`~repro.dse.engine.DseEngine.evaluate`) for the
+production engine — the batched analytic kernels with a vectorized dense
+split search at small ``N`` and the monotone crossing-point bisection
+above — and for the test oracle ``tests/dse/phase1_oracle.py``, whose
+engine prices every candidate through the scalar reference scan. It
+verifies the two produce byte-identical reports, times a small
+production scenario sweep, and writes the result set to
+``BENCH_dse_hotpath.json`` (repo root).
 
-The headline numbers are per-workload **Phase I sweep stage** speedups
-(``phase1.sweep`` wall-clock, dense ÷ bisect) and the model-probe
-reduction (``phase1.model_probes`` items): the bisection does
-``O(log N)`` probes per geometry instead of ``N − 1``.
+The headline numbers are per-workload **Phase I** speedups (oracle ÷
+production ``evaluate`` wall-clock) and the model-probe reduction: the
+bisection does ``O(log N)`` probes per geometry instead of ``N − 1``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_dse_hotpath.py
     PYTHONPATH=src python benchmarks/bench_dse_hotpath.py --max-pes 512 --check-only
 
-``--check-only`` runs the equivalence contract at a small budget and
-skips the timing sweep — CI's perf-smoke job uses it to guard the
-*results* contract (bisect ≡ dense, bit for bit) without depending on
-runner wall-clock. Exit status 1 on any cross-mode mismatch.
+``--check-only`` runs the equivalence contract and skips the sweep and
+the JSON write — CI's perf-smoke job uses it to guard the *results*
+contract (production ≡ oracle, bit for bit) without depending on runner
+wall-clock. Exit status 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "dse"))
 
-from repro.dse.engine import PARTITION_SEARCH_MODES, DseEngine  # noqa: E402
-from repro.dse.timing import (  # noqa: E402
-    clear_stage_timings,
-    stage_timings,
-)
+from phase1_oracle import OracleEngine  # noqa: E402
+
+from repro.dse.engine import DseEngine  # noqa: E402
 from repro.flow.sweep import ScenarioGrid, run_sweep  # noqa: E402
 from repro.graph import build_dataflow_graph  # noqa: E402
 from repro.model.cache import clear_model_caches  # noqa: E402
@@ -51,91 +50,75 @@ from repro.workloads import build_workload  # noqa: E402
 
 DEFAULT_WORKLOADS = ("nvsa", "mimonet")
 SWEEP_WORKLOADS = ("prae", "mimonet")
+ENGINES = {"production": DseEngine, "oracle": OracleEngine}
 
 
-def _explore_once(graph, max_pes: int, mode: str):
-    """One timed exploration; returns (report, seconds, stage stats)."""
-    clear_stage_timings()
-    engine = DseEngine(max_pes=max_pes, partition_search=mode)
+def _timed(fn):
     t0 = time.perf_counter()
-    report = engine.explore(graph)
-    elapsed = time.perf_counter() - t0
-    stages = {
-        name: {"seconds": s.seconds, "items": s.items}
-        for name, s in stage_timings().items()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def bench_engine(engine, graph) -> tuple[object, dict]:
+    """Cold/warm explore and warm Phase I of one engine; (report, row)."""
+    clear_model_caches()
+    report, cold_s = _timed(lambda: engine.explore(graph))
+    _, warm_s = _timed(lambda: engine.explore(graph))
+    (evals, _), phase1_s = _timed(lambda: engine.evaluate(graph))
+    return report, {
+        "cold_s": cold_s,
+        "warm_s": warm_s,
+        "phase1_s": phase1_s,
+        "model_probes": sum(ev.probes for ev in evals),
+        "geometries": len(evals),
     }
-    return report, elapsed, stages
 
 
 def bench_workload(name: str, max_pes: int) -> tuple[dict, dict]:
-    """Cold/warm explore timings per mode; returns (row, reports)."""
+    """Both engines on one workload; returns (row, reports)."""
     graph = build_dataflow_graph(build_workload(name).build_trace())
     row: dict = {
         "workload": name,
         "max_pes": max_pes,
         "layer_nodes": len(graph.layer_nodes),
         "vsa_nodes": len(graph.vsa_nodes),
-        "modes": {},
+        "engines": {},
     }
     reports = {}
-    for mode in PARTITION_SEARCH_MODES:
-        clear_model_caches()
-        report, cold_s, cold_stages = _explore_once(graph, max_pes, mode)
-        _, warm_s, _ = _explore_once(graph, max_pes, mode)
-        reports[mode] = report
-        row["modes"][mode] = {
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "phase1_sweep_s": cold_stages["phase1.sweep"]["seconds"],
-            "model_probes": cold_stages["phase1.model_probes"]["items"],
-            "geometries": cold_stages["phase1.sweep"]["items"],
-        }
-    dense = row["modes"]["dense"]
-    bisect = row["modes"]["bisect"]
-    row["phase1_speedup_bisect_vs_dense"] = (
-        dense["phase1_sweep_s"] / bisect["phase1_sweep_s"]
-        if bisect["phase1_sweep_s"] > 0 else float("inf")
+    for label, cls in ENGINES.items():
+        reports[label], row["engines"][label] = bench_engine(
+            cls(max_pes=max_pes), graph
+        )
+    prod, oracle = row["engines"]["production"], row["engines"]["oracle"]
+    row["phase1_speedup_vs_oracle"] = (
+        oracle["phase1_s"] / prod["phase1_s"]
+        if prod["phase1_s"] > 0 else float("inf")
     )
     row["probe_reduction"] = (
-        dense["model_probes"] / bisect["model_probes"]
-        if bisect["model_probes"] else float("inf")
+        oracle["model_probes"] / prod["model_probes"]
+        if prod["model_probes"] else float("inf")
     )
     return row, reports
 
 
 def bench_sweep_grid(max_pes: int) -> dict:
-    """A small scenario grid end to end, once per search mode."""
+    """A small production scenario grid end to end, with its stage split."""
     grid = ScenarioGrid(workloads=SWEEP_WORKLOADS, max_pes=(max_pes,))
-    out: dict = {"workloads": list(SWEEP_WORKLOADS), "max_pes": max_pes,
-                 "modes": {}}
-    for mode in PARTITION_SEARCH_MODES:
-        clear_model_caches()
-        result = run_sweep(grid, partition_search=mode)
-        assert result.n_errors == 0, (
-            f"sweep errors under partition_search={mode}: "
-            f"{[o.error for o in result.outcomes if not o.ok]}"
-        )
-        out["modes"][mode] = {
-            "elapsed_s": result.elapsed_s,
-            "scenarios": result.n_scenarios,
-            "stage_timings": {
-                name: {"seconds": s.seconds, "items": s.items}
-                for name, s in result.stage_timings.items()
-            },
-        }
-    return out
-
-
-def check_equivalence(reports: dict[str, object], context: str) -> list[str]:
-    """Byte-level report identity across modes; returns mismatch notes."""
-    failures = []
-    baseline = pickle.dumps(reports["dense"])
-    for mode in ("bisect", "auto"):
-        if pickle.dumps(reports[mode]) != baseline:
-            failures.append(
-                f"{context}: DseReport differs between dense and {mode}"
-            )
-    return failures
+    clear_model_caches()
+    result = run_sweep(grid)
+    assert result.n_errors == 0, (
+        f"sweep errors: {[o.error for o in result.outcomes if not o.ok]}"
+    )
+    return {
+        "workloads": list(SWEEP_WORKLOADS),
+        "max_pes": max_pes,
+        "elapsed_s": result.elapsed_s,
+        "scenarios": result.n_scenarios,
+        "stage_timings": {
+            name: {"seconds": s.seconds, "items": s.items}
+            for name, s in result.stage_timings.items()
+        },
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,8 +133,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="result JSON path "
                              "(default: repo-root BENCH_dse_hotpath.json)")
     parser.add_argument("--check-only", action="store_true",
-                        help="verify cross-mode equivalence and exit; "
-                             "skip the timing grid and the JSON write")
+                        help="verify production ≡ oracle and exit; skip "
+                             "the sweep grid and the JSON write")
     args = parser.parse_args(argv)
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
 
@@ -159,25 +142,26 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for name in workloads:
         row, reports = bench_workload(name, args.max_pes)
-        failures.extend(check_equivalence(reports, f"{name}@{args.max_pes}"))
+        if pickle.dumps(reports["production"]) != pickle.dumps(reports["oracle"]):
+            failures.append(f"{name}@{args.max_pes}: DseReport differs "
+                            "between production and the scalar oracle")
         rows.append(row)
-        d, b = row["modes"]["dense"], row["modes"]["bisect"]
+        p, o = row["engines"]["production"], row["engines"]["oracle"]
         print(f"{name:>10} @ {args.max_pes} PEs: "
-              f"phase1 {d['phase1_sweep_s']*1e3:8.1f} ms dense -> "
-              f"{b['phase1_sweep_s']*1e3:7.1f} ms bisect "
-              f"({row['phase1_speedup_bisect_vs_dense']:6.1f}x, "
-              f"probes {d['model_probes']:,} -> {b['model_probes']:,})")
+              f"phase1 {o['phase1_s']*1e3:8.1f} ms oracle -> "
+              f"{p['phase1_s']*1e3:7.1f} ms production "
+              f"({row['phase1_speedup_vs_oracle']:6.1f}x, "
+              f"probes {o['model_probes']:,} -> {p['model_probes']:,})")
 
     if failures:
         for failure in failures:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"equivalence: all {len(workloads)} workloads byte-identical "
-          "across partition_search modes")
+          "to the scalar oracle")
     if args.check_only:
         return 0
 
-    sweep = bench_sweep_grid(args.max_pes)
     doc = {
         "bench": "dse_hotpath",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -187,14 +171,14 @@ def main(argv: list[str] | None = None) -> int:
         },
         "max_pes": args.max_pes,
         "explore": rows,
-        "sweep_grid": sweep,
-        "equivalent_across_modes": True,
+        "sweep_grid": bench_sweep_grid(args.max_pes),
+        "identical_to_oracle": True,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    worst = min(r["phase1_speedup_bisect_vs_dense"] for r in rows)
-    print(f"worst-case Phase I sweep speedup (bisect vs dense): {worst:.1f}x")
+    worst = min(r["phase1_speedup_vs_oracle"] for r in rows)
+    print(f"worst-case Phase I speedup over the scalar oracle: {worst:.1f}x")
     return 0
 
 

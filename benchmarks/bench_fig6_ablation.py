@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import TwoPhaseDSE
+from repro.dse import DseEngine
 from repro.dse.phase1 import extract_cost_dims
 from repro.flow import format_table
 from repro.graph import build_dataflow_graph
@@ -39,7 +39,7 @@ def ablation_series():
             ScalableConfig(symbolic_ratio=ratio, batch_panels=16)
         )
         graph = build_dataflow_graph(wl.build_trace())
-        report = TwoPhaseDSE(max_pes=8192).explore(graph)
+        report = DseEngine(max_pes=8192).explore(graph)
         layers, vsa = extract_cost_dims(graph)
         full_ms = report.config.estimated_cycles / CLOCK_KHZ
         static_ms = report.phase1.t_parallel / CLOCK_KHZ
@@ -100,6 +100,6 @@ def test_fig6_phase2_never_hurts(benchmark, ablation_series):
 def test_bench_dse_at_balanced_ratio(benchmark):
     wl = ScalableNsaiWorkload(ScalableConfig(symbolic_ratio=0.2, batch_panels=16))
     graph = build_dataflow_graph(wl.build_trace())
-    dse = TwoPhaseDSE(max_pes=8192)
+    dse = DseEngine(max_pes=8192)
     report = benchmark(dse.explore, graph)
     assert report.config.estimated_cycles > 0

@@ -1,22 +1,21 @@
-#!/usr/bin/env python3
-"""Multi-fidelity search benchmark: pruned pricing vs exhaustive sweeps.
+"""Multi-fidelity Phase I benchmark: pruned pricing vs the exhaustive oracle.
 
 For each bench workload this times three Phase I regimes through
 :meth:`repro.dse.engine.DseEngine.explore`:
 
-* ``exhaustive`` under the ``schedule`` backend — every candidate pays
-  the memory-aware timeline's ``O(N)`` dense partition scan;
-* ``multifidelity`` under the ``schedule`` backend — one batched
-  analytic screen, then full pricing only for candidates whose lower
-  bound is not already Pareto-dominated (see
-  :mod:`repro.dse.multifidelity`);
-* ``exhaustive`` under the ``analytic`` backend — the cheap reference
-  the pruned sweep is measured against.
+* the exhaustive oracle under the ``schedule`` backend
+  (``tests/dse/phase1_oracle.py``) — every candidate pays the
+  memory-aware timeline's ``O(N)`` dense partition scan;
+* production under the ``schedule`` backend — one batched analytic
+  screen, then full pricing only for candidates whose lower bound is not
+  already Pareto-dominated (see :mod:`repro.dse.multifidelity`);
+* production under the ``analytic`` backend — the screen alone, the
+  cheap reference the pruned sweep is measured against.
 
-It verifies the multi-fidelity report is **byte-identical** to the
-exhaustive schedule report, asserts the pruning contract (≥ 50 % of
-candidates pruned; total probe cost of the pruned schedule sweep within
-~2× of a pure analytic sweep), and writes the result set to
+It verifies the production schedule report is **byte-identical** to the
+oracle's, asserts the pruning contract (≥ 50 % of candidates pruned;
+total probe cost of the pruned schedule sweep within ~2× of a pure
+analytic sweep), and writes the result set to
 ``BENCH_multifidelity.json`` (repo root).
 
 Usage::
@@ -24,10 +23,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_multifidelity.py
     PYTHONPATH=src python benchmarks/bench_multifidelity.py --check-only
 
-``--check-only`` runs the identity + pruning contract and skips the
-repeated timing passes and the JSON write — CI's perf-smoke job uses it
-to guard the results contract without depending on runner wall-clock.
-Exit status 1 on any identity or contract failure.
+``--check-only`` runs the identity + pruning contract and skips the JSON
+write — CI's mf-perf-smoke job uses it to guard the results contract
+without depending on runner wall-clock. Exit status 1 on any identity or
+contract failure.
 """
 
 from __future__ import annotations
@@ -42,6 +41,9 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "dse"))
+
+from phase1_oracle import OracleEngine  # noqa: E402
 
 from repro.dse.engine import DseEngine  # noqa: E402
 from repro.dse.timing import clear_stage_timings, stage_timings  # noqa: E402
@@ -56,13 +58,10 @@ MIN_PRUNED_FRACTION = 0.50
 MAX_PROBE_RATIO_VS_ANALYTIC = 2.0
 
 
-def _explore_once(graph, max_pes: int, backend: str, search: str,
-                  slack: float = 0.0):
+def _explore_once(engine, graph):
     """One cold exploration; returns (report, seconds, stage stats)."""
     clear_model_caches()
     clear_stage_timings()
-    engine = DseEngine(max_pes=max_pes, backend=backend, search=search,
-                       mf_slack=slack)
     t0 = time.perf_counter()
     report = engine.explore(graph)
     elapsed = time.perf_counter() - t0
@@ -73,23 +72,25 @@ def _explore_once(graph, max_pes: int, backend: str, search: str,
     return report, elapsed, stages
 
 
-def bench_workload(name: str, max_pes: int, slack: float) -> tuple[dict, list]:
+def bench_workload(name: str, max_pes: int) -> tuple[dict, list]:
     """One workload through all three regimes; returns (row, failures)."""
     graph = build_dataflow_graph(build_workload(name).build_trace())
     failures: list[str] = []
     context = f"{name}@{max_pes}"
 
-    exh, exh_s, exh_st = _explore_once(graph, max_pes, "schedule",
-                                       "exhaustive")
-    mf, mf_s, mf_st = _explore_once(graph, max_pes, "schedule",
-                                    "multifidelity", slack)
-    ana, ana_s, ana_st = _explore_once(graph, max_pes, "analytic",
-                                       "exhaustive")
+    exh, exh_s, _ = _explore_once(
+        OracleEngine(max_pes=max_pes, backend="schedule"), graph
+    )
+    mf, mf_s, mf_st = _explore_once(
+        DseEngine(max_pes=max_pes, backend="schedule"), graph
+    )
+    ana, ana_s, ana_st = _explore_once(
+        DseEngine(max_pes=max_pes, backend="analytic"), graph
+    )
 
     if pickle.dumps(exh) != pickle.dumps(mf):
-        failures.append(f"{context}: multi-fidelity DseReport differs from "
-                        "exhaustive under the schedule backend")
-
+        failures.append(f"{context}: production DseReport differs from the "
+                        "exhaustive oracle under the schedule backend")
     screened = mf_st["phase1.mf_screened"]["items"]
     pruned = mf_st["phase1.mf_pruned"]["items"]
     pruned_fraction = pruned / screened if screened else 0.0
@@ -114,11 +115,10 @@ def bench_workload(name: str, max_pes: int, slack: float) -> tuple[dict, list]:
     row = {
         "workload": name,
         "max_pes": max_pes,
-        "mf_slack": slack,
         "exhaustive_schedule": {
             "explore_s": exh_s,
-            "phase1_sweep_s": exh_st["phase1.sweep"]["seconds"],
-            "model_probes": exh_st["phase1.model_probes"]["items"],
+            # The scalar scan prices every logical design point once.
+            "model_probes": exh.phase1.candidates_evaluated,
         },
         "multifidelity_schedule": {
             "explore_s": mf_s,
@@ -129,7 +129,7 @@ def bench_workload(name: str, max_pes: int, slack: float) -> tuple[dict, list]:
             "pruned": pruned,
             "pruned_fraction": pruned_fraction,
         },
-        "exhaustive_analytic": {
+        "analytic": {
             "explore_s": ana_s,
             "phase1_sweep_s": ana_st["phase1.sweep"]["seconds"],
             "model_probes": ana_probes,
@@ -151,8 +151,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: 8192, the paper's deployment scale)")
     parser.add_argument("--workloads", default=",".join(DEFAULT_WORKLOADS),
                         help="comma-separated workloads to bench")
-    parser.add_argument("--mf-slack", type=float, default=0.0,
-                        dest="mf_slack", help="pruning slack (default: 0)")
     parser.add_argument("--out", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_multifidelity.json",
                         help="result JSON path "
@@ -166,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     rows = []
     for name in workloads:
-        row, fails = bench_workload(name, args.max_pes, args.mf_slack)
+        row, fails = bench_workload(name, args.max_pes)
         failures.extend(fails)
         rows.append(row)
         mf = row["multifidelity_schedule"]
@@ -197,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
         },
         "max_pes": args.max_pes,
-        "mf_slack": args.mf_slack,
         "contract": {
             "min_pruned_fraction": MIN_PRUNED_FRACTION,
             "max_probe_ratio_vs_analytic": MAX_PROBE_RATIO_VS_ANALYTIC,

@@ -10,7 +10,7 @@ the Fig. 6 story, interactively.
 Usage:  python examples/design_space_exploration.py
 """
 
-from repro.dse import TwoPhaseDSE
+from repro.dse import DseEngine
 from repro.dse.phase1 import extract_cost_dims
 from repro.flow import format_table
 from repro.graph import build_dataflow_graph
@@ -27,7 +27,7 @@ def main() -> None:
             ScalableConfig(symbolic_ratio=ratio, batch_panels=16)
         )
         graph = build_dataflow_graph(workload.build_trace())
-        report = TwoPhaseDSE(max_pes=8192).explore(graph)
+        report = DseEngine(max_pes=8192).explore(graph)
         layers, vsa = extract_cost_dims(graph)
         mono_ms = monolithic_baseline_runtime(128, 64, layers, vsa) / CLOCK_KHZ
         full_ms = report.config.estimated_cycles / CLOCK_KHZ

@@ -19,7 +19,7 @@ end-to-end framework).
 
 from .errors import NSFlowError
 from .flow import NSFlow, CompiledDesign
-from .dse import DesignConfig, DseEngine, TwoPhaseDSE
+from .dse import DesignConfig, DseEngine
 from .quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, Precision
 from .workloads import available_workloads, build_workload
 
@@ -29,7 +29,6 @@ __all__ = [
     "NSFlow",
     "CompiledDesign",
     "DesignConfig",
-    "TwoPhaseDSE",
     "DseEngine",
     "Precision",
     "MixedPrecisionConfig",

@@ -10,7 +10,6 @@ shifting sub-arrays between each layer and the VSA nodes that overlap it.
 sweep: a lazy candidate stream, chunked process-pool evaluation
 (``jobs``), memoized model sub-evaluations, and a full Pareto frontier
 (latency × area × energy proxy) on ``DseReport.pareto``.
-:class:`TwoPhaseDSE` remains as the original single-winner facade.
 """
 
 from .accuracy import (
@@ -24,11 +23,9 @@ from .accuracy import (
     evaluate_accuracy,
 )
 from .config import DesignConfig, ExecutionMode, design_config_from_json, design_config_to_json
-from .phase1 import Phase1Result, run_phase1
+from .phase1 import Phase1Result
 from .phase2 import Phase2Result, run_phase2
 from .engine import (
-    PARTITION_SEARCH_MODES,
-    SEARCH_MODES,
     DseEngine,
     DsePool,
     DseReport,
@@ -38,7 +35,6 @@ from .engine import (
     ParetoPoint,
     pareto_filter,
 )
-from .explorer import TwoPhaseDSE
 from .multifidelity import (
     MultiFidelityOutcome,
     PrunedCandidate,
@@ -66,10 +62,8 @@ __all__ = [
     "design_config_to_json",
     "design_config_from_json",
     "Phase1Result",
-    "run_phase1",
     "Phase2Result",
     "run_phase2",
-    "TwoPhaseDSE",
     "DseEngine",
     "DsePool",
     "DseReport",
@@ -78,8 +72,6 @@ __all__ = [
     "ParetoFrontier",
     "ParetoPoint",
     "pareto_filter",
-    "PARTITION_SEARCH_MODES",
-    "SEARCH_MODES",
     "MultiFidelityOutcome",
     "PrunedCandidate",
     "multifidelity_evaluate",

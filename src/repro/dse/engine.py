@@ -6,19 +6,19 @@ two-phase co-exploration of paper Algorithm 1, restructured as
 1. a **lazy candidate stream** — :meth:`DseEngine.iter_candidates`
    enumerates pruned ``(H, W, N)`` geometries without materializing the
    design space;
-2. **chunked parallel evaluation** — candidates are grouped into work
-   units and scored in a ``concurrent.futures`` process pool
+2. **one Phase I path** — :meth:`DseEngine.evaluate` screens every
+   candidate with the analytic backend's batched kernels and monotone
+   partition bisection, chunked over a supervised :class:`DsePool`
    (``jobs > 1``) or in-process (``jobs == 1``); the merge is performed
    in candidate order with strict-``<`` tie-breaking, so results are
    **bit-identical for every value of ``jobs``**;
 3. **a pluggable cost-model seam** — every design point is priced
-   through an :class:`repro.model.backend.EvaluationBackend`. The
-   default :class:`~repro.model.backend.AnalyticBackend` carries the
-   batched kernels and the monotone partition bisection
-   (``partition_search``; the dense scalar scan remains as the
-   reference mode, and all modes return bit-identical results), while
-   ``backend="schedule"`` re-ranks designs by memory-aware end-to-end
-   time;
+   through an :class:`repro.model.backend.EvaluationBackend`. Under the
+   default :class:`~repro.model.backend.AnalyticBackend` the screen is
+   final; any other backend (``backend="schedule"`` re-ranks designs by
+   memory-aware end-to-end time) prices only the candidates the
+   analytic lower bound cannot prune (:mod:`repro.dse.multifidelity`),
+   with a report byte-identical to pricing them all;
 4. **memoized sub-models** — memory plan and SIMD width go through the
    keyed caches in :mod:`repro.model.cache`; layer/VSA latencies hit the
    ``lru_cache``-backed models of :mod:`repro.model.runtime`;
@@ -27,16 +27,11 @@ two-phase co-exploration of paper Algorithm 1, restructured as
    report carries the non-dominated set (:class:`ParetoFrontier`) with
    deterministic tie-breaking (see DESIGN.md "Pareto frontier
    semantics").
-
-:class:`repro.dse.explorer.TwoPhaseDSE` remains as a thin compatibility
-shim over this engine; its results are unchanged from the original
-serial implementation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from collections.abc import Iterator, Sequence
@@ -74,11 +69,7 @@ from ..trace.opnode import VsaDims
 from ..utils import is_power_of_two, log2_int
 from .accuracy import AccuracyResult
 from .config import DesignConfig, ExecutionMode
-from .multifidelity import (
-    SEARCH_MODES,
-    MultiFidelityOutcome,
-    multifidelity_evaluate,
-)
+from .multifidelity import PrunedCandidate, multifidelity_evaluate
 from .phase1 import Phase1Result, extract_cost_dims
 from .phase2 import Phase2Result, run_phase2
 from .timing import record_stage, time_stage
@@ -101,8 +92,6 @@ __all__ = [
     "DEFAULT_CLOCK_MHZ",
     "DEFAULT_RANGE_H",
     "DEFAULT_RANGE_W",
-    "PARTITION_SEARCH_MODES",
-    "SEARCH_MODES",
     "EVALUATION_BACKENDS",
     "AUTO_DENSE_MAX_N",
 ]
@@ -116,21 +105,12 @@ DEFAULT_CLOCK_MHZ = 272.0
 DEFAULT_RANGE_H: tuple[int, int] = (4, 256)
 DEFAULT_RANGE_W: tuple[int, int] = (4, 256)
 
-#: Static-partition search strategies for the Phase I inner loop.
-#: ``dense`` is the reference serial scan through the scalar models;
-#: ``bisect`` replaces it with the monotone crossing-point search over
-#: the batched NumPy kernels; ``auto`` (the default) picks per geometry.
-#: All three return bit-identical ``(t_parallel, N̄l, N̄v)`` triples —
-#: the knob trades wall-clock, never results.
-PARTITION_SEARCH_MODES: tuple[str, ...] = ("auto", "bisect", "dense")
-
-
 def _auto_chunksize(n_items: int, jobs: int) -> int:
     """Executor-map batching: ≈4 IPC shipments per worker, never per item."""
     return max(1, -(-n_items // (4 * jobs)))
 
-#: The default cost model. Stateless, so one shared instance serves every
-#: engine that doesn't ask for a different backend.
+#: The Phase I screen. Stateless, so one shared instance serves every
+#: engine (and every pool worker).
 _ANALYTIC_BACKEND = AnalyticBackend()
 
 
@@ -298,12 +278,12 @@ def make_executor(name: str, jobs: int) -> SweepExecutor:
 class DsePool:
     """A reusable jobs budget: one process pool shared across explorations.
 
-    ``DseEngine`` historically created and tore down a
-    ``ProcessPoolExecutor`` inside every :meth:`DseEngine.evaluate` call;
-    a scenario sweep compiling many workloads would pay worker fork/spawn
-    cost once per scenario. ``DsePool`` owns the executor so any number
-    of engines (and therefore scenarios) share one worker fleet and one
-    ``jobs`` budget:
+    A ``DseEngine`` without a pool opens and closes its own inside every
+    parallel :meth:`DseEngine.evaluate` call, so a scenario sweep
+    compiling many workloads would pay worker fork/spawn cost once per
+    scenario. ``DsePool`` owns the executor so any number of engines
+    (and therefore scenarios) share one worker fleet and one ``jobs``
+    budget:
 
     >>> with DsePool(jobs=4) as pool:                    # doctest: +SKIP
     ...     for graph in graphs:
@@ -428,10 +408,10 @@ class GeometryEval:
 
     ``evaluated`` counts the *logical* candidate design points this
     geometry covers (one sequential schedule plus every static split) —
-    it is identical for every ``partition_search`` strategy, so the
-    report counters stay byte-identical across modes. ``probes`` counts
-    the candidate points actually priced, in the same units:
-    ``evaluated`` for the dense scans, ``O(log N)`` for the bisection.
+    a pure function of the geometry, so report counters never depend on
+    how the split was searched. ``probes`` counts the candidate points
+    actually priced, in the same units: ``evaluated`` for a dense scan,
+    ``O(log N)`` for the bisection.
     """
 
     index: int
@@ -645,45 +625,20 @@ def _eval_from_score(cand: GeometryCandidate, score: GeometryScore) -> GeometryE
     )
 
 
-def _evaluate_geometry(
-    cand: GeometryCandidate,
-    layers: tuple[GemmDims, ...],
-    vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
-    backend: EvaluationBackend | None = None,
-) -> GeometryEval:
-    """Score one geometry through the cost-model seam.
-
-    The default backend is the analytic one, whose ``dense`` path is
-    the historical serial Phase I sweep bit for bit; the batched
-    strategies (``bisect``, ``auto``) return the identical triple. The
-    cross-geometry merge happens in :meth:`DseEngine.evaluate`.
-    """
-    backend = backend or _ANALYTIC_BACKEND
-    score = backend.score_geometry(
-        cand.h, cand.w, cand.n_sub, layers, vsa_nodes, search
-    )
-    return _eval_from_score(cand, score)
-
-
 def _evaluate_candidates(
     candidates: Sequence[GeometryCandidate],
     layers: tuple[GemmDims, ...],
     vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
-    backend: EvaluationBackend | None = None,
 ) -> list[GeometryEval]:
-    """Score a batch of geometries under one search strategy.
+    """Screen a batch of geometries with the analytic backend.
 
-    The analytic backend pre-evaluates every geometry's sequential
-    runtime in a single NumPy pass over the whole batch before running
-    the per-geometry partition search; other backends score geometries
-    one by one.
+    Every geometry's sequential runtime is pre-evaluated in a single
+    NumPy pass over the whole batch before the per-geometry partition
+    search.
     """
     faultpoint("dse.evaluate")
-    backend = backend or _ANALYTIC_BACKEND
-    scores = backend.score_geometries(
-        [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes, search
+    scores = _ANALYTIC_BACKEND.score_geometries(
+        [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes
     )
     return [_eval_from_score(c, s) for c, s in zip(candidates, scores)]
 
@@ -692,14 +647,12 @@ def _evaluate_chunk(
     chunk: tuple[GeometryCandidate, ...],
     layers: tuple[GemmDims, ...],
     vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
-    backend: EvaluationBackend | None = None,
 ) -> list[GeometryEval]:
-    """Process-pool work unit: score a batch of geometries."""
+    """Process-pool work unit: screen a batch of geometries."""
     # Worker-entry failpoint: the canonical site for ``kill`` faults,
     # hit inside the pool worker process (not the coordinator).
     faultpoint("dse.worker")
-    return _evaluate_candidates(chunk, layers, vsa_nodes, search, backend)
+    return _evaluate_candidates(chunk, layers, vsa_nodes)
 
 
 class DseEngine:
@@ -716,58 +669,31 @@ class DseEngine:
     iter_max:
         Phase II iteration cap (``Iter_max``).
     jobs:
-        Worker processes for the geometry sweep. ``1`` (default) runs
-        serially in-process — no pool, no pickling. Results are
-        bit-identical for every value of ``jobs``.
-    chunk_size:
-        Geometries per pool work unit. ``None`` (default) deals
-        candidates round-robin by descending cost into ``4 · jobs``
-        balanced chunks; an explicit size takes contiguous runs in
-        candidate order instead. Chunking never affects results.
+        Worker processes for the Phase I analytic screen. ``1`` (default)
+        runs serially in-process — no pool, no pickling; ``N > 1`` runs
+        the screen on a supervised :class:`DsePool` the call owns (a
+        killed worker costs a rebuild, not the compile). Survivors of a
+        non-analytic backend are priced serially in-process, so ``jobs``
+        fans out only the screen. Results are bit-identical for every
+        value of ``jobs``.
     pareto_k:
         Keep only the ``k`` lowest-latency frontier points in the
         report (``None`` or ``0`` keeps the full frontier, matching the
         CLI's ``--pareto-k 0`` convention).
     pool:
         A :class:`DsePool` to evaluate on instead of an engine-private
-        executor. The pool's ``jobs`` budget overrides the ``jobs``
-        argument, so every engine sharing the pool also shares one
-        worker-count policy. The engine never closes a caller's pool.
-    partition_search:
-        Phase I inner-loop strategy — ``"auto"`` (default), ``"bisect"``
-        or ``"dense"``. ``dense`` is the reference serial scan through
-        the scalar models; ``bisect`` replaces it with the monotone
-        crossing-point search over the batched NumPy kernels; ``auto``
-        picks per geometry (vectorized dense below
-        :data:`AUTO_DENSE_MAX_N` sub-arrays, bisection above). Reports
-        are **bit-identical across all three** — the knob only trades
-        wall-clock (see DESIGN.md "Batched models & partition
-        bisection").
+        one. The pool's ``jobs`` budget overrides the ``jobs`` argument,
+        so every engine sharing the pool also shares one worker-count
+        policy. The engine never closes a caller's pool.
     backend:
         The cost model every design point is priced with: a registry
         name (``"analytic"`` — the default, the paper's Eqs. 1-5 — or
         ``"schedule"`` — the memory-aware event-driven timeline), or an
-        :class:`~repro.model.backend.EvaluationBackend` instance.
-        Unlike ``jobs``/``partition_search`` this knob **changes
-        results**, so it joins the artifact-cache key and is stamped
-        into every report (see DESIGN.md "Evaluation backends").
-    search:
-        Phase I sweep mode — ``"exhaustive"`` (default) prices every
-        candidate with ``backend``; ``"multifidelity"`` screens the
-        candidate stream through the analytic lower bound first and
-        prices only candidates the bound cannot rule out
-        (:mod:`repro.dse.multifidelity`). Like ``partition_search``,
-        reports are **byte-identical across both modes** — the knob
-        only trades wall-clock, so it stays out of the artifact-cache
-        key. Pruned/priced counts accrue to the ``phase1.mf_*`` stages
-        of :mod:`repro.dse.timing`.
-    mf_slack:
-        Safety margin for ``search="multifidelity"``: a candidate is
-        pruned only when the incumbent still dominates its lower bound
-        after being inflated by ``(1 + mf_slack)``. ``0`` (default) is
-        the exact admissible rule; larger values price more
-        near-boundary candidates (pruning is monotone non-increasing in
-        slack) without ever changing results.
+        :class:`~repro.model.backend.EvaluationBackend` instance, which
+        must never price below the analytic model. Unlike ``jobs`` this
+        knob **changes results**, so it joins the artifact-cache key and
+        is stamped into every report (see DESIGN.md "Evaluation
+        backends").
     """
 
     def __init__(
@@ -779,15 +705,11 @@ class DseEngine:
         range_w: tuple[int, int] = DEFAULT_RANGE_W,
         clock_mhz: float = DEFAULT_CLOCK_MHZ,
         jobs: int = 1,
-        chunk_size: int | None = None,
         pareto_k: int | None = None,
         aspect_min: float = 0.25,
         aspect_max: float = 16.0,
         pool: DsePool | None = None,
-        partition_search: str = "auto",
         backend: str | EvaluationBackend = "analytic",
-        search: str = "exhaustive",
-        mf_slack: float = 0.0,
         accuracy: AccuracyResult | None = None,
     ):
         if not is_power_of_two(max_pes):
@@ -796,25 +718,10 @@ class DseEngine:
             raise DSEError(f"jobs must be >= 1, got {jobs}")
         if pool is not None:
             jobs = pool.jobs
-        if chunk_size is not None and chunk_size < 1:
-            raise DSEError(f"chunk_size must be >= 1, got {chunk_size}")
         if pareto_k == 0:
             pareto_k = None
         if pareto_k is not None and pareto_k < 1:
             raise DSEError(f"pareto_k must be >= 0, got {pareto_k}")
-        if partition_search not in PARTITION_SEARCH_MODES:
-            raise DSEError(
-                f"partition_search must be one of "
-                f"{', '.join(PARTITION_SEARCH_MODES)}, "
-                f"got {partition_search!r}"
-            )
-        if search not in SEARCH_MODES:
-            raise DSEError(
-                f"search must be one of {', '.join(SEARCH_MODES)}, "
-                f"got {search!r}"
-            )
-        if mf_slack < 0:
-            raise DSEError(f"mf_slack must be >= 0, got {mf_slack}")
         self.max_pes = max_pes
         self.precision = precision or MIXED_PRECISION_PRESETS["MP"]
         if isinstance(backend, str):
@@ -832,14 +739,10 @@ class DseEngine:
         self.range_w = range_w
         self.clock_mhz = clock_mhz
         self.jobs = jobs
-        self.chunk_size = chunk_size
         self.pareto_k = pareto_k
         self.aspect_min = aspect_min
         self.aspect_max = aspect_max
         self.pool = pool
-        self.partition_search = partition_search
-        self.search = search
-        self.mf_slack = mf_slack
         #: Pre-computed functional accuracy of the workload being explored
         #: (the engine only sees the graph, so the caller — NSFlow —
         #: evaluates and injects it). Stamped onto every frontier point.
@@ -867,95 +770,59 @@ class DseEngine:
     ) -> list[tuple[GeometryCandidate, ...]]:
         """Group candidates into pool work units.
 
-        Per-geometry cost is dominated by the static-partition loop
-        (``N − 1`` evaluations), so small sub-arrays are far more
-        expensive than large ones. The default strategy sorts by
-        descending ``N`` and deals candidates round-robin into
+        Per-geometry cost grows with the sub-array count ``N``, so small
+        sub-arrays are far more expensive than large ones. Candidates are
+        sorted by descending ``N`` and dealt round-robin into
         ``4 · jobs`` chunks, so every chunk carries a comparable mix of
-        heavy and light geometries. An explicit ``chunk_size`` instead
-        takes contiguous runs in candidate order. Either way the merge
-        is keyed on candidate index, so chunking never affects results.
+        heavy and light geometries. The merge is keyed on candidate
+        index, so chunking never affects results.
         """
-        if self.chunk_size is not None:
-            it = iter(candidates)
-            chunks = []
-            while chunk := tuple(itertools.islice(it, self.chunk_size)):
-                chunks.append(chunk)
-            return chunks
         by_cost = sorted(candidates, key=lambda c: (-c.n_sub, c.index))
         n_chunks = max(1, min(len(candidates), 4 * self.jobs))
         return [tuple(by_cost[i::n_chunks]) for i in range(n_chunks)]
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, graph: DataflowGraph) -> list[GeometryEval]:
-        """Score every candidate geometry, serially or in a process pool.
-
-        The returned list is in candidate order independent of ``jobs``,
-        chunking, and ``partition_search``: pool results are re-sorted
-        by candidate index before returning, and every search strategy
-        returns the identical scores. Wall-clock and probe counts accrue
-        to the ``phase1.*`` stages of :mod:`repro.dse.timing`.
-        """
-        layer_list, vsa_list = extract_cost_dims(graph)
-        layers = tuple(layer_list)
-        vsa_nodes = tuple(vsa_list)
-        candidates = list(self.iter_candidates())
-        if not candidates:
-            raise DSEError(
-                f"no feasible geometry for max_pes={self.max_pes} within "
-                f"H range {self.range_h}, W range {self.range_w}"
-            )
-        t0 = time.perf_counter()
+    def _screen(
+        self,
+        candidates: list[GeometryCandidate],
+        layers: tuple[GemmDims, ...],
+        vsa_nodes: tuple[VsaDims, ...],
+    ) -> list[GeometryEval]:
+        """Analytic scores of every candidate, in candidate order."""
         if self.jobs == 1:
-            evals = _evaluate_candidates(
-                candidates, layers, vsa_nodes, self.partition_search,
-                self.backend,
-            )
+            return _evaluate_candidates(candidates, layers, vsa_nodes)
+        work = functools.partial(
+            _evaluate_chunk, layers=layers, vsa_nodes=vsa_nodes
+        )
+        chunks = self._make_chunks(candidates)
+        if self.pool is not None:
+            chunk_results = self.pool.map(work, chunks)
         else:
-            work = functools.partial(
-                _evaluate_chunk, layers=layers, vsa_nodes=vsa_nodes,
-                search=self.partition_search, backend=self.backend,
-            )
-            chunks = self._make_chunks(candidates)
-            if self.pool is not None:
-                # The pool's auto chunksize batches a long chunk stream
-                # (engine chunk_size=1 on a big space) into ~4 IPC
-                # shipments per worker instead of one per work unit.
-                chunk_results = self.pool.map(work, chunks)
-            else:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    chunk_results = list(pool.map(
-                        work, chunks,
-                        chunksize=_auto_chunksize(len(chunks), self.jobs),
-                    ))
-            evals = sorted(
-                (ev for chunk in chunk_results for ev in chunk),
-                key=lambda e: e.index,
-            )
-        record_stage(
-            "phase1.sweep", time.perf_counter() - t0, items=len(evals)
+            # Phase II and the SIMD rule still read the model caches, so
+            # closing this call's pool must not drop them.
+            with DsePool(self.jobs, clear_caches_on_close=False) as pool:
+                chunk_results = pool.map(work, chunks)
+        return sorted(
+            (ev for chunk in chunk_results for ev in chunk),
+            key=lambda e: e.index,
         )
-        record_stage(
-            "phase1.model_probes", items=sum(ev.probes for ev in evals)
-        )
-        record_stage(
-            f"phase1.search_{self.partition_search}", items=len(evals)
-        )
-        return evals
 
-    def _evaluate_multifidelity(
+    def evaluate(
         self, graph: DataflowGraph
-    ) -> tuple[list[GeometryEval], MultiFidelityOutcome]:
-        """Analytic lower-bound screen, then price only the survivors.
+    ) -> tuple[list[GeometryEval], tuple[PrunedCandidate, ...]]:
+        """Phase I: score every candidate geometry.
 
-        The returned evals are the exhaustive sweep's scores for exactly
-        the priced candidates (bit for bit); the outcome carries the
-        pruned candidates' lower bounds and logical-evaluation counts so
-        the report's accounting stays byte-identical to exhaustive
-        search. Pricing streams in candidate order in-process — the
-        incumbent frontier is inherently sequential — so ``jobs`` does
-        not fan this path out (the screen itself is one batched pass).
+        The analytic screen scores the whole candidate stream. Under the
+        plain :class:`~repro.model.backend.AnalyticBackend` those scores
+        are final; any other backend — including an ``AnalyticBackend``
+        subclass that overrides pricing — prices only the candidates the
+        screen's lower bounds cannot prune
+        (:mod:`repro.dse.multifidelity`). Returns the priced evals in
+        candidate order and the pruned candidates; the report built from
+        them is byte-identical to pricing every candidate, for every
+        ``jobs``. Wall-clock and counts accrue to the ``phase1.*``
+        stages of :mod:`repro.dse.timing`.
         """
         layer_list, vsa_list = extract_cost_dims(graph)
         layers = tuple(layer_list)
@@ -967,25 +834,21 @@ class DseEngine:
                 f"H range {self.range_h}, W range {self.range_w}"
             )
         t0 = time.perf_counter()
-        outcome = multifidelity_evaluate(
-            candidates, layers, vsa_nodes, self.backend,
-            partition_search=self.partition_search, slack=self.mf_slack,
-        )
-        evals = outcome.evals
+        evals = self._screen(candidates, layers, vsa_nodes)
+        probes = sum(ev.probes for ev in evals)
+        pruned: tuple[PrunedCandidate, ...] = ()
+        if type(self.backend) is not AnalyticBackend:
+            mf = multifidelity_evaluate(evals, layers, vsa_nodes, self.backend)
+            evals, pruned = mf.evals, mf.pruned
+            probes += mf.priced_probes
+            record_stage("phase1.mf_screened", items=mf.screened)
+            record_stage("phase1.mf_priced", items=mf.priced)
+            record_stage("phase1.mf_pruned", items=len(pruned))
         record_stage(
-            "phase1.sweep", time.perf_counter() - t0, items=len(evals)
+            "phase1.sweep", time.perf_counter() - t0, items=len(candidates)
         )
-        record_stage(
-            "phase1.model_probes",
-            items=sum(ev.probes for ev in evals) + outcome.screen_probes,
-        )
-        record_stage(
-            f"phase1.search_{self.partition_search}", items=len(evals)
-        )
-        record_stage("phase1.mf_screened", items=outcome.screened)
-        record_stage("phase1.mf_priced", items=outcome.priced)
-        record_stage("phase1.mf_pruned", items=len(outcome.pruned))
-        return evals, outcome
+        record_stage("phase1.model_probes", items=probes)
+        return evals, pruned
 
     @staticmethod
     def _reduce_phase1(
@@ -996,10 +859,10 @@ class DseEngine:
         Strict-``<`` updates in candidate order reproduce the serial
         first-wins semantics exactly (DESIGN.md "Parallel determinism").
         ``extra_evaluated`` accounts the logical design points of
-        candidates the multi-fidelity screen pruned without pricing, so
-        ``candidates_evaluated`` stays byte-identical across search
-        modes (pruned candidates can never be either winner — that is
-        the pruning rule's admissibility guarantee).
+        candidates the screen pruned without pricing, so
+        ``candidates_evaluated`` equals pricing every candidate (pruned
+        candidates can never be either winner — that is the pruning
+        rule's admissibility guarantee).
         """
         best_para: GeometryEval | None = None
         best_seq: GeometryEval | None = None
@@ -1030,12 +893,12 @@ class DseEngine:
     ) -> ParetoFrontier:
         """Assemble the frontier; ``extra_dominated`` counts pruned candidates.
 
-        A candidate the multi-fidelity screen pruned is *provably*
-        dominated, and dominated points never change which other points
-        survive :func:`pareto_filter` — so the frontier's point set is
-        unchanged and the pruned candidates only join the ``dominated``
-        (and ``geometries_evaluated``) accounting, keeping the report
-        byte-identical to exhaustive search.
+        A candidate the screen pruned is *provably* dominated, and
+        dominated points never change which other points survive
+        :func:`pareto_filter` — so the frontier's point set is unchanged
+        and the pruned candidates only join the ``dominated`` (and
+        ``geometries_evaluated``) accounting, keeping the report
+        byte-identical to pricing every candidate.
         """
         acc_value = self.accuracy.value if self.accuracy is not None else None
         points = []
@@ -1075,12 +938,9 @@ class DseEngine:
         advantage, so deciding the mode before refinement would be biased
         toward sequential (DESIGN.md "Interpretation notes").
         """
-        if self.search == "multifidelity":
-            evals, mf = self._evaluate_multifidelity(graph)
-        else:
-            evals, mf = self.evaluate(graph), None
+        evals, pruned = self.evaluate(graph)
         phase1 = self._reduce_phase1(
-            evals, extra_evaluated=mf.pruned_evaluated if mf else 0
+            evals, extra_evaluated=sum(p.evaluated for p in pruned)
         )
         t0 = time.perf_counter()
         phase2 = run_phase2(graph, phase1, self.iter_max, backend=self.backend)
@@ -1139,9 +999,7 @@ class DseEngine:
             },
         )
         with time_stage("pareto.filter", items=len(evals)):
-            pareto = self._frontier(
-                evals, extra_dominated=len(mf.pruned) if mf else 0
-            )
+            pareto = self._frontier(evals, extra_dominated=len(pruned))
         return DseReport(
             config=config,
             phase1=phase1,

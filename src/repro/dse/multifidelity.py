@@ -1,13 +1,14 @@
-"""Multi-fidelity Phase I: analytic lower-bound screening before pricing.
+"""Multi-fidelity Phase I: price only what the analytic screen cannot prune.
 
-The PR 4 backend seam proved (and fuzz-tests) one invariant: the
-memory-aware ``schedule`` backend can only *add* time over the compute-only
-``analytic`` model — ``t_schedule >= t_analytic`` pointwise, for both the
-sequential fallback and every static partition. That is exactly an
-*admissible lower bound*, so Phase I does not have to pay schedule-backend
-cost for every geometry: screen the whole candidate stream analytically in
-one batched pass, then price candidates through the expensive backend one
-at a time — cheapest-looking first — while an incumbent (latency, area,
+Every :class:`~repro.model.backend.EvaluationBackend` must price at or
+above the compute-only ``analytic`` model — ``t_backend >= t_analytic``
+pointwise, for both the sequential fallback and every static partition
+(the memory-aware ``schedule`` backend can only *add* time). The
+analytic scores are therefore an *admissible lower bound*, so Phase I
+does not have to pay an expensive backend for every geometry: the engine
+screens the whole candidate stream analytically in one batched pass,
+then this module prices candidates through the expensive backend one at
+a time — cheapest-looking first — while an incumbent (latency, area,
 energy) frontier of the points already priced proves later candidates
 dominated from their lower bounds alone.
 
@@ -36,19 +37,14 @@ A candidate ``c`` is pruned only when all three hold:
 
 Together these guarantee the *whole* :class:`~repro.dse.engine.DseReport`
 — Phase I winners, Phase II refinement seeded from them, the frontier,
-and every counter — is byte-identical to exhaustive search; the logical
-``evaluated`` count of a pruned candidate is a pure function of its
-geometry, so the report's accounting needs no pricing either.
+and every counter — is byte-identical to pricing every candidate; the
+logical ``evaluated`` count of a pruned candidate is a pure function of
+its geometry, so the report's accounting needs no pricing either. All
+comparisons are exact integer arithmetic.
 
-``slack`` makes pruning *more conservative*, never less: a candidate is
-pruned only when the incumbent still dominates after being inflated by
-``(1 + slack)``. ``slack=0`` is the exact rule above; larger slack keeps
-near-boundary candidates priced (headroom for the Phase II refinement
-loop, which descends below the Phase I static split by up to its observed
-gain), and the pruned set shrinks monotonically as slack grows. All
-comparisons are integer arithmetic in parts-per-million, so the rule is
-exact for arbitrarily large cycle counts — no float rounding at the
-domination boundary.
+The lower bound is the one assumption the rule cannot prove, so it is
+checked: a priced candidate whose cycles fall below its screen bound
+raises :class:`~repro.errors.DSEError` naming the backend.
 """
 
 from __future__ import annotations
@@ -57,52 +53,20 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import DSEError
-from ..model.backend import AnalyticBackend, EvaluationBackend
+from ..model.backend import EvaluationBackend
 from ..nn.gemm import GemmDims
 from ..trace.opnode import VsaDims
 
 __all__ = [
-    "SEARCH_MODES",
-    "MF_SLACK_SCALE",
     "PrunedCandidate",
     "MultiFidelityOutcome",
     "multifidelity_evaluate",
-    "slack_ppm",
 ]
 
-#: Search-mode names threaded through engine/NSFlow/sweep/CLI. Like
-#: ``partition_search`` this knob is result-preserving — reports are
-#: byte-identical across modes — so it never joins the artifact-cache key.
-SEARCH_MODES: tuple[str, ...] = ("exhaustive", "multifidelity")
 
-#: Slack comparisons run in integer parts-per-million of the incumbent.
-MF_SLACK_SCALE = 1_000_000
-
-
-def slack_ppm(slack: float) -> int:
-    """A slack fraction as integer parts-per-million (exact comparisons)."""
-    if slack < 0:
-        raise DSEError(f"mf_slack must be >= 0, got {slack}")
-    return round(slack * MF_SLACK_SCALE)
-
-
-def _leq_with_margin(incumbent: int, bound: int, ppm: int) -> bool:
-    """``incumbent * (1 + slack) <= bound``, in exact integer arithmetic."""
-    return incumbent * (MF_SLACK_SCALE + ppm) <= bound * MF_SLACK_SCALE
-
-
-def _dominates_with_margin(
-    incumbent: tuple[int, int, int], bound: tuple[int, int, int], ppm: int
-) -> bool:
-    """Strict Pareto domination of a lower-bound vector, with slack margin.
-
-    Implies plain domination for every ``ppm >= 0``; the margin only makes
-    the test harder to pass (monotone pruning in slack).
-    """
-    return (
-        all(_leq_with_margin(q, b, ppm) for q, b in zip(incumbent, bound))
-        and incumbent != bound
-    )
+def _dominates(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Strict Pareto domination of objective vector ``b`` by ``a``."""
+    return all(x <= y for x, y in zip(a, b)) and a != b
 
 
 class _RunningMin:
@@ -126,9 +90,9 @@ class _RunningMin:
         elif value == self.value and index < self.index:
             self.index = index
 
-    def rules_out(self, bound: int, candidate_index: int, ppm: int) -> bool:
+    def rules_out(self, bound: int, candidate_index: int) -> bool:
         """No candidate with this lower ``bound`` can win the reduction."""
-        if self.value is None or not _leq_with_margin(self.value, bound, ppm):
+        if self.value is None or self.value > bound:
             return False
         return self.value < bound or self.index < candidate_index
 
@@ -138,10 +102,9 @@ class PrunedCandidate:
     """A candidate proven dominated from its analytic lower bound alone.
 
     ``lb_sequential``/``lb_parallel`` are the screen's (analytic) cycle
-    bounds; ``evaluated`` is the logical design-point count the exhaustive
-    sweep would have attributed to this geometry — a pure function of the
-    geometry, kept here so report counters stay byte-identical without
-    pricing.
+    bounds; ``evaluated`` is the logical design-point count pricing would
+    have attributed to this geometry — a pure function of the geometry,
+    kept here so report counters stay byte-identical without pricing.
     """
 
     index: int
@@ -155,18 +118,15 @@ class PrunedCandidate:
 
 @dataclass(frozen=True)
 class MultiFidelityOutcome:
-    """What one multi-fidelity Phase I screen produced.
+    """What pricing the survivors of one analytic screen produced.
 
     ``evals`` holds the expensively-priced geometries in candidate order —
-    exactly the exhaustive sweep's scores for those candidates; ``pruned``
-    the candidates skipped, with their lower bounds. ``screen_probes`` is
-    the analytic design-point count the screen itself paid.
+    exactly the backend's scores for those candidates; ``pruned`` the
+    candidates skipped, with their lower bounds.
     """
 
     evals: list            # list[repro.dse.engine.GeometryEval]
     pruned: tuple[PrunedCandidate, ...]
-    screen_probes: int
-    slack: float
 
     @property
     def screened(self) -> int:
@@ -181,53 +141,31 @@ class MultiFidelityOutcome:
         """Design points the expensive backend actually paid for."""
         return sum(ev.probes for ev in self.evals)
 
-    @property
-    def pruned_evaluated(self) -> int:
-        """Logical design points covered by pruned candidates."""
-        return sum(p.evaluated for p in self.pruned)
-
-    @property
-    def pruned_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(p.index for p in self.pruned))
-
 
 def multifidelity_evaluate(
-    candidates: Sequence,
+    screen: Sequence,
     layers: tuple[GemmDims, ...],
     vsa_nodes: tuple[VsaDims, ...],
     backend: EvaluationBackend,
-    *,
-    partition_search: str = "auto",
-    slack: float = 0.0,
-    screen_backend: EvaluationBackend | None = None,
 ) -> MultiFidelityOutcome:
-    """Screen ``candidates`` analytically; price only the survivors.
+    """Price the survivors of an analytic ``screen`` through ``backend``.
 
-    ``candidates`` is the engine's :class:`~repro.dse.engine.GeometryCandidate`
-    stream in enumeration order. The screen runs the (cheap, batched)
-    analytic backend over the whole stream once; the expensive ``backend``
-    then prices survivors in ascending lower-bound energy order against
-    the growing incumbent state. Returned evals are sorted by candidate
-    index and bit-identical to the exhaustive sweep's scores for the same
-    candidates; the pricing order is a pure function of the screen, so it
-    never depends on ``slack`` or on earlier pruning decisions.
+    ``screen`` is the engine's analytic :class:`~repro.dse.engine.
+    GeometryEval` list for the whole candidate stream, in candidate
+    order; its cycles are the lower bounds. Survivors are priced
+    serially in ascending lower-bound energy against the growing
+    incumbent state. Returned evals are sorted by candidate index and
+    bit-identical to ``backend``'s scores for the same candidates; the
+    pricing order is a pure function of the screen, so it never depends
+    on earlier pruning decisions.
     """
     # Imported here: engine imports this module at load time.
     from .engine import GeometryEval, area_pe_equiv
 
-    ppm = slack_ppm(slack)
-    screen_backend = screen_backend or AnalyticBackend()
-    lb_scores = screen_backend.score_geometries(
-        [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes,
-        partition_search,
-    )
-    areas = [area_pe_equiv(c.h, c.w, c.n_sub) for c in candidates]
-    lb_best = [
-        min(s.t_sequential, s.t_parallel) for s in lb_scores
-    ]
+    areas = [area_pe_equiv(lb.h, lb.w, lb.n_sub) for lb in screen]
     order = sorted(
-        range(len(candidates)),
-        key=lambda i: (lb_best[i] * areas[i], candidates[i].index),
+        range(len(screen)),
+        key=lambda i: (screen[i].best_cycles * areas[i], screen[i].index),
     )
 
     evals: list[GeometryEval] = []
@@ -238,27 +176,33 @@ def multifidelity_evaluate(
     min_t_seq = _RunningMin()
 
     for i in order:
-        cand, lb, area = candidates[i], lb_scores[i], areas[i]
-        lb_point = (lb_best[i], area, lb_best[i] * area)
+        lb, area = screen[i], areas[i]
+        lb_point = (lb.best_cycles, area, lb.best_cycles * area)
         prunable = (
-            min_t_par.rules_out(lb.t_parallel, cand.index, ppm)
-            and min_t_seq.rules_out(lb.t_sequential, cand.index, ppm)
-            and any(
-                _dominates_with_margin(q, lb_point, ppm) for q in incumbents
-            )
+            min_t_par.rules_out(lb.t_parallel, lb.index)
+            and min_t_seq.rules_out(lb.t_sequential, lb.index)
+            and any(_dominates(q, lb_point) for q in incumbents)
         )
         if prunable:
             pruned.append(PrunedCandidate(
-                index=cand.index, h=cand.h, w=cand.w, n_sub=cand.n_sub,
+                index=lb.index, h=lb.h, w=lb.w, n_sub=lb.n_sub,
                 lb_sequential=lb.t_sequential, lb_parallel=lb.t_parallel,
-                evaluated=cand.n_sub if vsa_nodes else 1,
+                evaluated=lb.evaluated,
             ))
             continue
-        score = backend.score_geometry(
-            cand.h, cand.w, cand.n_sub, layers, vsa_nodes, partition_search
-        )
+        score = backend.score_geometry(lb.h, lb.w, lb.n_sub, layers, vsa_nodes)
+        if (score.t_sequential < lb.t_sequential
+                or score.t_parallel < lb.t_parallel):
+            raise DSEError(
+                f"backend {type(backend).__name__} ({backend.info}) priced "
+                f"geometry {(lb.h, lb.w, lb.n_sub)} at t_sequential="
+                f"{score.t_sequential}, t_parallel={score.t_parallel}, below "
+                f"its analytic lower bound ({lb.t_sequential}, "
+                f"{lb.t_parallel}); Phase I pruning requires every backend "
+                "to price at or above the analytic model"
+            )
         ev = GeometryEval(
-            index=cand.index, h=cand.h, w=cand.w, n_sub=cand.n_sub,
+            index=lb.index, h=lb.h, w=lb.w, n_sub=lb.n_sub,
             t_sequential=score.t_sequential, t_parallel=score.t_parallel,
             nl_bar=score.nl_bar, nv_bar=score.nv_bar,
             evaluated=score.evaluated, probes=score.probes,
@@ -269,18 +213,12 @@ def multifidelity_evaluate(
         point = (ev.best_cycles, area, ev.best_cycles * area)
         # Keep the incumbent set non-dominated: anything the new point
         # dominates can never out-prune it (domination is transitive).
-        if not any(_dominates_with_margin(q, point, 0) or q == point
-                   for q in incumbents):
-            incumbents = [
-                q for q in incumbents
-                if not _dominates_with_margin(point, q, 0)
-            ]
+        if not any(_dominates(q, point) or q == point for q in incumbents):
+            incumbents = [q for q in incumbents if not _dominates(point, q)]
             incumbents.append(point)
 
     evals.sort(key=lambda ev: ev.index)
     return MultiFidelityOutcome(
         evals=evals,
         pruned=tuple(sorted(pruned, key=lambda p: p.index)),
-        screen_probes=sum(s.probes for s in lb_scores),
-        slack=slack,
     )

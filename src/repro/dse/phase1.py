@@ -1,4 +1,4 @@
-"""Algorithm 1, Phase I: geometry sweep under a static partition.
+"""Algorithm 1, Phase I: the result type and the cost dimensions it sweeps.
 
 For every pruned power-of-two ``(H, W)`` pair the total sub-array count is
 ``N = ⌊M / (H·W)⌋``; the phase sweeps the static split ``N̄l : N̄v`` and
@@ -10,6 +10,8 @@ is made after Phase II refinement (the paper's listing short-circuits at
 line 14, but parallel mode's advantage comes precisely from the per-layer
 granularity effects only Phase II can exploit; deciding early would
 forfeit them — see DESIGN.md "Interpretation notes").
+
+The sweep itself is :meth:`repro.dse.engine.DseEngine.evaluate`.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from dataclasses import dataclass
 
 from ..errors import DSEError
 from ..graph.dataflow import DataflowGraph
-from ..model.designspace import hw_config_candidates
-from ..model.runtime import parallel_runtime, sequential_runtime
 from ..nn.gemm import GemmDims
 from ..trace.opnode import VsaDims
-from ..utils import log2_int
 
-__all__ = ["Phase1Result", "run_phase1", "extract_cost_dims"]
+__all__ = ["Phase1Result", "extract_cost_dims"]
 
 
 @dataclass(frozen=True)
@@ -67,69 +66,3 @@ def extract_cost_dims(
     if not layers:
         raise DSEError("workload graph has no GEMM layer nodes")
     return layers, vsa
-
-
-def run_phase1(
-    graph: DataflowGraph,
-    max_pes: int,
-    range_h: tuple[int, int] = (4, 256),
-    range_w: tuple[int, int] = (4, 256),
-    aspect_min: float = 0.25,
-    aspect_max: float = 16.0,
-) -> Phase1Result:
-    """Sweep pruned geometries and static partitions (Algorithm 1 l.2-15)."""
-    layers, vsa_nodes = extract_cost_dims(graph)
-    m = log2_int(max_pes)
-
-    best_para: tuple[int, int, int, int, int, int] | None = None  # t, h, w, n, nl, nv
-    best_seq: tuple[int, int, int, int] | None = None             # t, h, w, n
-    evaluated = 0
-    for h, w in hw_config_candidates(m, aspect_min, aspect_max, prune=True):
-        if not (range_h[0] <= h <= range_h[1] and range_w[0] <= w <= range_w[1]):
-            continue
-        n_sub = max_pes // (h * w)
-        if n_sub < 2:
-            continue
-
-        t_seq = sequential_runtime(h, w, n_sub, layers, vsa_nodes)
-        evaluated += 1
-        if best_seq is None or t_seq < best_seq[0]:
-            best_seq = (int(t_seq), h, w, n_sub)
-
-        if vsa_nodes:
-            for nl_bar in range(1, n_sub):
-                nv_bar = n_sub - nl_bar
-                t_para = parallel_runtime(
-                    h, w,
-                    [nl_bar] * len(layers),
-                    [nv_bar] * len(vsa_nodes),
-                    layers, vsa_nodes,
-                )
-                evaluated += 1
-                if best_para is None or t_para < best_para[0]:
-                    best_para = (int(t_para), h, w, n_sub, nl_bar, nv_bar)
-        else:
-            # No VSA nodes: "parallel" degenerates to whole-array NN.
-            if best_para is None or t_seq < best_para[0]:
-                best_para = (int(t_seq), h, w, n_sub, n_sub, 0)
-
-    if best_para is None or best_seq is None:
-        raise DSEError(
-            f"Phase I found no feasible geometry for max_pes={max_pes} "
-            f"within H range {range_h}, W range {range_w}"
-        )
-    t_para, h, w, n_sub, nl_bar, nv_bar = best_para
-    t_seq, sh, sw, sn = best_seq
-    return Phase1Result(
-        h=h,
-        w=w,
-        n_sub=n_sub,
-        nl_bar=nl_bar,
-        nv_bar=nv_bar,
-        t_parallel=t_para,
-        seq_h=sh,
-        seq_w=sw,
-        seq_n_sub=sn,
-        t_sequential=t_seq,
-        candidates_evaluated=evaluated,
-    )

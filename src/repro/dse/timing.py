@@ -8,8 +8,8 @@ process-wide registry of named :class:`StageStat` accumulators that the
 engine feeds and the CLI / sweep report surface.
 
 Deliberately **not** part of :class:`~repro.dse.engine.DseReport`:
-reports are required to be byte-identical across ``partition_search``
-modes and ``jobs`` values, and wall-clock never is. Timings follow the
+reports are required to be byte-identical across ``jobs`` values, and
+wall-clock never is. Timings follow the
 same snapshot/delta pattern as the model-cache counters
 (:func:`repro.model.cache.counters_snapshot`), so a sweep can report
 exactly the work it performed:

@@ -27,9 +27,8 @@ Cache key
 plus :data:`ARTIFACT_FORMAT_VERSION` (the on-disk schema) and
 :data:`ENGINE_CACHE_EPOCH` (the cost-model generation). Knobs that are
 guaranteed *not* to change results are deliberately excluded: ``jobs``
-(bit-identical for any worker count), ``pareto_k`` (the store always
-keeps the full frontier; truncation happens at render time), and
-``partition_search`` (every strategy returns bit-identical artifacts).
+(bit-identical for any worker count) and ``pareto_k`` (the store always
+keeps the full frontier; truncation happens at render time).
 See DESIGN.md "Sweep & artifact cache".
 
 Layout

@@ -24,20 +24,16 @@ full flag reference.
 DSE flags
 ---------
 ``--jobs N``
-    Worker processes for the design-space sweep. ``1`` (the default)
-    evaluates candidates serially in-process; ``N > 1`` fans the chunked
-    candidate stream out over a ``concurrent.futures`` process pool. The
-    chosen design is **bit-identical for every value of N** — the merge
+    Worker processes for the Phase I analytic screen. ``1`` (the
+    default) screens candidates serially in-process; ``N > 1`` fans the
+    chunked candidate stream out over a supervised process pool (a
+    killed worker is replaced, not fatal). Candidates a non-analytic
+    backend prices after the screen are priced serially. The chosen
+    design is **bit-identical for every value of N** — the merge
     preserves the serial sweep's deterministic tie-breaking.
 ``--pareto-k K``
     How many Pareto-frontier rows to keep and print (default 8; ``0``
     keeps the full frontier).
-``--partition-search {auto,bisect,dense}``
-    Phase I inner-loop strategy. ``dense`` is the reference serial scan
-    through the scalar models; ``bisect`` is the monotone crossing-point
-    search over the batched NumPy kernels (``O(log N)`` probes instead
-    of ``N − 1``); ``auto`` (default) picks per geometry. **Results are
-    bit-identical across all three** — the knob only trades wall-clock.
 ``--backend {analytic,schedule}``
     The evaluation cost model every design point is priced with.
     ``analytic`` (default) is the paper's Eqs. 1-5 — compute cycles
@@ -46,24 +42,15 @@ DSE flags
     bandwidth, double-buffered transfer overlap) — **result-affecting**,
     so it is part of the sweep cache key and is recorded in every
     report. ``compile`` prints the backend's latency breakdown
-    (compute / fill-drain / DRAM / overlap) after the summary.
-``--search {exhaustive,multifidelity}``
-    Phase I strategy. ``exhaustive`` (default) prices every candidate
-    geometry with the chosen backend; ``multifidelity`` screens the
-    stream through the analytic lower bound first and prices only
-    candidates not already Pareto-dominated (see
-    :mod:`repro.dse.multifidelity`). **Results are byte-identical** —
-    the knob only trades wall-clock, so it never joins the sweep cache
-    key (``sweep`` takes it as a comma-separated grid axis).
-``--mf-slack F``
-    Multi-fidelity pruning slack: prune a candidate only when the
-    incumbent still dominates its lower bound after inflation by
-    ``(1 + F)``. ``0`` (default) is the exact rule; larger values price
-    more near-boundary candidates. Result-preserving at any value.
+    (compute / fill-drain / DRAM / overlap) after the summary. Phase I
+    screens every candidate with the analytic model; ``schedule``
+    prices only candidates whose analytic lower bound is not already
+    Pareto-dominated (see :mod:`repro.dse.multifidelity`), with
+    results byte-identical to pricing them all.
 ``--timings``
     Print the DSE stage-timing table (Phase I sweep seconds, model
-    probes paid, Phase II refinement, Pareto filtering) after the run —
-    the counters that make a ``--partition-search`` speedup visible.
+    probes paid, candidates screened/priced/pruned, Phase II
+    refinement, Pareto filtering) after the run.
 ``--accuracy``
     Evaluate *functional accuracy* as a fourth frontier objective: the
     workload's VSA/neural pipeline is executed over ``--accuracy-
@@ -131,11 +118,7 @@ from .report import (
 from .sweep import DEFAULT_LEASE_TIMEOUT_S, ScenarioGrid, run_sweep
 from ..dse.accuracy import DEFAULT_ACCURACY_PROBLEMS, DEFAULT_ACCURACY_SEED
 from ..dse.config import design_config_to_json
-from ..dse.engine import (
-    EVALUATION_BACKENDS,
-    PARTITION_SEARCH_MODES,
-    SEARCH_MODES,
-)
+from ..dse.engine import EVALUATION_BACKENDS
 from ..dse.timing import stage_timings_since, timings_snapshot
 
 __all__ = ["main", "build_parser"]
@@ -179,31 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--loops", type=int, default=1,
                       help="inference loops to fuse (inter-loop parallelism)")
     comp.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the DSE sweep "
-                           "(1 = serial; results identical for any N)")
+                      help="worker processes for the Phase I analytic "
+                           "screen (1 = serial; results identical for "
+                           "any N)")
     comp.add_argument("--pareto-k", type=int, default=8, dest="pareto_k",
                       help="Pareto-frontier rows to keep/print "
                            "(0 = full frontier)")
-    comp.add_argument("--partition-search", choices=PARTITION_SEARCH_MODES,
-                      default="auto", dest="partition_search",
-                      help="Phase I partition-search strategy (results are "
-                           "bit-identical across all choices)")
     comp.add_argument("--backend", choices=EVALUATION_BACKENDS,
                       default="analytic",
                       help="evaluation cost model: 'analytic' (Eqs. 1-5, "
                            "compute-only) or 'schedule' (memory-aware "
                            "event-driven timeline); result-affecting")
-    comp.add_argument("--search", choices=SEARCH_MODES, default="exhaustive",
-                      help="Phase I strategy: 'exhaustive' prices every "
-                           "candidate; 'multifidelity' screens through the "
-                           "analytic lower bound and prices only candidates "
-                           "not already Pareto-dominated (byte-identical "
-                           "results)")
-    comp.add_argument("--mf-slack", type=float, default=0.0, dest="mf_slack",
-                      help="multi-fidelity pruning slack: prune only when "
-                           "the incumbent dominates after inflation by "
-                           "(1 + F); 0 = exact rule (result-preserving at "
-                           "any value)")
     comp.add_argument("--timings", action="store_true",
                       help="print the DSE stage-timing table after the run")
     _add_accuracy_flags(comp)
@@ -246,23 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--jobs", type=int, default=1,
                      help="sweep-wide worker-process budget shared by every "
                           "scenario's DSE (1 = serial)")
-    swp.add_argument("--partition-search", choices=PARTITION_SEARCH_MODES,
-                     default="auto", dest="partition_search",
-                     help="Phase I partition-search strategy applied to "
-                          "every scenario (results are bit-identical "
-                          "across all choices)")
     swp.add_argument("--backends", default="analytic",
                      help="comma-separated evaluation backends as a grid "
                           f"axis (available: {', '.join(EVALUATION_BACKENDS)}"
                           "); result-affecting, part of the cache key")
-    swp.add_argument("--search", default="exhaustive", dest="searches",
-                     help="comma-separated Phase I strategies as a grid "
-                          f"axis (available: {', '.join(SEARCH_MODES)}); "
-                          "result-preserving, excluded from the cache key")
-    swp.add_argument("--mf-slack", type=float, default=0.0, dest="mf_slack",
-                     help="multi-fidelity pruning slack for every "
-                          "multifidelity scenario (0 = exact rule; "
-                          "result-preserving at any value)")
     swp.add_argument("--timings", action="store_true",
                      help="print the full DSE stage-timing table after "
                           "the sweep summary")
@@ -342,14 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--jobs", type=int, default=1,
                      help="worker-process budget of the server's one "
                           "persistent DSE pool (1 = serial)")
-    srv.add_argument("--partition-search", choices=PARTITION_SEARCH_MODES,
-                     default="auto", dest="partition_search",
-                     help="Phase I partition-search strategy for every "
-                          "request (results are bit-identical across all "
-                          "choices)")
-    srv.add_argument("--mf-slack", type=float, default=0.0, dest="mf_slack",
-                     help="multi-fidelity pruning slack for multifidelity "
-                          "scenarios (result-preserving at any value)")
     srv.add_argument("--max-retries", type=int, default=2,
                      dest="max_retries", metavar="N",
                      help="retries for transient ledger/artifact I/O "
@@ -400,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--backends", default="analytic",
                      help="comma-separated evaluation backends as a grid "
                           f"axis (available: {', '.join(EVALUATION_BACKENDS)})")
-    sbm.add_argument("--search", default="exhaustive", dest="searches",
-                     help="comma-separated Phase I strategies as a grid "
-                          f"axis (available: {', '.join(SEARCH_MODES)})")
     _add_accuracy_flags(sbm)
     sbm.add_argument("--poll", type=float, default=DEFAULT_POLL_S,
                      metavar="SECONDS",
@@ -478,10 +423,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         iter_max=args.iter_max,
         jobs=args.jobs,
         pareto_k=args.pareto_k,
-        partition_search=args.partition_search,
         backend=args.backend,
-        search=args.search,
-        mf_slack=args.mf_slack,
         accuracy=args.accuracy,
         accuracy_problems=args.accuracy_problems,
         accuracy_seed=args.accuracy_seed,
@@ -532,11 +474,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     if args.timings:
         print()
-        print(stage_timings_table(
-            stage_timings_since(snapshot),
-            title=f"DSE stage timings (--partition-search "
-                  f"{args.partition_search})",
-        ))
+        print(stage_timings_table(stage_timings_since(snapshot)))
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -576,7 +514,6 @@ def _grid_doc_from_args(args: argparse.Namespace) -> dict | None:
         "loops": loops,
         "iter_maxes": [args.iter_max],
         "backends": [b.lower() for b in _split_csv(args.backends)],
-        "searches": [s.lower() for s in _split_csv(args.searches)],
         "accuracy": args.accuracy,
         "accuracy_problems": args.accuracy_problems,
         "accuracy_seed": args.accuracy_seed,
@@ -671,8 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        partition_search=args.partition_search,
-        mf_slack=args.mf_slack,
         max_retries=args.max_retries,
         worker_id=args.worker_id,
         lease_timeout_s=args.lease_timeout,
@@ -716,7 +651,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         loops=loops,
         iter_maxes=(args.iter_max,),
         backends=tuple(b.lower() for b in _split_csv(args.backends)),
-        searches=tuple(s.lower() for s in _split_csv(args.searches)),
         accuracy=args.accuracy,
         accuracy_problems=args.accuracy_problems,
         accuracy_seed=args.accuracy_seed,
@@ -783,7 +717,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     result = run_sweep(
         grid, store=store, jobs=args.jobs,
-        partition_search=args.partition_search, mf_slack=args.mf_slack,
         progress=progress, ledger=ledger, resume=args.resume,
         shard=args.shard, worker=worker,
         lease_timeout_s=args.lease_timeout,
@@ -806,11 +739,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.timings:
         print()
         if result.stage_timings:
-            print(stage_timings_table(
-                result.stage_timings,
-                title=f"DSE stage timings (--partition-search "
-                      f"{args.partition_search})",
-            ))
+            print(stage_timings_table(result.stage_timings))
         else:
             print("DSE stage timings: no stages ran "
                   "(every scenario was served from the artifact cache)")

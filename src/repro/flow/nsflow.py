@@ -92,10 +92,7 @@ class NSFlow:
         jobs: int = 1,
         pareto_k: int | None = None,
         pool: DsePool | None = None,
-        partition_search: str = "auto",
         backend: str | EvaluationBackend = "analytic",
-        search: str = "exhaustive",
-        mf_slack: float = 0.0,
         accuracy: bool = False,
         accuracy_problems: int = DEFAULT_ACCURACY_PROBLEMS,
         accuracy_seed: int = DEFAULT_ACCURACY_SEED,
@@ -110,10 +107,7 @@ class NSFlow:
         self.jobs = jobs
         self.pareto_k = pareto_k
         self.pool = pool
-        self.partition_search = partition_search
         self.backend = backend
-        self.search = search
-        self.mf_slack = mf_slack
         self.accuracy = accuracy
         self.accuracy_problems = accuracy_problems
         self.accuracy_seed = accuracy_seed
@@ -159,10 +153,7 @@ class NSFlow:
             jobs=self.jobs,
             pareto_k=self.pareto_k,
             pool=self.pool,
-            partition_search=self.partition_search,
             backend=self.backend,
-            search=self.search,
-            mf_slack=self.mf_slack,
             accuracy=accuracy,
         )
         report = dse.explore(graph)

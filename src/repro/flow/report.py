@@ -164,10 +164,8 @@ def stage_timings_table(
 
     One row per stage, in deterministic name order: accumulated
     wall-clock, entry count, work items (geometries swept, model probes
-    paid, refinement iterations), and throughput. This is where a
-    ``--partition-search`` choice becomes visible — compare
-    ``phase1.sweep`` seconds and ``phase1.model_probes`` items across
-    modes.
+    paid, candidates priced and pruned, refinement iterations), and
+    throughput.
     """
     rows = [
         [

@@ -249,8 +249,6 @@ class DseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         jobs: int = 1,
-        partition_search: str = "auto",
-        mf_slack: float = 0.0,
         max_retries: int = 2,
         worker_id: str | None = None,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
@@ -259,8 +257,6 @@ class DseServer:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.partition_search = partition_search
-        self.mf_slack = mf_slack
         self.retry = RetryPolicy(max_attempts=max_retries + 1)
         # Stable across restarts by design: a restarted server must
         # re-own (not wait out) stale claims its SIGKILLed predecessor
@@ -557,9 +553,7 @@ class DseServer:
         if cached is not None:
             return cached, 0, True
         faultpoint("sweep.compile")
-        design, artifacts = _compile_scenario(
-            spec, self.pool, self.partition_search, self.mf_slack
-        )
+        design, artifacts = _compile_scenario(spec, self.pool)
         self.store.store(key, design, spec.key_doc())
         return artifacts, design.dse.phase1.candidates_evaluated, False
 
@@ -620,8 +614,6 @@ class DseServer:
                 job.grid,
                 store=self.store,
                 pool=self.pool,
-                partition_search=self.partition_search,
-                mf_slack=self.mf_slack,
                 ledger=ledger,
                 resume=ledger.exists(),
                 worker=self.worker_id,

@@ -52,8 +52,6 @@ from ..dse.engine import (
     DEFAULT_CLOCK_MHZ,
     DEFAULT_RANGE_H,
     DEFAULT_RANGE_W,
-    PARTITION_SEARCH_MODES,
-    SEARCH_MODES,
     DsePool,
 )
 from ..dse.timing import StageStat, stage_timings_since, timings_snapshot
@@ -205,17 +203,12 @@ class ScenarioSpec:
     ``M``); ``overrides`` are workload-config overrides as a sorted
     tuple of ``(field, value)`` pairs so specs stay hashable.
     ``backend`` picks the evaluation cost model — result-affecting, so
-    it is part of the scenario's identity and cache key. ``search`` picks
-    the Phase I strategy (``exhaustive`` or ``multifidelity``) — it joins
-    the scenario id (as ``/mf``) so both modes can coexist in one grid,
-    but **not** the cache key: multi-fidelity search is proven
-    byte-identical to exhaustive, so either mode may serve the other's
-    cached artifacts. ``accuracy`` switches on the functional accuracy
-    objective: the workload's VSA/neural pipeline is executed over
-    ``accuracy_problems`` seeded problems under the design's
-    quantization, and the result joins the Pareto frontier as a fourth
-    axis — result-affecting, so the request (never the value) is part
-    of the scenario id and cache key.
+    it is part of the scenario's identity and cache key. ``accuracy``
+    switches on the functional accuracy objective: the workload's
+    VSA/neural pipeline is executed over ``accuracy_problems`` seeded
+    problems under the design's quantization, and the result joins the
+    Pareto frontier as a fourth axis — result-affecting, so the request
+    (never the value) is part of the scenario id and cache key.
     """
 
     workload: str
@@ -225,7 +218,6 @@ class ScenarioSpec:
     loops: int = 1
     max_pes: int | None = None
     backend: str = "analytic"
-    search: str = "exhaustive"
     accuracy: bool = False
     accuracy_problems: int = DEFAULT_ACCURACY_PROBLEMS
     accuracy_seed: int = DEFAULT_ACCURACY_SEED
@@ -256,11 +248,6 @@ class ScenarioSpec:
                 f"unknown backend {self.backend!r}; "
                 f"available: {', '.join(EVALUATION_BACKENDS)}"
             )
-        if self.search not in SEARCH_MODES:
-            raise ConfigError(
-                f"unknown search mode {self.search!r}; "
-                f"available: {', '.join(SEARCH_MODES)}"
-            )
         if self.accuracy_problems < 1:
             raise ConfigError(
                 f"accuracy_problems must be >= 1, got {self.accuracy_problems}"
@@ -281,8 +268,6 @@ class ScenarioSpec:
             sid += f"/pes{self.max_pes}"
         if self.backend != "analytic":
             sid += f"/{self.backend}"
-        if self.search != "exhaustive":
-            sid += "/mf"
         if self.accuracy:
             sid += f"/acc{self.accuracy_problems}"
             if self.accuracy_seed != DEFAULT_ACCURACY_SEED:
@@ -319,9 +304,8 @@ def scenario_key_doc(spec: ScenarioSpec) -> dict:
     the result-affecting engine knobs. Clock and H/W ranges come from
     the engine-level defaults that ``NSFlow``/``DseEngine`` actually
     compile with, so a changed default invalidates the cache rather
-    than serving stale hits. ``search`` is deliberately absent: like
-    ``partition_search`` and ``jobs``, it is result-preserving
-    (byte-identical reports), so both modes share one cache entry.
+    than serving stale hits. ``jobs`` is deliberately absent: reports
+    are byte-identical for every value.
     """
     return _key_doc(
         workload=spec.workload,
@@ -398,7 +382,6 @@ class ScenarioGrid:
     iter_maxes: tuple[int, ...] = (8,)
     max_pes: tuple[int | None, ...] = (None,)
     backends: tuple[str, ...] = ("analytic",)
-    searches: tuple[str, ...] = ("exhaustive",)
     accuracy: bool = False
     accuracy_problems: int = DEFAULT_ACCURACY_PROBLEMS
     accuracy_seed: int = DEFAULT_ACCURACY_SEED
@@ -409,12 +392,12 @@ class ScenarioGrid:
     def __post_init__(self) -> None:
         for name in (
             "workloads", "devices", "precisions", "loops", "iter_maxes",
-            "max_pes", "backends", "searches", "include", "exclude",
+            "max_pes", "backends", "include", "exclude",
         ):
             object.__setattr__(self, name, _as_tuple(getattr(self, name)))
         object.__setattr__(self, "overrides", tuple(self.overrides))
         for axis in ("workloads", "devices", "precisions", "loops", "iter_maxes",
-                     "max_pes", "backends", "searches"):
+                     "max_pes", "backends"):
             if not getattr(self, axis):
                 raise ConfigError(f"grid axis {axis!r} must be non-empty")
 
@@ -444,23 +427,21 @@ class ScenarioGrid:
                             for iter_max in self.iter_maxes:
                                 for pes in self.max_pes:
                                     for backend in self.backends:
-                                        for search in self.searches:
-                                            spec = ScenarioSpec(
-                                                workload=workload,
-                                                device=device,
-                                                precision=precision,
-                                                iter_max=iter_max,
-                                                loops=loops,
-                                                max_pes=pes,
-                                                backend=backend,
-                                                search=search,
-                                                accuracy=self.accuracy,
-                                                accuracy_problems=self.accuracy_problems,
-                                                accuracy_seed=self.accuracy_seed,
-                                                overrides=overrides,
-                                            )
-                                            if self._selected(spec.scenario_id):
-                                                specs.append(spec)
+                                        spec = ScenarioSpec(
+                                            workload=workload,
+                                            device=device,
+                                            precision=precision,
+                                            iter_max=iter_max,
+                                            loops=loops,
+                                            max_pes=pes,
+                                            backend=backend,
+                                            accuracy=self.accuracy,
+                                            accuracy_problems=self.accuracy_problems,
+                                            accuracy_seed=self.accuracy_seed,
+                                            overrides=overrides,
+                                        )
+                                        if self._selected(spec.scenario_id):
+                                            specs.append(spec)
         return specs
 
     def __len__(self) -> int:
@@ -526,9 +507,9 @@ class SweepResult:
 
     ``stage_timings`` is the sweep's delta of the DSE stage accumulators
     (:mod:`repro.dse.timing`): wall-clock and work-item counts for the
-    Phase I sweep, the partition-search probes, Phase II refinement, and
-    Pareto filtering — the numbers that make a ``partition_search``
-    speedup visible straight from the sweep summary.
+    Phase I sweep, its model probes and pruning, Phase II refinement,
+    and Pareto filtering — where a sweep's DSE time went, straight from
+    the sweep summary.
     """
 
     outcomes: list[ScenarioOutcome] = field(default_factory=list)
@@ -604,10 +585,7 @@ class SweepResult:
         return [o for o in self.ok_outcomes() if o.spec.workload == workload]
 
 
-def _compile_scenario(
-    spec: ScenarioSpec, pool: DsePool, partition_search: str = "auto",
-    mf_slack: float = 0.0,
-) -> tuple:
+def _compile_scenario(spec: ScenarioSpec, pool: DsePool) -> tuple:
     """Run the full toolchain for one scenario on the shared pool."""
     from .nsflow import CompiledDesign  # noqa: F401  (documentation anchor)
 
@@ -619,10 +597,7 @@ def _compile_scenario(
         max_pes=spec.max_pes,
         pool=pool,
         pareto_k=None,   # always keep the full frontier; render-time truncation
-        partition_search=partition_search,
         backend=spec.backend,
-        search=spec.search,
-        mf_slack=mf_slack,
         accuracy=spec.accuracy,
         accuracy_problems=spec.accuracy_problems,
         accuracy_seed=spec.accuracy_seed,
@@ -743,8 +718,6 @@ def run_sweep(
     *,
     store: ArtifactStore | None = None,
     jobs: int = 1,
-    partition_search: str = "auto",
-    mf_slack: float = 0.0,
     progress: Callable[[ScenarioOutcome], None] | None = None,
     ledger: RunLedger | str | os.PathLike | None = None,
     resume: bool = False,
@@ -772,16 +745,6 @@ def run_sweep(
         The sweep-wide worker budget. One :class:`DsePool` is shared by
         every scenario's engine, so ``jobs=4`` means four processes
         total — not four per scenario.
-    partition_search:
-        Phase I partition-search strategy for every scenario (``auto``,
-        ``bisect``, ``dense``). Like ``jobs``, this is **not** part of
-        the scenario cache key: every strategy produces bit-identical
-        artifacts, so cached results are valid across strategies.
-    mf_slack:
-        Pruning slack for scenarios whose ``search`` is
-        ``multifidelity`` (see :mod:`repro.dse.multifidelity`); ignored
-        by exhaustive scenarios. Result-preserving at any value, so —
-        like ``partition_search`` — not part of the cache key.
     progress:
         Optional callback invoked with each :class:`ScenarioOutcome` as
         it completes (the CLI uses this for live per-scenario lines).
@@ -853,11 +816,6 @@ def run_sweep(
     further scenarios (they are deferred to healthier workers) — see
     :class:`_ClaimHeartbeat`.
     """
-    if partition_search not in PARTITION_SEARCH_MODES:
-        raise ConfigError(
-            f"partition_search must be one of "
-            f"{', '.join(PARTITION_SEARCH_MODES)}, got {partition_search!r}"
-        )
     retry_policy = DEFAULT_RETRY_POLICY if retry is None else retry
     if ledger is not None and not isinstance(ledger, RunLedger):
         ledger = RunLedger(ledger, retry=retry_policy)
@@ -989,9 +947,7 @@ def run_sweep(
                     try:
                         with _ScenarioTimeout(scenario_timeout_s):
                             faultpoint("sweep.compile")
-                            design, artifacts = _compile_scenario(
-                                spec, pool, partition_search, mf_slack
-                            )
+                            design, artifacts = _compile_scenario(spec, pool)
                         digest = None
                         if store is not None:
                             store.store(key, design, spec.key_doc())

@@ -13,9 +13,10 @@ first-class, swappable decision:
   :class:`CycleBreakdown` (compute, fill/drain, DRAM, overlap);
 * :class:`AnalyticBackend` — the paper's analytical models, repackaged.
   This is the default and is **byte-identical** to the pre-seam engine:
-  the scalar reference scan, the batched NumPy kernels, and the monotone
-  partition bisection all live behind :meth:`~AnalyticBackend.
-  score_geometry` exactly as they did inside ``dse/engine.py``;
+  its :meth:`~AnalyticBackend.score_geometry` runs the batched NumPy
+  kernels and the monotone partition bisection, and returns exactly
+  what the scalar reference scan of :meth:`EvaluationBackend.
+  score_geometry` returns;
 * :class:`ScheduleBackend` — a memory-aware, event-driven per-node
   timeline. It composes the scheduling discipline of
   :class:`repro.arch.controller.Controller` (per-unit serialization,
@@ -31,16 +32,18 @@ Contract (enforced by ``tests/model/test_backend.py``):
 * ``AnalyticBackend`` equals the scalar models of
   :mod:`repro.model.runtime` bit for bit on any workload/geometry;
 * ``ScheduleBackend`` totals are >= the analytic compute cycles for the
-  same design point (memory traffic can only add time), and the
+  same design point (memory traffic can only add time) — the lower-bound
+  requirement every non-analytic backend must meet, because Phase I
+  prunes on the analytic bound (:mod:`repro.dse.multifidelity`) — and the
   ``overlap`` component never exceeds what the DRAM model could have
   transferred (``overlap <= dram``) nor the compute it hid under
   (``overlap <= compute + fill_drain``);
 * for every backend, ``total == compute + fill_drain + dram - overlap``.
 
-The backend choice is **result-affecting** — unlike ``--jobs`` or
-``--partition-search`` it changes which design wins — so it joins the
-artifact-cache key (:mod:`repro.flow.artifacts`) and is recorded in
-every :class:`~repro.dse.engine.DseReport`.
+The backend choice is **result-affecting** — unlike ``--jobs`` it
+changes which design wins — so it joins the artifact-cache key
+(:mod:`repro.flow.artifacts`) and is recorded in every
+:class:`~repro.dse.engine.DseReport`.
 """
 
 from __future__ import annotations
@@ -195,8 +198,13 @@ class EvaluationBackend(abc.ABC):
     override them when they have a faster (or batched) path, provided
     results stay identical to their own reference pricing.
 
-    Backends must be picklable: the engine ships them to process-pool
-    workers for ``jobs > 1`` sweeps.
+    Backends must never price below the analytic model: for every design
+    point, ``sequential_cycles`` and ``parallel_cycles`` are ``>=``
+    :class:`AnalyticBackend`'s. Phase I screens every candidate with the
+    analytic model and prunes on that lower bound, so a backend that
+    undercuts it could lose its true winner; the engine raises
+    :class:`~repro.errors.DSEError` when a priced candidate is caught
+    below its bound.
     """
 
     #: Registry/report identity. Subclasses set both.
@@ -257,15 +265,13 @@ class EvaluationBackend(abc.ABC):
         n_sub: int,
         layers: tuple[GemmDims, ...],
         vsa_nodes: tuple[VsaDims, ...],
-        search: str = "dense",
     ) -> GeometryScore:
         """Best static split + sequential fallback for one geometry.
 
         The default implementation is the reference semantics every
         override must reproduce: scan ``N̄l`` ascending through
         :meth:`parallel_cycles` with strict-``<`` updates (first wins on
-        ties). ``search`` is a strategy hint; backends without a faster
-        strategy ignore it.
+        ties).
         """
         t_seq = int(self.sequential_cycles(h, w, n_sub, layers, vsa_nodes))
         evaluated = 1
@@ -301,11 +307,10 @@ class EvaluationBackend(abc.ABC):
         geometries: Sequence[tuple[int, int, int]],
         layers: tuple[GemmDims, ...],
         vsa_nodes: tuple[VsaDims, ...],
-        search: str = "dense",
     ) -> list[GeometryScore]:
         """Score a batch of ``(H, W, N)`` geometries (one pool work unit)."""
         return [
-            self.score_geometry(h, w, n, layers, vsa_nodes, search)
+            self.score_geometry(h, w, n, layers, vsa_nodes)
             for h, w, n in geometries
         ]
 
@@ -357,9 +362,8 @@ def _sequential_allocs(n_sub: int, count: int) -> list[int]:
     return [n_sub] * count
 
 
-#: ``auto`` threshold shared with the engine: at or below this many
-#: sub-arrays a vectorized dense pass beats the bisection's per-probe
-#: NumPy dispatch overhead.
+#: At or below this many sub-arrays a vectorized dense pass beats the
+#: bisection's per-probe NumPy dispatch overhead.
 AUTO_DENSE_MAX_N = 16
 
 
@@ -367,11 +371,10 @@ class AnalyticBackend(EvaluationBackend):
     """The paper's Eqs. 1-5 behind the protocol — the default backend.
 
     Pricing is pure compute-cycle arithmetic: no DRAM term, no transfer
-    overlap. ``score_geometry`` carries the engine's entire historical
-    search machinery — the scalar reference scan (``dense``), the
-    monotone crossing-point bisection over the batched int64 kernels
-    (``bisect``), and the per-geometry ``auto`` choice — and every
-    strategy returns bit-identical scores (the contract
+    overlap. ``score_geometry`` searches the static split over the
+    batched int64 kernels — a vectorized dense pass for small ``N``, the
+    monotone crossing-point bisection above — and returns the scores of
+    the scalar reference scan bit for bit (the contract
     ``bench_dse_hotpath.py --check-only`` guards in CI).
     """
 
@@ -403,76 +406,58 @@ class AnalyticBackend(EvaluationBackend):
             vsa_total_runtime(h, w, nv, vsa_nodes),
         )
 
-    # -- Phase I machinery (moved verbatim from dse/engine.py) -----------------
+    # -- Phase I ---------------------------------------------------------------
 
     def score_geometry(
-        self, h, w, n_sub, layers, vsa_nodes, search="dense",
-        *, arrays=None, t_seq=None,
+        self, h, w, n_sub, layers, vsa_nodes, *, arrays=None, t_seq=None,
     ) -> GeometryScore:
-        """Score one geometry exactly as the serial Phase I sweep does.
+        """Score one geometry exactly as the scalar reference scan does.
 
-        ``search == "dense"`` is the reference path: the inner
-        static-partition loop runs ``N̄l`` ascending through the scalar
-        models with strict-``<`` updates, so the per-geometry winner
-        matches the historical serial sweep bit for bit. The batched
-        paths (``bisect`` directly, ``auto`` per geometry) produce the
-        identical triple via the monotone crossing-point search — or one
-        vectorized dense pass when ``N`` is small enough that probe
-        dispatch overhead would dominate.
+        The static split comes from one vectorized dense pass when ``N``
+        is at most :data:`AUTO_DENSE_MAX_N` (probe dispatch overhead
+        would dominate a bisection) and from the monotone crossing-point
+        bisection above; both return the reference scan's
+        ``(t_parallel, N̄l, N̄v)`` triple. ``arrays`` and ``t_seq`` let
+        :meth:`score_geometries` share its batched precompute.
         """
-        if search == "dense":
-            # The base-class reference scan through this backend's
-            # primitives *is* the historical serial Phase I sweep: one
-            # strict-< first-wins loop, kept in exactly one place.
-            return super().score_geometry(h, w, n_sub, layers, vsa_nodes)
+        if arrays is None:
+            arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
+        if not fits_int64_domain(arrays, h, h, w, w):
+            # Pathologically large dimensions could wrap the int64
+            # kernels; the scalar reference scan handles any magnitude
+            # and returns the identical result.
+            return EvaluationBackend.score_geometry(
+                self, h, w, n_sub, layers, vsa_nodes
+            )
+        if t_seq is None:
+            t_seq = int(sequential_runtime_batch([h], [w], [n_sub], arrays)[0])
+        if not vsa_nodes:
+            # No VSA nodes: "parallel" degenerates to whole-array NN.
+            return GeometryScore(
+                t_sequential=t_seq, t_parallel=t_seq, nl_bar=n_sub, nv_bar=0,
+                evaluated=1, probes=1,
+            )
+        if n_sub > AUTO_DENSE_MAX_N:
+            found = bisect_uniform_partition(h, w, n_sub, arrays)
         else:
-            if arrays is None:
-                arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
-            if not fits_int64_domain(arrays, h, h, w, w):
-                # Pathologically large dimensions could wrap the int64
-                # kernels; the scalar reference path handles any
-                # magnitude and returns the identical result.
-                return self.score_geometry(h, w, n_sub, layers, vsa_nodes)
-            if t_seq is None:
-                t_seq = int(
-                    sequential_runtime_batch([h], [w], [n_sub], arrays)[0]
-                )
-            if vsa_nodes:
-                if search == "bisect" or n_sub > AUTO_DENSE_MAX_N:
-                    found = bisect_uniform_partition(h, w, n_sub, arrays)
-                else:
-                    found = dense_uniform_partition(h, w, n_sub, arrays)
-                t_par, nl_bar, nv_bar = (
-                    found.t_parallel, found.nl_bar, found.nv_bar
-                )
-                probes = found.probes + 1          # + the sequential schedule
-                evaluated = n_sub                  # 1 sequential + (N − 1) splits
-            else:
-                t_par, nl_bar, nv_bar = t_seq, n_sub, 0
-                probes = 1
-                evaluated = 1
+            found = dense_uniform_partition(h, w, n_sub, arrays)
         return GeometryScore(
-            t_sequential=t_seq, t_parallel=t_par,
-            nl_bar=nl_bar, nv_bar=nv_bar,
-            evaluated=evaluated, probes=probes,
+            t_sequential=t_seq, t_parallel=found.t_parallel,
+            nl_bar=found.nl_bar, nv_bar=found.nv_bar,
+            evaluated=n_sub,            # 1 sequential + (N − 1) splits
+            probes=found.probes + 1,    # + the sequential schedule
         )
 
-    def score_geometries(
-        self, geometries, layers, vsa_nodes, search="dense",
-    ) -> list[GeometryScore]:
-        """Score a batch under one strategy, with a shared batched precompute.
+    def score_geometries(self, geometries, layers, vsa_nodes) -> list[GeometryScore]:
+        """Score a batch with a shared batched precompute.
 
-        The batched strategies pre-evaluate every geometry's sequential
-        runtime in a single NumPy pass over the whole batch
-        (``G × (L + V)`` elementwise ops) before running the
-        per-geometry partition search.
+        Every geometry's sequential runtime is pre-evaluated in a single
+        NumPy pass over the whole batch (``G × (L + V)`` elementwise ops)
+        before the per-geometry partition search.
         """
         geometries = list(geometries)
-        if search == "dense" or not geometries:
-            return [
-                self.score_geometry(h, w, n, layers, vsa_nodes)
-                for h, w, n in geometries
-            ]
+        if not geometries:
+            return []
         arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
         hs = np.array([g[0] for g in geometries], dtype=np.int64)
         ws = np.array([g[1] for g in geometries], dtype=np.int64)
@@ -484,9 +469,7 @@ class AnalyticBackend(EvaluationBackend):
             # check keep the batched path where it individually fits,
             # reverting only the unsafe geometries to the scalar scan.
             return [
-                self.score_geometry(
-                    h, w, n, layers, vsa_nodes, search=search, arrays=arrays
-                )
+                self.score_geometry(h, w, n, layers, vsa_nodes, arrays=arrays)
                 for h, w, n in geometries
             ]
         t_seq = sequential_runtime_batch(
@@ -496,8 +479,7 @@ class AnalyticBackend(EvaluationBackend):
         )
         return [
             self.score_geometry(
-                h, w, n, layers, vsa_nodes, search=search, arrays=arrays,
-                t_seq=int(t_seq[i]),
+                h, w, n, layers, vsa_nodes, arrays=arrays, t_seq=int(t_seq[i]),
             )
             for i, (h, w, n) in enumerate(geometries)
         ]

@@ -28,9 +28,9 @@ this module. Because NumPy wraps silently on int64 overflow, every
 entry point first checks an exact Python-int worst-case bound for its
 ``(H, W)`` domain (the models are monotone, so the extreme sits at
 partition 1) and raises :class:`~repro.errors.ConfigError` when a
-workload's dimensions could overflow — use the scalar
-``partition_search="dense"`` path for such pathological sizes rather
-than risk a silently wrong design.
+workload's dimensions could overflow — the scalar models handle such
+pathological sizes (``AnalyticBackend`` falls back to them) rather than
+risk a silently wrong design.
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def _check_int64_headroom(
             "workload dimensions too large for the batched int64 runtime "
             f"kernels (worst-case cycle count {worst:.3e} exceeds the "
             f"int64 guard for H in [{h_lo}, {h_hi}], W in [{w_lo}, "
-            f"{w_hi}]); use the scalar models (partition_search='dense') "
-            "for this workload"
+            f"{w_hi}]); use the scalar models for this workload"
         )
 
 

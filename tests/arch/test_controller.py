@@ -3,14 +3,14 @@
 import pytest
 
 from repro.arch.controller import Controller
-from repro.dse import ExecutionMode, TwoPhaseDSE
+from repro.dse import DseEngine, ExecutionMode
 from repro.errors import ScheduleError
 from repro.graph.dataflow import DataflowGraph
 
 
 @pytest.fixture(scope="module")
 def compiled(small_nvsa_graph):
-    report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+    report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
     return report.config, small_nvsa_graph
 
 

@@ -1,11 +1,14 @@
 """Unit tests for the batched/parallel/cached Pareto DSE engine."""
 
+import pickle
+
 import pytest
 
-from repro.dse import DseEngine, DsePool, ExecutionMode, TwoPhaseDSE, pareto_filter
+from phase1_oracle import OracleEngine, run_phase1
+from repro.dse import DseEngine, DsePool, ExecutionMode, pareto_filter
 from repro.dse.engine import ParetoPoint, area_pe_equiv
-from repro.dse.phase1 import run_phase1
 from repro.errors import DSEError
+from repro.faults import injected_faults
 from repro.model.cache import (
     LAYER_RUNTIME_CACHE,
     MEMORY_PLAN_CACHE,
@@ -156,17 +159,29 @@ class TestParallelEquality:
         assert pooled.phase2 == serial.phase2
         assert pooled.pareto == serial.pareto
 
-    def test_chunk_size_does_not_change_results(self, tiny_graph):
-        serial = _tiny_engine(jobs=1).explore(tiny_graph)
-        chunked = _tiny_engine(jobs=2, chunk_size=1).explore(tiny_graph)
-        assert chunked.config == serial.config
-        assert chunked.pareto == serial.pareto
+    def test_chunk_size_does_not_change_results(self, small_nvsa_graph):
+        """Work units are ``4 · jobs`` round-robin chunks, so two and three
+        workers cut the candidates into different chunk sizes."""
+        serial = DseEngine(max_pes=1024).explore(small_nvsa_graph)
+        for jobs in (2, 3):
+            pooled = DseEngine(max_pes=1024, jobs=jobs).explore(small_nvsa_graph)
+            assert pickle.dumps(pooled) == pickle.dumps(serial)
+
+    def test_private_pool_survives_killed_worker(self, small_nvsa_graph,
+                                                 tmp_path):
+        """Without ``pool=``, ``jobs > 1`` still runs a supervised pool: a
+        SIGKILLed worker costs a rebuild, not the compile."""
+        serial = DseEngine(max_pes=256).explore(small_nvsa_graph)
+        with injected_faults("dse.worker:kill@1!once",
+                             state_dir=tmp_path / "state"):
+            pooled = DseEngine(max_pes=256, jobs=2).explore(small_nvsa_graph)
+        fires = (tmp_path / "state" / "fires.log").read_text().splitlines()
+        assert len(fires) == 1 and fires[0].startswith("dse.worker:kill:")
+        assert pickle.dumps(pooled) == pickle.dumps(serial)
 
     def test_invalid_parallel_params(self):
         with pytest.raises(DSEError):
             DseEngine(jobs=0)
-        with pytest.raises(DSEError):
-            DseEngine(chunk_size=0)
         with pytest.raises(DSEError):
             DseEngine(pareto_k=-1)
 
@@ -237,28 +252,19 @@ class TestCaching:
 
 
 class TestCompatibilityShim:
+    """Production against the historical exhaustive Phase I: the oracle
+    engine (a ``DseEngine`` shim that prices every candidate through the
+    scalar scan) and the serial sweep."""
+
     def test_shim_matches_engine(self, small_nvsa_graph):
-        shim = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        oracle = OracleEngine(max_pes=1024).explore(small_nvsa_graph)
         engine = DseEngine(max_pes=1024).explore(small_nvsa_graph)
-        assert shim.config == engine.config
-        assert shim.phase1 == engine.phase1
-        assert shim.phase2 == engine.phase2
+        assert pickle.dumps(engine) == pickle.dumps(oracle)
 
     def test_phase1_matches_serial_sweep(self, small_nvsa_graph):
         """The batched sweep reduces to the historical serial Phase I."""
         report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         assert report.phase1 == run_phase1(small_nvsa_graph, 1024)
-
-    def test_shim_validates_max_pes(self):
-        with pytest.raises(DSEError):
-            TwoPhaseDSE(max_pes=1000)
-
-    def test_shim_exposes_legacy_attributes(self):
-        dse = TwoPhaseDSE(max_pes=512, iter_max=3)
-        assert dse.max_pes == 512
-        assert dse.iter_max == 3
-        assert dse.range_h == (4, 256)
-        assert dse.clock_mhz == pytest.approx(272.0)
 
 
 class TestEvaluationBackends:
@@ -268,8 +274,6 @@ class TestEvaluationBackends:
         assert report.backend.name == "analytic"
 
     def test_explicit_analytic_is_byte_identical(self, small_nvsa_graph):
-        import pickle
-
         default = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         explicit = DseEngine(
             max_pes=1024, backend="analytic"
@@ -296,7 +300,7 @@ class TestEvaluationBackends:
             max_pes=1024, backend="schedule"
         ).explore(small_nvsa_graph)
         parallel = DseEngine(
-            max_pes=1024, backend="schedule", jobs=2, chunk_size=2
+            max_pes=1024, backend="schedule", jobs=2
         ).explore(small_nvsa_graph)
         assert serial.phase1 == parallel.phase1
         assert serial.config == parallel.config

@@ -1,8 +1,8 @@
-"""Unit tests for the two-phase DSE orchestrator."""
+"""Unit tests for the two-phase DSE end to end (``DseEngine.explore``)."""
 
 import pytest
 
-from repro.dse import ExecutionMode, TwoPhaseDSE
+from repro.dse import DseEngine, ExecutionMode
 from repro.errors import DSEError
 from repro.graph import build_dataflow_graph
 from repro.workloads.scaling import ScalableConfig, ScalableNsaiWorkload
@@ -18,7 +18,7 @@ def _graph(ratio: float):
 
 class TestExplorer:
     def test_produces_complete_config(self, small_nvsa_graph):
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         c = report.config
         assert c.total_pes <= 1024
         assert c.estimated_cycles > 0
@@ -28,7 +28,7 @@ class TestExplorer:
         assert len(c.nv) == len(small_nvsa_graph.vsa_nodes)
 
     def test_mode_decision_after_refinement(self, small_nvsa_graph):
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         if report.config.mode is ExecutionMode.SEQUENTIAL:
             assert report.phase1.t_sequential <= report.phase2.t_parallel
             assert report.config.estimated_cycles == report.phase1.t_sequential
@@ -43,25 +43,25 @@ class TestExplorer:
             ScalableConfig(symbolic_ratio=0.4, batch_panels=16)
         )
         graph = build_dataflow_graph(wl.build_trace())
-        report = TwoPhaseDSE(max_pes=8192).explore(graph)
+        report = DseEngine(max_pes=8192).explore(graph)
         assert report.config.mode is ExecutionMode.PARALLEL
 
     def test_design_space_accounting_attached(self, small_nvsa_graph):
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         assert report.space.log10_reduction > 10
         assert report.config.extras["candidates_evaluated"] > 0
 
     def test_max_pes_must_be_power_of_two(self):
         with pytest.raises(DSEError):
-            TwoPhaseDSE(max_pes=1000)
+            DseEngine(max_pes=1000)
 
     def test_phase2_gain_nonnegative(self, small_nvsa_graph):
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         assert report.phase2_gain >= 0.0
 
     def test_config_roundtrips_through_json(self, small_nvsa_graph):
         from repro.dse import design_config_from_json, design_config_to_json
 
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         restored = design_config_from_json(design_config_to_json(report.config))
         assert restored == report.config

@@ -1,22 +1,25 @@
-"""Property-based equivalence: multi-fidelity search vs exhaustive.
+"""Property-based equivalence: production Phase I vs the exhaustive oracle.
 
-The multi-fidelity pruner's whole contract is *byte-identical results for
-less pricing* (see :mod:`repro.dse.multifidelity`). This suite proves it
-the strong way, over hypothesis-generated workloads and design spaces:
+Production Phase I screens every candidate analytically and, for any
+backend but the plain analytic one, prices only the candidates the
+screen's lower bound cannot prune (see :mod:`repro.dse.multifidelity`).
+Its whole contract is *byte-identical results for less pricing*. This
+suite proves it the strong way, over hypothesis-generated workloads and
+design spaces, against :class:`phase1_oracle.OracleEngine` (every
+candidate priced through the scalar reference scan, nothing pruned):
 
 * the **entire** :class:`~repro.dse.engine.DseReport` — Phase I winners,
   Phase II refinement, the Pareto frontier, and every counter — pickles
-  to the same bytes as exhaustive search, for both backends, any PE
-  budget, and any slack;
+  to the same bytes as the oracle's, for both backends and any PE
+  budget;
 * every pruned candidate was *truly* dominated: pricing it with the real
   backend after the fact yields a point strictly dominated by a priced
   incumbent, and one that could never have won the Phase I first-wins
   reduction;
-* pruning is monotone in slack — a larger slack never prunes a candidate
-  a smaller slack kept;
 * the accounting identities hold: screened = priced + pruned, and the
   pruned candidates' logical evaluation counts close the gap to the
-  exhaustive sweep's ``candidates_evaluated``.
+  oracle's ``candidates_evaluated``;
+* a backend that prices below the analytic bound is caught, not trusted.
 
 The tier-1 classes run a quick pass; the ``slow``-marked class re-runs
 the core properties across hundreds of generated workloads for CI's deep
@@ -28,9 +31,11 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.dse.engine import DseEngine, area_pe_equiv
-from repro.dse.multifidelity import multifidelity_evaluate, slack_ppm
+from phase1_oracle import OracleEngine, scalar_score
+from repro.dse.engine import DseEngine, _eval_from_score, area_pe_equiv
+from repro.dse.multifidelity import multifidelity_evaluate
 from repro.dse.phase1 import extract_cost_dims
+from repro.dse.timing import stage_timings_since, timings_snapshot
 from repro.errors import DSEError
 from repro.graph.build import build_dataflow_graph
 from repro.model.backend import AnalyticBackend, ScheduleBackend
@@ -38,7 +43,7 @@ from repro.workloads import build_workload
 from repro.workloads.synth import SynthConfig, SynthWorkload
 
 #: Small generated DAGs: the equivalence properties are scale-free, and
-#: each example pays two full DSE runs (exhaustive + multi-fidelity).
+#: each example pays two full DSE runs (production + oracle).
 synth_configs = st.builds(
     SynthConfig,
     seed=st.integers(0, 100_000),
@@ -55,7 +60,6 @@ synth_configs = st.builds(
 
 pe_budgets = st.sampled_from([64, 256, 1024])
 backends = st.sampled_from(["analytic", "schedule"])
-slacks = st.sampled_from([0.0, 0.02, 0.25, 1.0])
 
 _QUICK = settings(max_examples=25, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -67,28 +71,31 @@ def graph_for(config: SynthConfig):
     return build_dataflow_graph(SynthWorkload(config).build_trace())
 
 
-def explore(graph, max_pes, backend, search="exhaustive", slack=0.0):
-    engine = DseEngine(max_pes=max_pes, backend=backend, search=search,
-                       mf_slack=slack)
-    return engine.explore(graph)
+def screen_evals(engine, layers, vsa, backend=None):
+    """Every candidate scored by ``backend`` (default: the analytic screen)."""
+    backend = backend or AnalyticBackend()
+    return [
+        _eval_from_score(c, backend.score_geometry(c.h, c.w, c.n_sub, layers, vsa))
+        for c in engine.iter_candidates()
+    ]
 
 
-def screen(graph, max_pes, backend_name, slack=0.0):
-    """Run the pruner directly; returns (candidates, outcome, backend)."""
+def screen(graph, max_pes, backend_name):
+    """Run the pruner directly; returns (candidates, outcome, backend, dims)."""
     engine = DseEngine(max_pes=max_pes, backend=backend_name)
-    layers, vsa = extract_cost_dims(graph)
-    candidates = list(engine.iter_candidates())
+    layers, vsa = (tuple(d) for d in extract_cost_dims(graph))
     outcome = multifidelity_evaluate(
-        candidates, tuple(layers), tuple(vsa), engine.backend, slack=slack,
+        screen_evals(engine, layers, vsa), layers, vsa, engine.backend,
     )
-    return candidates, outcome, engine.backend, (tuple(layers), tuple(vsa))
+    return (list(engine.iter_candidates()), outcome, engine.backend,
+            (layers, vsa))
 
 
-def assert_byte_identical(config, max_pes, backend, slack=0.0):
+def assert_byte_identical(config, max_pes, backend):
     graph = graph_for(config)
-    exhaustive = explore(graph, max_pes, backend)
-    mf = explore(graph, max_pes, backend, search="multifidelity", slack=slack)
-    assert pickle.dumps(exhaustive) == pickle.dumps(mf)
+    oracle = OracleEngine(max_pes=max_pes, backend=backend).explore(graph)
+    report = DseEngine(max_pes=max_pes, backend=backend).explore(graph)
+    assert pickle.dumps(report) == pickle.dumps(oracle)
 
 
 class TestEquivalenceQuick:
@@ -98,12 +105,6 @@ class TestEquivalenceQuick:
     @_QUICK
     def test_full_report_byte_identical(self, config, max_pes, backend):
         assert_byte_identical(config, max_pes, backend)
-
-    @given(synth_configs, slacks)
-    @_QUICK
-    def test_identical_at_any_slack(self, config, slack):
-        """Slack changes how much is pruned, never what is reported."""
-        assert_byte_identical(config, 256, "schedule", slack=slack)
 
     @given(st.sampled_from([0, 3, 9]))
     @settings(max_examples=3, deadline=None)
@@ -117,9 +118,9 @@ class TestEquivalenceQuick:
     @pytest.mark.parametrize("backend", ["analytic", "schedule"])
     def test_registry_workloads_identical(self, workload, backend):
         graph = build_dataflow_graph(build_workload(workload).build_trace())
-        exhaustive = explore(graph, 4096, backend)
-        mf = explore(graph, 4096, backend, search="multifidelity")
-        assert pickle.dumps(exhaustive) == pickle.dumps(mf)
+        oracle = OracleEngine(max_pes=4096, backend=backend).explore(graph)
+        report = DseEngine(max_pes=4096, backend=backend).explore(graph)
+        assert pickle.dumps(report) == pickle.dumps(oracle)
 
 
 class TestPrunedTrulyDominated:
@@ -144,9 +145,7 @@ class TestPrunedTrulyDominated:
             assert p.index not in by_index
             # Price the pruned candidate with the *real* backend: its
             # true point must be strictly dominated by a priced one.
-            score = priced_backend.score_geometry(
-                p.h, p.w, p.n_sub, layers, vsa,
-            )
+            score = scalar_score(priced_backend, p.h, p.w, p.n_sub, layers, vsa)
             area = area_pe_equiv(p.h, p.w, p.n_sub)
             best = min(score.t_sequential, score.t_parallel)
             true_point = (best, area, best * area)
@@ -168,73 +167,88 @@ class TestPrunedTrulyDominated:
         candidates, outcome, _, _ = screen(graph, 256, "schedule")
         assert outcome.screened == len(candidates)
         assert outcome.priced + len(outcome.pruned) == outcome.screened
-        exhaustive = explore(graph, 256, "schedule")
-        priced_evaluated = sum(ev.evaluated for ev in outcome.evals)
-        assert (priced_evaluated + outcome.pruned_evaluated
-                == exhaustive.phase1.candidates_evaluated)
+        oracle = OracleEngine(max_pes=256, backend="schedule").explore(graph)
+        evaluated = sum(c.evaluated for c in (*outcome.evals, *outcome.pruned))
+        assert evaluated == oracle.phase1.candidates_evaluated
+
+
+class _HalvedAnalytic(AnalyticBackend):
+    """Prices every design point at half the analytic cycles."""
+
+    def sequential_cycles(self, h, w, n_sub, layers, vsa_nodes):
+        return super().sequential_cycles(h, w, n_sub, layers, vsa_nodes) // 2
+
+    def parallel_cycles(self, h, w, nl, nv, layers, vsa_nodes):
+        return super().parallel_cycles(h, w, nl, nv, layers, vsa_nodes) // 2
+
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes, **_):
+        return scalar_score(self, h, w, n_sub, layers, vsa_nodes)
+
+
+class _RenamedAnalytic(AnalyticBackend):
+    """Prices exactly like the analytic model, through its own class."""
 
 
 class TestSlackSemantics:
-    """Slack only shrinks the pruned set, monotonically."""
+    """The slack between a priced candidate and its analytic screen bound.
 
-    @given(synth_configs, backends)
-    @_QUICK
-    def test_pruning_monotone_in_slack(self, config, backend):
-        graph = graph_for(config)
-        pruned_sets = []
-        for slack in (0.0, 0.02, 0.25, 1.0):
-            _, outcome, _, _ = screen(graph, 256, backend, slack=slack)
-            pruned_sets.append(set(outcome.pruned_indices))
-        for smaller, larger in zip(pruned_sets[1:], pruned_sets):
-            assert smaller <= larger
+    The screen is the analytic backend; its bounds are exact (zero slack)
+    for the plain analytic backend, which therefore skips pricing, sound
+    at zero slack for any backend, and a negative slack is an error.
+    """
 
-    def test_negative_slack_rejected(self):
-        with pytest.raises(DSEError):
-            slack_ppm(-0.1)
-        with pytest.raises(DSEError):
-            DseEngine(search="multifidelity", mf_slack=-1e-9)
-
-    def test_unknown_search_mode_rejected(self):
-        with pytest.raises(DSEError):
-            DseEngine(search="genetic")
-
-    def test_screen_is_the_analytic_backend(self):
-        """The default screen is analytic — the proven lower bound."""
-        graph = graph_for(SynthConfig(seed=5, n_ops=8, depth=3))
-        _, default_outcome, _, dims = screen(graph, 256, "schedule")
-        engine = DseEngine(max_pes=256, backend="schedule")
-        explicit = multifidelity_evaluate(
-            list(engine.iter_candidates()), dims[0], dims[1], engine.backend,
-            screen_backend=AnalyticBackend(),
-        )
-        assert pickle.dumps(default_outcome) == pickle.dumps(explicit)
+    def test_screen_is_the_analytic_backend(self, small_nvsa_graph):
+        """Any type but ``AnalyticBackend`` itself is priced after the
+        screen — even a subclass that prices identically — and both paths
+        report the same bytes."""
+        reports, mf_stages = [], []
+        for backend in (AnalyticBackend(), _RenamedAnalytic()):
+            snap = timings_snapshot()
+            reports.append(pickle.dumps(
+                DseEngine(max_pes=1024, backend=backend)
+                .explore(small_nvsa_graph)
+            ))
+            mf_stages.append(sorted(
+                name for name in stage_timings_since(snap)
+                if name.startswith("phase1.mf_")
+            ))
+        assert reports[0] == reports[1]
+        assert mf_stages == [
+            [], ["phase1.mf_priced", "phase1.mf_pruned", "phase1.mf_screened"]
+        ]
 
     def test_self_screen_prunes_nothing_unsound(self):
         """Screening with the priced backend itself (exact bounds) still
-        yields byte-identical evals — the degenerate multi-fidelity case."""
+        yields the oracle's accounting — the degenerate multi-fidelity
+        case."""
         graph = graph_for(SynthConfig(seed=5, n_ops=8, depth=3))
         engine = DseEngine(max_pes=256, backend="schedule")
-        layers, vsa = extract_cost_dims(graph)
-        candidates = list(engine.iter_candidates())
+        layers, vsa = (tuple(d) for d in extract_cost_dims(graph))
         outcome = multifidelity_evaluate(
-            candidates, tuple(layers), tuple(vsa), engine.backend,
-            screen_backend=ScheduleBackend(),
+            screen_evals(engine, layers, vsa, ScheduleBackend()),
+            layers, vsa, engine.backend,
         )
-        exhaustive = explore(graph, 256, "schedule")
-        priced_evaluated = sum(ev.evaluated for ev in outcome.evals)
-        assert (priced_evaluated + outcome.pruned_evaluated
-                == exhaustive.phase1.candidates_evaluated)
+        oracle = OracleEngine(max_pes=256, backend="schedule").explore(graph)
+        evaluated = sum(c.evaluated for c in (*outcome.evals, *outcome.pruned))
+        assert evaluated == oracle.phase1.candidates_evaluated
+
+    def test_backend_below_the_analytic_bound_raises(self, small_nvsa_graph):
+        """Pruning trusts the bound, so a backend undercutting it must fail
+        loudly instead of returning a report that differs from the oracle."""
+        with pytest.raises(DSEError, match="_HalvedAnalytic"):
+            DseEngine(max_pes=1024, backend=_HalvedAnalytic()).explore(
+                small_nvsa_graph
+            )
 
 
 @pytest.mark.slow
 class TestEquivalenceDeep:
     """CI deep job: the core properties across 200+ generated workloads."""
 
-    @given(synth_configs, pe_budgets, backends, slacks)
+    @given(synth_configs, pe_budgets, backends)
     @_DEEP
-    def test_byte_identity_across_the_grid(self, config, max_pes, backend,
-                                           slack):
-        assert_byte_identical(config, max_pes, backend, slack=slack)
+    def test_byte_identity_across_the_grid(self, config, max_pes, backend):
+        assert_byte_identical(config, max_pes, backend)
 
     @given(synth_configs, backends)
     @_DEEP
@@ -249,9 +263,7 @@ class TestEquivalenceDeep:
             for ev in outcome.evals
         ]
         for p in outcome.pruned:
-            score = priced_backend.score_geometry(
-                p.h, p.w, p.n_sub, layers, vsa,
-            )
+            score = scalar_score(priced_backend, p.h, p.w, p.n_sub, layers, vsa)
             area = area_pe_equiv(p.h, p.w, p.n_sub)
             best = min(score.t_sequential, score.t_parallel)
             true_point = (best, area, best * area)
@@ -260,14 +272,3 @@ class TestEquivalenceDeep:
                 and q != true_point
                 for q in points
             )
-
-    @given(synth_configs)
-    @_DEEP
-    def test_slack_monotone_deep(self, config):
-        graph = graph_for(config)
-        pruned_sets = []
-        for slack in (0.0, 0.1, 0.5, 2.0):
-            _, outcome, _, _ = screen(graph, 256, "schedule", slack=slack)
-            pruned_sets.append(set(outcome.pruned_indices))
-        for smaller, larger in zip(pruned_sets[1:], pruned_sets):
-            assert smaller <= larger

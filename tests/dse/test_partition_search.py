@@ -1,11 +1,15 @@
-"""Equivalence contract of the partition-search strategies.
+"""Equivalence contract of the production Phase I search.
 
-The engine promises that ``partition_search`` (and ``jobs``) trade
-wall-clock only: for any workload, geometry, and PE budget, the bisect
-path must return the same ``(t_parallel, N̄l, N̄v)`` as the dense serial
-scan, and the full :class:`~repro.dse.engine.DseReport` must be
-**byte-identical** across every mode × jobs combination. These tests
-are the contract; CI's perf-smoke job re-checks it at a tiny budget via
+Production Phase I picks the static-partition search per geometry (one
+vectorized dense pass at ``N <= AUTO_DENSE_MAX_N``, the monotone
+crossing-point bisection above) and prunes non-analytic backends on the
+analytic bound. The engine promises that neither choice, nor ``jobs``,
+shows in results: for any workload, geometry, and PE budget, the
+analytic backend must return the same ``(t_parallel, N̄l, N̄v)`` as the
+scalar reference scan of :mod:`phase1_oracle`, and the full
+:class:`~repro.dse.engine.DseReport` must be **byte-identical** to the
+oracle's for every backend and ``jobs`` value. These tests are the
+contract; CI's perf-smoke job re-checks it at a tiny budget via
 ``benchmarks/bench_dse_hotpath.py --check-only``.
 """
 
@@ -14,14 +18,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dse.engine import (
-    AUTO_DENSE_MAX_N,
-    PARTITION_SEARCH_MODES,
-    DseEngine,
-    DsePool,
-    GeometryCandidate,
-    _evaluate_geometry,
-)
+from phase1_oracle import OracleEngine, scalar_score
+from repro.dse.engine import AUTO_DENSE_MAX_N, DseEngine, DsePool
 from repro.dse.timing import (
     clear_stage_timings,
     stage_timings,
@@ -31,6 +29,7 @@ from repro.dse.timing import (
 from repro.errors import DSEError
 from repro.flow.cli import main
 from repro.flow.sweep import ScenarioGrid, run_sweep
+from repro.model.backend import AnalyticBackend
 from repro.model.cache import (
     LAYER_RUNTIME_CACHE,
     cache_stats,
@@ -49,6 +48,8 @@ gemm = st.builds(
 )
 vsa = st.builds(VsaDims, n=st.integers(1, 48), d=st.integers(1, 1024))
 
+_ANALYTIC = AnalyticBackend()
+
 
 class TestGeometryEquivalence:
     @given(
@@ -61,68 +62,67 @@ class TestGeometryEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_all_modes_agree_per_geometry(self, layers, vsa_nodes, h, w,
                                           n_sub):
-        cand = GeometryCandidate(index=0, h=h, w=w, n_sub=n_sub)
+        """Both split searches (dense pass and bisection, chosen by ``N``)
+        return the scalar reference scan's scores."""
         layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        for mode in ("bisect", "auto"):
-            other = _evaluate_geometry(cand, layers, vsa_nodes, search=mode)
-            assert (
-                other.t_parallel, other.nl_bar, other.nv_bar,
-                other.t_sequential, other.evaluated,
-            ) == (
-                dense.t_parallel, dense.nl_bar, dense.nv_bar,
-                dense.t_sequential, dense.evaluated,
-            ), mode
+        ref = scalar_score(_ANALYTIC, h, w, n_sub, layers, vsa_nodes)
+        fast = _ANALYTIC.score_geometry(h, w, n_sub, layers, vsa_nodes)
+        assert (
+            fast.t_parallel, fast.nl_bar, fast.nv_bar,
+            fast.t_sequential, fast.evaluated,
+        ) == (
+            ref.t_parallel, ref.nl_bar, ref.nv_bar,
+            ref.t_sequential, ref.evaluated,
+        )
 
     def test_overflow_risk_falls_back_to_scalar_path(self):
-        """Huge dims: batched modes silently use the scalar dense scan."""
-        cand = GeometryCandidate(index=0, h=4, w=4, n_sub=4)
+        """Huge dims: the batched search silently uses the scalar scan."""
         layers = (GemmDims(30_000_000, 30_000_000, 30_000_000),)
         vsa_nodes = (VsaDims(2, 64),)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        for mode in ("bisect", "auto"):
-            other = _evaluate_geometry(cand, layers, vsa_nodes, search=mode)
-            assert (other.t_parallel, other.nl_bar, other.nv_bar) == (
-                dense.t_parallel, dense.nl_bar, dense.nv_bar
-            )
-            assert other.probes == dense.probes  # proof it took the scalar path
+        ref = scalar_score(_ANALYTIC, 4, 4, 4, layers, vsa_nodes)
+        fast = _ANALYTIC.score_geometry(4, 4, 4, layers, vsa_nodes)
+        assert (fast.t_parallel, fast.nl_bar, fast.nv_bar) == (
+            ref.t_parallel, ref.nl_bar, ref.nv_bar
+        )
+        assert fast.probes == ref.probes  # proof it took the scalar path
 
     def test_bisect_probes_fewer_models_at_scale(self):
-        cand = GeometryCandidate(index=0, h=4, w=4, n_sub=512)
         layers = (GemmDims(64, 2048, 64),)
         vsa_nodes = (VsaDims(16, 4096),)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        fast = _evaluate_geometry(cand, layers, vsa_nodes, search="bisect")
-        assert dense.probes == 512           # 1 sequential + 511 splits
-        assert fast.probes < dense.probes // 10
-        assert fast.evaluated == dense.evaluated  # logical count is shared
+        ref = scalar_score(_ANALYTIC, 4, 4, 512, layers, vsa_nodes)
+        fast = _ANALYTIC.score_geometry(4, 4, 512, layers, vsa_nodes)
+        assert ref.probes == 512             # 1 sequential + 511 splits
+        assert fast.probes < ref.probes // 10
+        assert fast.evaluated == ref.evaluated  # logical count is shared
 
 
-@pytest.mark.parametrize("mode", ["bisect", "auto"])
+@pytest.mark.parametrize("backend", ["analytic", "schedule"])
 class TestReportEquivalence:
-    def test_report_is_byte_identical(self, small_nvsa_graph, mode):
-        baseline = DseEngine(
-            max_pes=1024, partition_search="dense"
+    def test_report_is_byte_identical(self, small_nvsa_graph, backend):
+        oracle = OracleEngine(
+            max_pes=1024, backend=backend
         ).explore(small_nvsa_graph)
         report = DseEngine(
-            max_pes=1024, partition_search=mode
+            max_pes=1024, backend=backend
         ).explore(small_nvsa_graph)
-        assert pickle.dumps(report) == pickle.dumps(baseline)
+        assert pickle.dumps(report) == pickle.dumps(oracle)
 
-    def test_report_identical_across_jobs(self, small_nvsa_graph, mode):
+    def test_report_identical_across_jobs(self, small_nvsa_graph, backend):
         serial = DseEngine(
-            max_pes=256, partition_search=mode, jobs=1
+            max_pes=256, backend=backend, jobs=1
         ).explore(small_nvsa_graph)
         pooled = DseEngine(
-            max_pes=256, partition_search=mode, jobs=2
+            max_pes=256, backend=backend, jobs=2
         ).explore(small_nvsa_graph)
         assert pickle.dumps(pooled) == pickle.dumps(serial)
 
 
 class TestSweepEquivalence:
     def test_sweep_outcomes_identical_across_modes_and_jobs(self):
+        """Both Phase I modes — the analytic screen as final scores, and
+        schedule pricing after it — sweep identically for any ``jobs``."""
         grid = ScenarioGrid(workloads=("prae", "mimonet"),
-                            max_pes=(256,))
+                            max_pes=(256,), backends=("analytic", "schedule"))
 
         def fingerprint(result):
             return [
@@ -136,35 +136,13 @@ class TestSweepEquivalence:
                 for o in result.outcomes
             ]
 
-        baseline = fingerprint(run_sweep(grid, partition_search="dense"))
-        for mode in ("bisect", "auto"):
-            assert fingerprint(
-                run_sweep(grid, partition_search=mode)
-            ) == baseline, mode
-        assert fingerprint(
-            run_sweep(grid, partition_search="auto", jobs=2)
-        ) == baseline
-
-    def test_sweep_rejects_unknown_mode(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_sweep(ScenarioGrid(workloads=("prae",)),
-                      partition_search="quantum")
+        assert fingerprint(run_sweep(grid, jobs=2)) == \
+            fingerprint(run_sweep(grid))
 
     def test_sweep_result_carries_stage_timings(self):
         result = run_sweep(ScenarioGrid(workloads=("prae",), max_pes=(256,)))
         assert "phase1.sweep" in result.stage_timings
         assert result.stage_timings["phase1.sweep"].items > 0
-
-
-class TestEngineValidation:
-    def test_unknown_partition_search_rejected(self):
-        with pytest.raises(DSEError):
-            DseEngine(partition_search="linear")
-
-    def test_modes_tuple_is_the_cli_contract(self):
-        assert PARTITION_SEARCH_MODES == ("auto", "bisect", "dense")
 
 
 class TestPoolLifecycle:
@@ -254,32 +232,35 @@ class TestStageTimings:
 
 
 class TestCli:
-    def test_compile_partition_search_and_timings(self, capsys):
+    def test_compile_timings(self, capsys):
         assert main([
-            "compile", "mimonet", "--partition-search", "bisect", "--timings",
+            "compile", "mimonet", "--backend", "schedule", "--timings",
         ]) == 0
         out = capsys.readouterr().out
         assert "DSE stage timings" in out
-        assert "phase1.sweep" in out
+        for stage in ("phase1.sweep", "phase1.mf_screened",
+                      "phase1.mf_priced", "phase1.mf_pruned"):
+            assert stage in out, stage
 
     def test_compile_modes_agree_on_stdout_design(self, capsys):
+        """Serial and pooled Phase I print the same design."""
         designs = []
-        for mode in PARTITION_SEARCH_MODES:
-            assert main(["compile", "mimonet", "--partition-search", mode]) \
-                == 0
+        for jobs in ("1", "2"):
+            assert main(["compile", "mimonet", "--jobs", jobs]) == 0
             out = capsys.readouterr().out
             designs.append(
                 [line for line in out.splitlines()
                  if "AdArray" in line or "partition" in line
                  or "Simulated latency" in line]
             )
-        assert designs[0] == designs[1] == designs[2]
+        assert designs[0] == designs[1]
 
-    def test_sweep_partition_search_flag(self, capsys):
+    def test_sweep_timings_show_pruning(self, capsys):
         assert main([
             "sweep", "--workloads", "prae", "--no-cache",
-            "--partition-search", "dense", "--timings",
+            "--backends", "schedule", "--timings",
         ]) == 0
         out = capsys.readouterr().out
         assert "DSE stage timings" in out
-        assert "phase1.search_dense" in out
+        assert "phase1.mf_pruned" in out
+        assert "Multi-fidelity pruning:" in out

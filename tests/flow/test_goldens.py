@@ -31,18 +31,18 @@ _spec.loader.exec_module(regen_goldens)
 
 
 @pytest.mark.parametrize(
-    "name,workload,overrides,backend,search",
+    "name,workload,overrides,backend",
     regen_goldens.GOLDENS,
     ids=[g[0] for g in regen_goldens.GOLDENS],
 )
-def test_report_matches_golden(name, workload, overrides, backend, search):
+def test_report_matches_golden(name, workload, overrides, backend):
     path = regen_goldens.GOLDEN_DIR / f"{name}.json"
     assert path.is_file(), (
         f"missing golden {path}; run PYTHONPATH=src python "
         "tools/regen_goldens.py"
     )
     golden = json.loads(path.read_text())
-    fresh = regen_goldens.golden_doc(workload, overrides, backend, search)
+    fresh = regen_goldens.golden_doc(workload, overrides, backend)
     # Compare as parsed JSON so formatting is irrelevant but every value
     # is exact — including frontier ordering and float latencies.
     assert fresh == golden, (
@@ -60,30 +60,3 @@ def test_goldens_cover_both_backends_and_synth_seeds():
     }
     assert len(synth_seeds) >= 2
     assert any(g[1] != "synth" for g in regen_goldens.GOLDENS)
-    # Multi-fidelity coverage: one registry workload + one synth seed.
-    mf = [g for g in regen_goldens.GOLDENS if g[4] == "multifidelity"]
-    assert {g[1] != "synth" for g in mf} == {True, False}
-
-
-@pytest.mark.parametrize(
-    "mf_name,exhaustive_name",
-    regen_goldens.MF_GOLDEN_PAIRS,
-    ids=[pair[0] for pair in regen_goldens.MF_GOLDEN_PAIRS],
-)
-def test_multifidelity_golden_identical_to_exhaustive(mf_name,
-                                                      exhaustive_name):
-    """The on-disk fixtures themselves prove search-mode equivalence.
-
-    Byte-for-byte file identity (not just parsed-JSON equality): the
-    pruned search's report document is indistinguishable from the
-    exhaustive one, which is exactly why ``search`` is excluded from the
-    artifact-cache key.
-    """
-    mf_path = regen_goldens.GOLDEN_DIR / f"{mf_name}.json"
-    ex_path = regen_goldens.GOLDEN_DIR / f"{exhaustive_name}.json"
-    for path in (mf_path, ex_path):
-        assert path.is_file(), (
-            f"missing golden {path}; run PYTHONPATH=src python "
-            "tools/regen_goldens.py"
-        )
-    assert mf_path.read_bytes() == ex_path.read_bytes()

@@ -47,8 +47,10 @@ def test_health_stats_and_bad_requests(tmp_path):
         assert client.health() == {"ok": True, "draining": False}
         stats = client.stats()
         assert stats["pricings"] == 0 and stats["inflight"] == 0
-        with pytest.raises(ServeError, match="unknown compile request"):
-            client.compile_scenario({"workload": "prae", "nope": 1})
+        for field, value in (("nope", 1), ("search", "multifidelity")):
+            with pytest.raises(ServeError, match=rf"400: unknown compile "
+                               rf"request field\(s\): {field}$"):
+                client.compile_scenario({"workload": "prae", field: value})
         with pytest.raises(ServeError, match="unknown workload"):
             client.compile_scenario({"workload": "no-such-workload"})
         with pytest.raises(ServeError, match="404"):

@@ -356,14 +356,13 @@ class TestResume:
 
 
 class TestMultiFidelityResume:
-    """Ledger/resume interaction for the multi-fidelity search mode."""
+    """Ledger/resume interaction for Phase I's multi-fidelity pruning."""
 
     def _mf_grid(self, seeds: str) -> ScenarioGrid:
-        # Schedule backend so the analytic screen actually prunes
-        # (multi-fidelity over the analytic backend screens with the
-        # priced model itself and proves the degenerate case instead).
-        return synth_grid(seeds, backends=("schedule",),
-                          searches=("multifidelity",))
+        # Schedule backend so the analytic screen actually prunes (under
+        # the analytic backend the screen is final and nothing is priced
+        # after it).
+        return synth_grid(seeds, backends=("schedule",))
 
     @staticmethod
     def _mf_counters(stage_timings) -> dict:
@@ -422,20 +421,6 @@ class TestMultiFidelityResume:
         assert warm.total_evaluations == 0
         assert warm.fresh_model_evaluations == 0
         assert self._mf_counters(warm.stage_timings) == {}
-
-    def test_mf_scenarios_resume_from_exhaustive_ledger_rows(self, tmp_path):
-        """Search modes share cache keys, so either mode resumes the other."""
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        store = ArtifactStore(tmp_path / "cache")
-        exhaustive = synth_grid("0-2", backends=("schedule",))
-        cold = run_sweep(exhaustive, store=store, ledger=ledger)
-        assert cold.n_compiled == 3
-
-        mf = self._mf_grid("0-2")
-        resumed = run_sweep(mf, store=store, ledger=ledger, resume=True)
-        assert resumed.n_resumed == 3
-        assert resumed.total_evaluations == 0
-        assert resumed.fresh_model_evaluations == 0
 
 
 @pytest.mark.slow

@@ -63,14 +63,6 @@ def test_scenario_key_deterministic_across_constructions():
     assert scenario_key(a) == scenario_key(b)
 
 
-def test_search_mode_is_excluded_from_key():
-    """Multi-fidelity is byte-identical to exhaustive — one cache entry."""
-    exhaustive = ScenarioSpec(workload="prae", search="exhaustive")
-    mf = ScenarioSpec(workload="prae", search="multifidelity")
-    assert exhaustive.scenario_id != mf.scenario_id
-    assert scenario_key(exhaustive) == scenario_key(mf)
-
-
 @pytest.mark.parametrize(
     "field, value",
     [

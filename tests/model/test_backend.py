@@ -26,6 +26,7 @@ from repro.model.backend import (
     BackendInfo,
     CycleBreakdown,
     DesignEvaluation,
+    EvaluationBackend,
     GeometryScore,
     ScheduleBackend,
     make_backend,
@@ -97,12 +98,15 @@ class TestAnalyticEqualsPreRefactorModels:
             h, w, n, layers, vsa_nodes
         )
         backend = AnalyticBackend()
-        for search in ("dense", "bisect", "auto"):
-            score = backend.score_geometry(h, w, n, layers, vsa_nodes, search)
+        # The batched search and the base-class scalar scan.
+        for score in (
+            backend.score_geometry(h, w, n, layers, vsa_nodes),
+            EvaluationBackend.score_geometry(backend, h, w, n, layers, vsa_nodes),
+        ):
             assert (
                 score.t_sequential, score.t_parallel,
                 score.nl_bar, score.nv_bar,
-            ) == (t_seq, t_par, nl_bar, nv_bar), search
+            ) == (t_seq, t_par, nl_bar, nv_bar)
             # The logical design-point accounting is search-invariant.
             assert score.evaluated == (n if vsa_nodes else 1)
 

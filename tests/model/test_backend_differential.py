@@ -25,7 +25,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dse.engine import DseEngine
 from repro.dse.phase1 import extract_cost_dims
 from repro.graph.build import build_dataflow_graph
-from repro.model.backend import AnalyticBackend, ScheduleBackend
+from repro.model.backend import (
+    AnalyticBackend,
+    EvaluationBackend,
+    ScheduleBackend,
+)
 from repro.workloads.synth import SynthConfig, SynthWorkload
 
 #: Keep generated families small: the invariants are scale-free, and
@@ -104,15 +108,18 @@ class TestDifferentialQuick:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_schedule_dominates_across_search_strategies(self, config):
-        """score_geometry is search-strategy-invariant on generated DAGs."""
+        """The batched analytic search equals the scalar reference scan on
+        generated DAGs, and the schedule backend dominates both."""
         layers, vsa = workload_dims(config)
         h, w, n = 8, 8, 4
-        ref = _ANALYTIC.score_geometry(h, w, n, layers, vsa, "dense")
-        for search in ("bisect", "auto"):
-            score = _ANALYTIC.score_geometry(h, w, n, layers, vsa, search)
-            assert (score.t_sequential, score.t_parallel,
-                    score.nl_bar, score.nv_bar) == (
-                ref.t_sequential, ref.t_parallel, ref.nl_bar, ref.nv_bar)
+        ref = EvaluationBackend.score_geometry(_ANALYTIC, h, w, n, layers, vsa)
+        score = _ANALYTIC.score_geometry(h, w, n, layers, vsa)
+        assert (score.t_sequential, score.t_parallel,
+                score.nl_bar, score.nv_bar) == (
+            ref.t_sequential, ref.t_parallel, ref.nl_bar, ref.nv_bar)
+        sched = _SCHEDULE.score_geometry(h, w, n, layers, vsa)
+        assert sched.t_sequential >= ref.t_sequential
+        assert sched.t_parallel >= ref.t_parallel
 
 
 @pytest.mark.slow
@@ -157,8 +164,8 @@ def assert_screen_batches_admissible(config: SynthConfig,
     engine = DseEngine(max_pes=max_pes)
     geoms = [(c.h, c.w, c.n_sub) for c in engine.iter_candidates()]
     assert geoms, "screen batch must be non-empty"
-    lbs = _ANALYTIC.score_geometries(geoms, layers, vsa, "auto")
-    expensive = _SCHEDULE.score_geometries(geoms, layers, vsa, "auto")
+    lbs = _ANALYTIC.score_geometries(geoms, layers, vsa)
+    expensive = _SCHEDULE.score_geometries(geoms, layers, vsa)
     for geom, lb, truth in zip(geoms, lbs, expensive):
         assert truth.t_sequential >= lb.t_sequential, geom
         assert truth.t_parallel >= lb.t_parallel, geom

@@ -204,7 +204,7 @@ class TestPartitionSearch:
         arrays = WorkloadArrays.from_dims(huge)
         with pytest.raises(ConfigError, match="int64"):
             nn_total_runtime_vec(4, 4, [1], arrays)
-        with pytest.raises(ConfigError, match="dense"):
+        with pytest.raises(ConfigError, match="scalar models"):
             nn_uniform_runtime_batch(
                 4, 4, np.array([1], dtype=np.int64), arrays
             )

@@ -6,7 +6,7 @@ from repro import NSFlow, build_workload
 from repro.arch import AdArray
 from repro.arch.controller import Controller
 from repro.baselines import baseline_devices
-from repro.dse import TwoPhaseDSE, design_config_from_json, design_config_to_json
+from repro.dse import DseEngine, design_config_from_json, design_config_to_json
 from repro.graph import build_dataflow_graph
 from repro.model.runtime import monolithic_baseline_runtime
 from repro.dse.phase1 import extract_cost_dims
@@ -22,13 +22,13 @@ class TestToolchainRoundTrips:
         restored = trace_from_json(trace_to_json(small_nvsa_trace))
         g1 = build_dataflow_graph(small_nvsa_trace)
         g2 = build_dataflow_graph(restored)
-        r1 = TwoPhaseDSE(max_pes=1024).explore(g1)
-        r2 = TwoPhaseDSE(max_pes=1024).explore(g2)
+        r1 = DseEngine(max_pes=1024).explore(g1)
+        r2 = DseEngine(max_pes=1024).explore(g2)
         assert r1.config.geometry == r2.config.geometry
         assert r1.config.estimated_cycles == r2.config.estimated_cycles
 
     def test_design_config_json_through_controller(self, small_nvsa_graph):
-        report = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
+        report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         restored = design_config_from_json(design_config_to_json(report.config))
         s1 = Controller(report.config).schedule(small_nvsa_graph)
         s2 = Controller(restored).schedule(small_nvsa_graph)
@@ -52,7 +52,7 @@ class TestPaperClaimsEndToEnd:
             ScalableConfig(symbolic_ratio=0.6, batch_panels=16)
         )
         graph = build_dataflow_graph(wl.build_trace())
-        report = TwoPhaseDSE(max_pes=8192).explore(graph)
+        report = DseEngine(max_pes=8192).explore(graph)
         layers, vsa = extract_cost_dims(graph)
         mono = monolithic_baseline_runtime(128, 64, layers, vsa)
         assert mono > 4 * report.config.estimated_cycles
@@ -66,7 +66,7 @@ class TestPaperClaimsEndToEnd:
             )
             graph = build_dataflow_graph(wl.build_trace())
             cycles.append(
-                TwoPhaseDSE(max_pes=1024).explore(graph).config.estimated_cycles
+                DseEngine(max_pes=1024).explore(graph).config.estimated_cycles
             )
         assert cycles == sorted(cycles)
         assert cycles[-1] > cycles[0]

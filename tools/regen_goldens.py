@@ -38,58 +38,38 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "goldens"
 #: Small synth family: fast to compile, non-trivial frontier.
 _SYNTH_SMALL = dict(n_ops=10, depth=4, vector_dim=64, blocks=2, gemm_scale=16)
 
-#: (fixture name, workload name, config overrides, backend, search).
+#: (fixture name, workload name, config overrides, backend).
 #: One registry workload and two synth seeds, each under both backends.
 #: max_pes is fixed (not device-derived) so goldens are device-budget
-#: independent and the frontier stays small enough to review. The two
-#: ``multifidelity`` entries pin the pruned search's output as its own
-#: fixture files — which must be byte-identical to their exhaustive
-#: counterparts (see MF_GOLDEN_PAIRS and the goldens test).
-GOLDENS: tuple[tuple[str, str, dict, str, str], ...] = (
-    ("prae-analytic", "prae", {}, "analytic", "exhaustive"),
-    ("prae-schedule", "prae", {}, "schedule", "exhaustive"),
-    ("synth101-analytic", "synth", dict(seed=101, **_SYNTH_SMALL),
-     "analytic", "exhaustive"),
-    ("synth101-schedule", "synth", dict(seed=101, **_SYNTH_SMALL),
-     "schedule", "exhaustive"),
-    ("synth202-analytic", "synth", dict(seed=202, **_SYNTH_SMALL),
-     "analytic", "exhaustive"),
-    ("synth202-schedule", "synth", dict(seed=202, **_SYNTH_SMALL),
-     "schedule", "exhaustive"),
-    ("prae-schedule-mf", "prae", {}, "schedule", "multifidelity"),
-    ("synth101-schedule-mf", "synth", dict(seed=101, **_SYNTH_SMALL),
-     "schedule", "multifidelity"),
-)
-
-#: (multi-fidelity fixture, exhaustive fixture) pairs whose report.json
-#: files must be identical — the on-disk form of the search-equivalence
-#: guarantee, and why `search` never joins the artifact-cache key.
-MF_GOLDEN_PAIRS: tuple[tuple[str, str], ...] = (
-    ("prae-schedule-mf", "prae-schedule"),
-    ("synth101-schedule-mf", "synth101-schedule"),
+#: independent and the frontier stays small enough to review.
+GOLDENS: tuple[tuple[str, str, dict, str], ...] = (
+    ("prae-analytic", "prae", {}, "analytic"),
+    ("prae-schedule", "prae", {}, "schedule"),
+    ("synth101-analytic", "synth", dict(seed=101, **_SYNTH_SMALL), "analytic"),
+    ("synth101-schedule", "synth", dict(seed=101, **_SYNTH_SMALL), "schedule"),
+    ("synth202-analytic", "synth", dict(seed=202, **_SYNTH_SMALL), "analytic"),
+    ("synth202-schedule", "synth", dict(seed=202, **_SYNTH_SMALL), "schedule"),
 )
 
 GOLDEN_MAX_PES = 256
 
 
-def golden_doc(workload: str, overrides: dict, backend: str,
-               search: str = "exhaustive") -> dict:
+def golden_doc(workload: str, overrides: dict, backend: str) -> dict:
     """Compile one golden scenario and return its report.json document."""
     wl = build_workload(workload, **overrides)
     nsf = NSFlow(
         precision=MIXED_PRECISION_PRESETS["MP"],
         max_pes=GOLDEN_MAX_PES,
         backend=backend,
-        search=search,
     )
     return _report_doc(nsf.compile(wl))
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, workload, overrides, backend, search in GOLDENS:
+    for name, workload, overrides, backend in GOLDENS:
         path = GOLDEN_DIR / f"{name}.json"
-        doc = golden_doc(workload, overrides, backend, search)
+        doc = golden_doc(workload, overrides, backend)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path.relative_to(REPO_ROOT)}")
     return 0
