@@ -22,10 +22,13 @@ Determinism and caching contract:
   ``--jobs`` setting, in any evaluation order.
 * Results (including ``None`` for workloads without a functional
   pipeline, e.g. the synth generator) are memoized in-process;
-  :func:`accuracy_cache_stats` exposes executed/hit counters so smoke
-  tests can assert that warm paths re-execute nothing. On-disk reuse
-  comes from the artifact store: the accuracy result is part of the
-  cached report document.
+  :func:`accuracy_cache_stats` exposes executed/hit counters so tests
+  can assert that warm paths re-execute nothing. On-disk reuse comes
+  from the artifact store: the accuracy result is part of the cached
+  report document.
+* Every memo miss is timed as the ``accuracy.execute`` stage
+  (:mod:`repro.dse.timing`, items = problems), so ``--timings`` shows
+  the execution; like every stage timing it never enters a report.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from ..errors import ConfigError
 from ..quant import MixedPrecisionConfig
 from ..utils import stable_digest
 from ..workloads.base import NSAIWorkload
+from .timing import time_stage
 
 __all__ = [
     "DEFAULT_ACCURACY_PROBLEMS",
@@ -151,7 +155,8 @@ def evaluate_accuracy(
         if cached is not None:
             _stats["hits"] += 1
             return cached
-    value = workload.evaluate_accuracy(n_problems, seed)
+    with time_stage("accuracy.execute", items=n_problems):
+        value = workload.evaluate_accuracy(n_problems, seed)
     result = AccuracyResult(
         value=value,
         n_problems=n_problems,

@@ -21,10 +21,12 @@ from .layers import (
     ReLU,
     Sequential,
     Softmax,
+    WeightSource,
 )
 from .resnet import ResNet, build_resnet18, build_small_cnn
 
 __all__ = [
+    "WeightSource",
     "GemmDims",
     "im2col",
     "conv2d_gemm_dims",

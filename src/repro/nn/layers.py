@@ -19,6 +19,7 @@ from ..utils import make_rng, prod
 from .gemm import GemmDims, conv2d_gemm_dims, conv_output_hw, im2col, linear_gemm_dims
 
 __all__ = [
+    "WeightSource",
     "Layer",
     "Conv2d",
     "Linear",
@@ -31,6 +32,64 @@ __all__ = [
     "Add",
     "Sequential",
 ]
+
+
+class WeightSource:
+    """Deferred weight draws that replay one generator stream.
+
+    Pass ``rng=WeightSource(gen)`` to :class:`Conv2d`/:class:`Linear`
+    (or a network builder) and the layers register here in construction
+    order and draw nothing. The source snapshots ``gen``'s bit-generator
+    state when it is made. The first read of any registered layer's
+    ``weight``, or the first :meth:`materialize` call, replays every
+    registered layer's draw, in registration order, from a fresh
+    generator restored to that snapshot. The values are bit-identical to
+    layers that drew eagerly from ``gen`` as they were built, and
+    :meth:`materialize` returns the replay generator positioned after
+    the last weight draw, exactly where the eager ``gen`` would stand.
+    Once a source is made, its owner must not draw from ``gen`` itself.
+
+    Only weight values are deferred: shapes, ``weight_elements()`` and
+    ``describe()`` never trigger a replay, so tracing a network draws
+    nothing.
+
+    No lock is needed: the snapshot is immutable, so two threads whose
+    first reads race at worst both replay identical draws and store
+    identical weights, and only a complete replay publishes its
+    generator.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        bitgen = gen.bit_generator
+        self._bitgen_type = type(bitgen)
+        self._state = bitgen.state
+        self._layers: list[_WeightedLayer] = []
+        self._gen: np.random.Generator | None = None
+
+    def register(self, layer: _WeightedLayer) -> None:
+        """Queue ``layer``'s draw; after a replay it draws at once, in stream order."""
+        if self._gen is not None:
+            layer._weight = layer._draw(self._gen)
+        else:
+            self._layers.append(layer)
+
+    def materialize(self) -> np.random.Generator:
+        """Draw every registered weight (once) and return the stream after them."""
+        if self._gen is None:
+            layers = self._layers
+            bitgen = self._bitgen_type()
+            bitgen.state = self._state
+            gen = np.random.Generator(bitgen)
+            for layer in layers:
+                layer._weight = layer._draw(gen)
+            # The first finished replay publishes. A racing one that found
+            # the list already dropped drew nothing, so it must not.
+            if self._gen is None:
+                self._gen = gen
+                # Layers point at their source; dropping the list breaks
+                # the cycle, so drawn weights are freed with their network.
+                self._layers = []
+        return self._gen
 
 
 class Layer:
@@ -82,11 +141,50 @@ class Layer:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class Conv2d(Layer):
+class _WeightedLayer(Layer):
+    """A GEMM layer with He-normal weights, drawn now or via a :class:`WeightSource`."""
+
+    is_gemm = True
+
+    def _init_weights(
+        self,
+        shape: tuple[int, ...],
+        fan_in: int,
+        n_bias: int | None,
+        rng: WeightSource | np.random.Generator | int | None,
+    ) -> None:
+        self.weight_shape = shape
+        self._fan_in = fan_in
+        self.bias = np.zeros(n_bias) if n_bias is not None else None
+        self._weight: np.ndarray | None = None
+        self._source = rng if isinstance(rng, WeightSource) else None
+        if self._source is not None:
+            self._source.register(self)
+        else:
+            self._weight = self._draw(make_rng(rng))
+
+    def _draw(self, gen: np.random.Generator) -> np.ndarray:
+        """The only weight draw: He-normal at this layer's shape."""
+        return gen.standard_normal(self.weight_shape) * np.sqrt(2.0 / self._fan_in)
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The weight tensor; a deferred one is drawn on first read."""
+        if self._weight is None:
+            self._source.materialize()
+        return self._weight
+
+    def weight_elements(self) -> int:
+        n = prod(self.weight_shape)
+        if self.bias is not None:
+            n += self.bias.size
+        return n
+
+
+class Conv2d(_WeightedLayer):
     """2-D convolution, square kernel, NCHW layout, bias optional."""
 
     kind = "conv2d"
-    is_gemm = True
 
     def __init__(
         self,
@@ -97,7 +195,7 @@ class Conv2d(Layer):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        rng: np.random.Generator | int | None = None,
+        rng: WeightSource | np.random.Generator | int | None = None,
     ):
         super().__init__(name)
         if min(in_channels, out_channels, kernel, stride) <= 0 or padding < 0:
@@ -107,12 +205,12 @@ class Conv2d(Layer):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        gen = make_rng(rng)
-        fan_in = in_channels * kernel * kernel
-        self.weight = gen.standard_normal(
-            (out_channels, in_channels, kernel, kernel)
-        ) * np.sqrt(2.0 / fan_in)
-        self.bias = np.zeros(out_channels) if bias else None
+        self._init_weights(
+            (out_channels, in_channels, kernel, kernel),
+            fan_in=in_channels * kernel * kernel,
+            n_bias=out_channels if bias else None,
+            rng=rng,
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -140,12 +238,6 @@ class Conv2d(Layer):
             self.kernel, self.stride, self.padding,
         )
 
-    def weight_elements(self) -> int:
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
-
     def params(self) -> dict[str, int | float | str]:
         return {
             "in_channels": self.in_channels,
@@ -156,11 +248,10 @@ class Conv2d(Layer):
         }
 
 
-class Linear(Layer):
+class Linear(_WeightedLayer):
     """Fully-connected layer on ``(batch, features)`` inputs."""
 
     kind = "linear"
-    is_gemm = True
 
     def __init__(
         self,
@@ -168,18 +259,19 @@ class Linear(Layer):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        rng: np.random.Generator | int | None = None,
+        rng: WeightSource | np.random.Generator | int | None = None,
     ):
         super().__init__(name)
         if min(in_features, out_features) <= 0:
             raise ShapeError(f"invalid linear parameters for {name!r}")
         self.in_features = in_features
         self.out_features = out_features
-        gen = make_rng(rng)
-        self.weight = gen.standard_normal((in_features, out_features)) * np.sqrt(
-            2.0 / in_features
+        self._init_weights(
+            (in_features, out_features),
+            fan_in=in_features,
+            n_bias=out_features if bias else None,
+            rng=rng,
         )
-        self.bias = np.zeros(out_features) if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -196,12 +288,6 @@ class Linear(Layer):
 
     def gemm_dims(self, input_shape: tuple[int, ...]) -> GemmDims:
         return linear_gemm_dims(input_shape[0], self.in_features, self.out_features)
-
-    def weight_elements(self) -> int:
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
 
     def params(self) -> dict[str, int | float | str]:
         return {"in_features": self.in_features, "out_features": self.out_features}
@@ -263,6 +349,8 @@ class MaxPool2d(Layer):
         self.kernel = kernel
         self.stride = stride if stride is not None else kernel
         self.padding = padding
+        if min(self.kernel, self.stride) <= 0 or padding < 0:
+            raise ShapeError(f"invalid pool parameters for {name!r}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:

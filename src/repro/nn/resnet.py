@@ -31,6 +31,7 @@ from .layers import (
     Linear,
     MaxPool2d,
     ReLU,
+    WeightSource,
 )
 
 __all__ = ["LayerOp", "BasicBlock", "ResNet", "build_resnet18", "build_small_cnn"]
@@ -60,7 +61,7 @@ class BasicBlock:
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        rng: np.random.Generator | int | None = None,
+        rng: WeightSource | np.random.Generator | int | None = None,
     ):
         self.name = name
         self.conv1 = Conv2d(
@@ -231,7 +232,7 @@ def build_resnet18(
     in_channels: int = 1,
     num_classes: int = 512,
     base_width: int = 64,
-    rng: np.random.Generator | int | None = None,
+    rng: WeightSource | np.random.Generator | int | None = None,
 ) -> ResNet:
     """The standard 18-layer ResNet used by NVSA/LVRF perception.
 
@@ -269,7 +270,7 @@ def build_small_cnn(
     num_classes: int = 128,
     base_width: int = 32,
     depth: int = 4,
-    rng: np.random.Generator | int | None = None,
+    rng: WeightSource | np.random.Generator | int | None = None,
 ) -> ResNet:
     """A compact plain CNN (conv-bn-relu ×depth) for MIMONet/PrAE frontends."""
     if depth < 1:

@@ -17,12 +17,13 @@ posterior exactly the way imperfectly learned rules would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
+from functools import cached_property
 
 from ..datasets.rpm import RpmProblem, generate_dataset
 from ..datasets.spec import RpmAttribute, make_spec
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
+from ..nn.layers import WeightSource
 from ..nn.resnet import build_resnet18
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
@@ -73,7 +74,7 @@ class LvrfWorkload(NSAIWorkload):
         self.config = config or LvrfConfig()
         spec = make_spec(self.config.dataset)
         self.spec = spec
-        self._rng = make_rng(self.config.seed)
+        gen = make_rng(self.config.seed)
         noise_attrs = [
             RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
             for i in range(spec.n_noise_attributes)
@@ -86,20 +87,26 @@ class LvrfWorkload(NSAIWorkload):
             blocks=self.config.blocks,
             block_dim=self.config.block_dim,
             symbolic_precision=self.config.precision.symbolic,
-            rng=self._rng,
+            rng=gen,
         )
-        self.perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._rng,
-        )
+        # Frontend weights are drawn only on first read (see WeightSource).
+        self._weights = WeightSource(gen)
         self._frontend = build_resnet18(
             name="resnet18",
             in_channels=1,
             num_classes=512,
             base_width=self.config.resnet_width,
-            rng=self._rng,
+            rng=self._weights,
+        )
+
+    @cached_property
+    def perception(self) -> PerceptionModel:
+        """The default perception channel, drawing after the frontend's weights."""
+        return PerceptionModel(
+            confidence=self.config.confidence,
+            noise=self.spec.perception_noise,
+            neural_precision=self.config.precision.neural,
+            rng=self._weights.materialize(),
         )
 
     # -- functional interface ------------------------------------------------------

@@ -20,12 +20,14 @@ per-input bind/unbind kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..datasets.cvr_svrt import RelationalItem, generate_relational_dataset
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
+from ..nn.layers import WeightSource
 from ..nn.resnet import build_small_cnn
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, quantize_array
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
@@ -67,22 +69,28 @@ class MimoNetWorkload(NSAIWorkload):
 
     def __init__(self, config: MimoNetConfig | None = None):
         self.config = config or MimoNetConfig()
-        self._rng = make_rng(self.config.seed)
+        # CNN weights are drawn only when the CNN first runs (see WeightSource).
+        self._weights = WeightSource(make_rng(self.config.seed))
         self._cnn = build_small_cnn(
             name="mimocnn",
             in_channels=1,
             num_classes=self.config.feature_dim,
             base_width=self.config.cnn_width,
             depth=self.config.cnn_depth,
-            rng=self._rng,
+            rng=self._weights,
         )
-        # One unitary key per superposition slot, at pixel dimensionality.
+        self._prototypes: np.ndarray | None = None
+
+    @cached_property
+    def _keys(self) -> list[np.ndarray]:
+        """One unitary key per superposition slot, at pixel dimensionality,
+        drawn after the CNN's weights."""
+        gen = self._weights.materialize()
         d = self.config.image_size * self.config.image_size
-        self._keys = [
-            vops.random_unitary_vector(d, rng=self._rng)
+        return [
+            vops.random_unitary_vector(d, rng=gen)
             for _ in range(self.config.superposition)
         ]
-        self._prototypes: np.ndarray | None = None
 
     # -- functional interface ---------------------------------------------------
 
@@ -239,7 +247,7 @@ class MimoNetWorkload(NSAIWorkload):
     def component_elements(self) -> dict[str, int]:
         neural = self._cnn.weight_elements()
         neural += self.config.feature_dim * self.config.n_classes
-        symbolic = sum(k.size for k in self._keys)
+        symbolic = self.config.superposition * self.config.image_size**2
         return {"neural": neural, "symbolic": symbolic}
 
     # -- trace ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ This module provides three cooperating pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from ..datasets.rpm import RpmProblem, generate_dataset
 from ..datasets.spec import RpmAttribute, RpmDatasetSpec, make_spec
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
+from ..nn.layers import WeightSource
 from ..nn.resnet import build_resnet18
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, Precision, quantize_array
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
@@ -368,7 +370,7 @@ class NvsaWorkload(NSAIWorkload):
     def __init__(self, config: NvsaConfig | None = None):
         self.config = config or NvsaConfig()
         spec = self.config.spec
-        self._rng = make_rng(self.config.seed)
+        gen = make_rng(self.config.seed)
         noise_attrs = [
             RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
             for i in range(spec.n_noise_attributes)
@@ -381,20 +383,27 @@ class NvsaWorkload(NSAIWorkload):
             block_dim=self.config.block_dim,
             symbolic_precision=self.config.precision.symbolic,
             rule_weight_power=self.config.rule_weight_power,
-            rng=self._rng,
+            rng=gen,
         )
-        self.perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._rng,
-        )
+        # Tracing and accuracy never read the frontend's weights, so they
+        # are drawn only on first read (see WeightSource).
+        self._weights = WeightSource(gen)
         self._frontend = build_resnet18(
             name="resnet18",
             in_channels=1,
             num_classes=512,
             base_width=self.config.resnet_width,
-            rng=self._rng,
+            rng=self._weights,
+        )
+
+    @cached_property
+    def perception(self) -> PerceptionModel:
+        """The default perception channel, drawing after the frontend's weights."""
+        return PerceptionModel(
+            confidence=self.config.confidence,
+            noise=self.config.spec.perception_noise,
+            neural_precision=self.config.precision.neural,
+            rng=self._weights.materialize(),
         )
 
     # -- functional task interface ---------------------------------------------

@@ -20,6 +20,7 @@ The probabilistic rule semantics over a row of PMFs (p, q, r):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from ..datasets.rpm import RpmProblem, generate_dataset
 from ..datasets.spec import RpmAttribute, make_spec
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
+from ..nn.layers import WeightSource
 from ..nn.resnet import build_small_cnn
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, quantize_array
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
@@ -64,25 +66,30 @@ class PraeWorkload(NSAIWorkload):
         self.config = config or PraeConfig()
         spec = make_spec(self.config.dataset)
         self.spec = spec
-        self._rng = make_rng(self.config.seed)
         noise_attrs = [
             RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
             for i in range(spec.n_noise_attributes)
         ]
         self._all_attrs = list(spec.attributes) + noise_attrs
-        self.perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._rng,
-        )
+        # Frontend weights are drawn only on first read (see WeightSource).
+        self._weights = WeightSource(make_rng(self.config.seed))
         self._frontend = build_small_cnn(
             name="praecnn",
             in_channels=1,
             num_classes=256,
             base_width=self.config.cnn_width,
             depth=self.config.cnn_depth,
-            rng=self._rng,
+            rng=self._weights,
+        )
+
+    @cached_property
+    def perception(self) -> PerceptionModel:
+        """The default perception channel, drawing after the frontend's weights."""
+        return PerceptionModel(
+            confidence=self.config.confidence,
+            noise=self.spec.perception_noise,
+            neural_precision=self.config.precision.neural,
+            rng=self._weights.materialize(),
         )
 
     # -- probabilistic rule engine ---------------------------------------------

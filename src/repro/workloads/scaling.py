@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..nn.layers import WeightSource
 from ..nn.resnet import build_resnet18
 from ..trace.opnode import Trace
 from ..trace.tracer import Tracer
@@ -70,13 +71,14 @@ class ScalableNsaiWorkload(NSAIWorkload):
 
     def __init__(self, config: ScalableConfig | None = None):
         self.config = config or ScalableConfig()
-        self._rng = make_rng(self.config.seed)
+        # Sizing and tracing read shapes only; weights are drawn on first
+        # read (see WeightSource).
         self._frontend = build_resnet18(
             name="resnet18",
             in_channels=1,
             num_classes=512,
             base_width=self.config.resnet_width,
-            rng=self._rng,
+            rng=WeightSource(make_rng(self.config.seed)),
         )
 
     # -- sizing -----------------------------------------------------------------

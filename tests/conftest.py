@@ -12,12 +12,28 @@ import pytest
 
 from repro.datasets import generate_dataset, make_spec
 from repro.graph import build_dataflow_graph
+from repro.nn import Conv2d, Linear
 from repro.workloads.nvsa import NvsaConfig, NvsaWorkload
 
 
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def weight_draws(monkeypatch) -> list[str]:
+    """Names of the layers whose weights are drawn while the test runs."""
+    drawn: list[str] = []
+    for cls in (Conv2d, Linear):
+        original = cls._draw
+
+        def counting(self, gen, _original=original):
+            drawn.append(self.name)
+            return _original(self, gen)
+
+        monkeypatch.setattr(cls, "_draw", counting)
+    return drawn
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ from repro.dse import (
     deployed_workload,
     evaluate_accuracy,
     pareto_filter,
+    stage_timings_since,
+    timings_snapshot,
 )
 from repro.errors import ConfigError
 from repro.flow import NSFlow
@@ -167,6 +169,19 @@ class TestNSFlowIntegration:
         assert all(
             p.accuracy == acc.value for p in design.dse.pareto.points
         )
+
+    def test_execution_is_a_timed_stage(self):
+        flow = NSFlow(max_pes=256, precision=MIXED_PRECISION_PRESETS["INT4"],
+                      accuracy=True, accuracy_problems=4)
+        snap = timings_snapshot()
+        flow.compile(build_workload("prae"))
+        stage = stage_timings_since(snap)["accuracy.execute"]
+        assert (stage.calls, stage.items) == (1, 4)
+        assert stage.seconds > 0
+
+        snap = timings_snapshot()
+        flow.compile(build_workload("prae"))      # memo hit
+        assert "accuracy.execute" not in stage_timings_since(snap)
 
     def test_accuracy_off_leaves_report_unstamped(self):
         design = NSFlow(max_pes=256).compile(build_workload("prae"))

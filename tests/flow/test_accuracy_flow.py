@@ -68,22 +68,25 @@ class TestScenarioIdentity:
 
 
 class TestSweepAccuracy:
-    GRID = ScenarioGrid(workloads=("prae",), precisions=("INT8", "INT4"),
-                        accuracy=True, accuracy_problems=4)
-
     def test_cold_then_warm_reexecutes_nothing(self, tmp_path):
+        # At the default problem count the deployment-precision twin must
+        # make the INT4 loss visible, and a warm re-run must serve both
+        # scores from the store without executing anything.
+        grid = ScenarioGrid(workloads=("prae",), precisions=("INT8", "INT4"),
+                            accuracy=True)
         store = ArtifactStore(tmp_path / "cache")
-        cold = run_sweep(self.GRID, store=store)
+        cold = run_sweep(grid, store=store)
+        assert cold.n_errors == 0
         assert cold.n_compiled == 2
         by_id = {o.spec.scenario_id: o.artifacts.report.accuracy
                  for o in cold.ok_outcomes()}
-        int8 = by_id["prae@u250/INT8/acc4"]
-        int4 = by_id["prae@u250/INT4/acc4"]
+        int8 = by_id["prae@u250/INT8/acc16"]
+        int4 = by_id["prae@u250/INT4/acc16"]
         assert int8.value is not None and int4.value is not None
-        assert int4.value <= int8.value
+        assert int4.value < int8.value
 
         clear_accuracy_cache()
-        warm = run_sweep(self.GRID, store=store)
+        warm = run_sweep(grid, store=store)
         assert warm.n_compiled == 0
         assert accuracy_cache_stats()["executed"] == 0
         warm_by_id = {o.spec.scenario_id: o.artifacts.report.accuracy

@@ -1,5 +1,9 @@
 """Unit tests for the NN layer vocabulary."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,7 @@ from repro.nn import (
     ReLU,
     Sequential,
     Softmax,
+    WeightSource,
 )
 
 
@@ -106,6 +111,13 @@ class TestActivationsAndPools:
         pool = MaxPool2d("m", kernel=3, stride=2, padding=1)
         assert pool(x_nchw).shape == pool.output_shape(x_nchw.shape)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel=0), dict(kernel=3, stride=0), dict(kernel=3, padding=-1),
+    ], ids=["zero-kernel", "zero-stride", "negative-padding"])
+    def test_maxpool_invalid_params_rejected(self, kwargs):
+        with pytest.raises(ShapeError):
+            MaxPool2d("p", **kwargs)(np.zeros((1, 1, 8, 8)))
+
     def test_avgpool_global(self, x_nchw):
         pool = AvgPool2d("a")
         out = pool(x_nchw)
@@ -164,3 +176,91 @@ class TestSequential:
             x = layer(x)
             shape = layer.output_shape(shape)
             assert x.shape == tuple(shape)
+
+
+def _deferred_pair(seed: int = 3):
+    source = WeightSource(np.random.default_rng(seed))
+    conv = Conv2d("c", 3, 8, 3, padding=1, rng=source)
+    lin = Linear("fc", 8, 5, rng=source)
+    return source, conv, lin
+
+
+class TestWeightSource:
+    def test_replay_equals_eager_draws(self):
+        gen = np.random.default_rng(3)
+        conv = Conv2d("c", 3, 8, 3, padding=1, rng=gen)
+        lin = Linear("fc", 8, 5, rng=gen)
+        source, d_conv, d_lin = _deferred_pair(3)
+        # Read in reverse order: values depend on registration order only.
+        assert np.array_equal(d_lin.weight, lin.weight)
+        assert np.array_equal(d_conv.weight, conv.weight)
+        # The replay stream stands where the eager one does.
+        assert np.array_equal(
+            source.materialize().standard_normal(4), gen.standard_normal(4)
+        )
+
+    def test_construction_and_shapes_draw_nothing(self, weight_draws, x_nchw):
+        _, conv, lin = _deferred_pair()
+        assert conv.weight_elements() == 8 * 3 * 3 * 3 + 8
+        assert lin.weight_elements() == 8 * 5 + 5
+        assert conv.output_shape(x_nchw.shape) == (2, 8, 16, 16)
+        assert weight_draws == []
+        conv(x_nchw)
+        assert weight_draws == ["c", "fc"]
+
+    def test_reads_and_materialize_draw_once(self, weight_draws):
+        source, conv, lin = _deferred_pair()
+        first = conv.weight
+        assert conv.weight is first and lin.weight is lin.weight
+        gen = source.materialize()
+        assert source.materialize() is gen
+        assert weight_draws == ["c", "fc"]
+
+    def test_materialize_first_then_read(self, weight_draws):
+        source, conv, lin = _deferred_pair()
+        source.materialize()
+        source.materialize()
+        assert conv.weight.shape == (8, 3, 3, 3) and lin.weight.shape == (8, 5)
+        assert weight_draws == ["c", "fc"]
+
+    def test_late_registration_draws_in_stream_order(self):
+        gen = np.random.default_rng(5)
+        eager = [Linear("a", 4, 4, rng=gen)]
+        gen.standard_normal(7)
+        eager.append(Linear("b", 4, 2, rng=gen))
+        source = WeightSource(np.random.default_rng(5))
+        first = Linear("a", 4, 4, rng=source)
+        source.materialize().standard_normal(7)
+        second = Linear("b", 4, 2, rng=source)
+        assert np.array_equal(first.weight, eager[0].weight)
+        assert np.array_equal(second.weight, eager[1].weight)
+
+    def test_racing_first_reads_store_eager_values(self):
+        gen = np.random.default_rng(11)
+        eager = [Linear(f"l{i}", 32, 32, rng=gen) for i in range(8)]
+        source = WeightSource(np.random.default_rng(11))
+        deferred = [Linear(f"l{i}", 32, 32, rng=source) for i in range(8)]
+        barrier = threading.Barrier(len(deferred))
+
+        def first_read(layer):
+            barrier.wait(timeout=10)
+            return layer.weight
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(deferred)) as pool:
+                got = list(pool.map(first_read, deferred, timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, layer, want in zip(got, deferred, eager):
+            assert np.array_equal(g, want.weight)
+            assert np.array_equal(layer.weight, want.weight)
+        assert np.array_equal(
+            source.materialize().standard_normal(3), gen.standard_normal(3)
+        )
+
+    def test_weight_is_read_only(self):
+        lin = Linear("fc", 8, 4, rng=0)
+        with pytest.raises(AttributeError):
+            lin.weight = np.zeros((8, 4))
