@@ -17,8 +17,6 @@ layer frees the unit (while loop ``i``'s symbolic tail is still running).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..trace.opnode import ExecutionUnit, Trace, TraceOp
 from .dataflow import DataflowGraph, DataflowNode
@@ -49,14 +47,12 @@ def build_dataflow_graph(trace: Trace) -> DataflowGraph:
             if dep in produced:
                 graph.add_edge(dep, op.name)
     graph.validate()
-
-    g = graph.nx_graph
-    topo = list(nx.topological_sort(g))
+    topo = graph.topological_order()
 
     # ② BFS depths: longest dependency distance from any source.
     depth: dict[str, int] = {}
     for name in topo:
-        preds = list(g.predecessors(name))
+        preds = graph.predecessors(name)
         depth[name] = 0 if not preds else 1 + max(depth[p] for p in preds)
     for name, d in depth.items():
         graph.node(name).depth = d
@@ -67,7 +63,7 @@ def build_dataflow_graph(trace: Trace) -> DataflowGraph:
     parent: dict[str, str | None] = {}
     for name in topo:
         w = _work_estimate(graph.node(name).op)
-        preds = list(g.predecessors(name))
+        preds = graph.predecessors(name)
         if not preds:
             dist[name] = w
             parent[name] = None
@@ -145,10 +141,9 @@ def fuse_loops(trace: Trace, n_loops: int) -> DataflowGraph:
     graph.validate()
 
     # Depth annotation over the fused graph.
-    g = graph.nx_graph
     depth: dict[str, int] = {}
-    for name in nx.topological_sort(g):
-        preds = list(g.predecessors(name))
+    for name in graph.topological_order():
+        preds = graph.predecessors(name)
         depth[name] = 0 if not preds else 1 + max(depth[p] for p in preds)
         graph.node(name).depth = depth[name]
     return graph

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..nn.gemm import GemmDims
 from ..trace.opnode import ExecutionUnit, OpDomain, TraceOp, VsaDims
@@ -69,12 +67,21 @@ class DataflowNode:
 
 
 class DataflowGraph:
-    """DAG over trace ops with critical-path and parallelism annotations."""
+    """DAG over trace ops with critical-path and parallelism annotations.
+
+    Adjacency lives in insertion-ordered successor/predecessor dicts. The
+    topological order and the per-unit node lists are derived on first
+    read and dropped by :meth:`add_node`/:meth:`add_edge`.
+    """
 
     def __init__(self, workload: str):
         self.workload = workload
-        self._g = nx.DiGraph()
         self._nodes: dict[str, DataflowNode] = {}
+        # Dicts used as ordered sets: a repeated edge is a no-op and
+        # keeps its first position.
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+        self._views: tuple[tuple[str, ...], dict[ExecutionUnit, tuple]] | None = None
         self.critical_path: list[str] = []
 
     # -- construction (used by graph.build) -----------------------------------
@@ -83,18 +90,20 @@ class DataflowGraph:
         if node.name in self._nodes:
             raise GraphError(f"duplicate dataflow node {node.name!r}")
         self._nodes[node.name] = node
-        self._g.add_node(node.name)
+        self._succ[node.name] = {}
+        self._pred[node.name] = {}
+        self._views = None
 
     def add_edge(self, producer: str, consumer: str) -> None:
         if producer not in self._nodes or consumer not in self._nodes:
             raise GraphError(f"edge references unknown node: {producer} -> {consumer}")
-        self._g.add_edge(producer, consumer)
+        self._succ[producer][consumer] = None
+        self._pred[consumer][producer] = None
+        self._views = None
 
     def validate(self) -> None:
         """Check the graph is a DAG (the controller depends on this)."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise GraphError(f"dataflow graph has a cycle: {cycle}")
+        self._derived()
 
     # -- access ------------------------------------------------------------------
 
@@ -114,26 +123,62 @@ class DataflowGraph:
             raise GraphError(f"no dataflow node named {name!r}") from exc
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._g.predecessors(name))
+        """Producers of ``name``, in edge-insertion order."""
+        self.node(name)  # GraphError for an unknown name
+        return list(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._g.successors(name))
+        """Consumers of ``name``, in edge-insertion order."""
+        self.node(name)
+        return list(self._succ[name])
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every ``(producer, consumer)`` pair, by producer insertion order."""
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self._g))
+        return list(self._derived()[0])
 
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        """Read-only view of the underlying networkx graph."""
-        return self._g
+    def _derived(self) -> tuple[tuple[str, ...], dict[ExecutionUnit, tuple]]:
+        """The topological order and per-unit node lists, cached until mutated.
+
+        Kahn's algorithm one generation at a time: the zero-in-degree
+        nodes in insertion order are the first generation, and each
+        generation's nodes release their successors, in edge-insertion
+        order, into the next. This is the order networkx 3.x's
+        ``topological_sort`` yields, which the reports and goldens were
+        recorded under.
+        """
+        if self._views is None:
+            indegree = {v: len(p) for v, p in self._pred.items() if p}
+            generation = [v for v, p in self._pred.items() if not p]
+            order: list[str] = []
+            while generation:
+                order += generation
+                released = []
+                for u in generation:
+                    for v in self._succ[u]:
+                        indegree[v] -= 1
+                        if not indegree[v]:
+                            released.append(v)
+                            del indegree[v]
+                generation = released
+            if indegree:
+                raise GraphError(
+                    "dataflow graph has a cycle; nodes on or after it: "
+                    f"{sorted(indegree)}"
+                )
+            by_unit: dict[ExecutionUnit, list[DataflowNode]] = {u: [] for u in ExecutionUnit}
+            for name in order:
+                by_unit[self._nodes[name].unit].append(self._nodes[name])
+            self._views = (tuple(order), {u: tuple(n) for u, n in by_unit.items()})
+        return self._views
 
     # -- DSE-facing selections -------------------------------------------------------
 
     def nodes_by_unit(self, unit: ExecutionUnit) -> list[DataflowNode]:
         """Nodes of one execution unit, in topological order."""
-        order = {n: i for i, n in enumerate(self.topological_order())}
-        selected = [n for n in self._nodes.values() if n.unit is unit]
-        return sorted(selected, key=lambda n: order[n.name])
+        return list(self._derived()[1][unit])
 
     @property
     def layer_nodes(self) -> list[DataflowNode]:

@@ -273,6 +273,13 @@ class EvaluationBackend(abc.ABC):
         :meth:`parallel_cycles` with strict-``<`` updates (first wins on
         ties).
         """
+        return self._scan_splits(
+            lambda nl, nv: self.parallel_cycles(h, w, nl, nv, layers, vsa_nodes),
+            h, w, n_sub, layers, vsa_nodes,
+        )
+
+    def _scan_splits(self, price, h, w, n_sub, layers, vsa_nodes) -> GeometryScore:
+        """The reference scan of uniform splits, pricing each with ``price``."""
         t_seq = int(self.sequential_cycles(h, w, n_sub, layers, vsa_nodes))
         evaluated = 1
         if vsa_nodes:
@@ -285,9 +292,7 @@ class EvaluationBackend(abc.ABC):
                     nl_vec[i] = nl_bar
                 for j in range(len(nv_vec)):
                     nv_vec[j] = nv_bar
-                t_para = self.parallel_cycles(
-                    h, w, nl_vec, nv_vec, layers, vsa_nodes
-                )
+                t_para = price(nl_vec, nv_vec)
                 evaluated += 1
                 if best is None or t_para < best[0]:
                     best = (int(t_para), nl_bar, nv_bar)
@@ -651,28 +656,38 @@ class ScheduleBackend(EvaluationBackend):
 
     # -- per-node demand -------------------------------------------------------
 
+    def _layer_bytes(self, dims: GemmDims) -> tuple[int, int]:
+        """DRAM bytes in (weights + ifmap) and out (ofmap) of a layer node."""
+        return (
+            int((dims.n * dims.k + dims.m * dims.k) * self.neural_bytes),
+            int(dims.m * dims.n * self.neural_bytes),
+        )
+
+    def _vsa_bytes(self, dims: VsaDims) -> tuple[int, int]:
+        """DRAM bytes in (operands + stationary) and out of a VSA node."""
+        return (
+            int((dims.n * dims.d + dims.d) * self.symbolic_bytes),
+            int(dims.n * dims.d * self.symbolic_bytes),
+        )
+
     def _layer_task(
         self, h: int, w: int, alloc: int, dims: GemmDims, name: str
     ) -> _NodeTask:
         compute, fill = AnalyticBackend._layer_split(h, w, alloc, dims)
-        in_elems = dims.n * dims.k + dims.m * dims.k     # weights + ifmap
-        out_elems = dims.m * dims.n                      # ofmap
+        in_bytes, out_bytes = self._layer_bytes(dims)
         return _NodeTask(
             name=name, compute=compute, fill=fill,
-            in_bytes=int(in_elems * self.neural_bytes),
-            out_bytes=int(out_elems * self.neural_bytes),
+            in_bytes=in_bytes, out_bytes=out_bytes,
         )
 
     def _vsa_task(
         self, h: int, w: int, alloc: int, dims: VsaDims, mapping: str, name: str
     ) -> _NodeTask:
         compute, fill = AnalyticBackend._vsa_split(h, w, alloc, dims, mapping)
-        in_elems = dims.n * dims.d + dims.d              # operands + stationary
-        out_elems = dims.n * dims.d
+        in_bytes, out_bytes = self._vsa_bytes(dims)
         return _NodeTask(
             name=name, compute=compute, fill=fill,
-            in_bytes=int(in_elems * self.symbolic_bytes),
-            out_bytes=int(out_elems * self.symbolic_bytes),
+            in_bytes=in_bytes, out_bytes=out_bytes,
         )
 
     def _streams(
@@ -803,6 +818,82 @@ class ScheduleBackend(EvaluationBackend):
         breakdown, node_cycles = self._timeline(streams, mem_c_bytes)
         return DesignEvaluation(
             backend=self.info, breakdown=breakdown, node_cycles=node_cycles
+        )
+
+    # -- amortized repeat pricing ----------------------------------------------
+
+    def partition_pricer(self, h, w, layers, vsa_nodes):
+        """Repeat pricing at one geometry, equal to :meth:`parallel_cycles`.
+
+        A node's DRAM transfers do not depend on the partition, so they
+        are priced once per geometry. A node's unit occupancy
+        (``compute + fill``: Eq. 1 for a layer, Eqs. 3/4 under the loop's
+        Eq. 5 mapping for a VSA node) is memoized per allocation, and
+        :meth:`_timeline`'s event loop runs over plain ints for the two
+        parallel units with no output-buffer bound. The memos live in the
+        closure, so the backend itself stays stateless.
+        """
+        layers = tuple(layers)
+        vsa_nodes = tuple(vsa_nodes)
+        xfer = self.dram.transfer_cycles
+        io = (
+            [tuple(map(xfer, self._layer_bytes(d))) for d in layers],
+            [tuple(map(xfer, self._vsa_bytes(d))) for d in vsa_nodes],
+        )
+        dram_total = sum(t_in + t_out for unit in io for t_in, t_out in unit)
+        nn_memo: list[dict[int, int]] = [{} for _ in layers]
+        vsa_memo: list[dict[int, tuple[int, int]]] = [{} for _ in vsa_nodes]
+
+        def price(nl: Sequence[int], nv: Sequence[int]) -> int:
+            nn = []
+            for memo, dims, alloc in zip(nn_memo, layers, nl):
+                cycles = memo.get(alloc)
+                if cycles is None:
+                    cycles = memo[alloc] = layer_runtime(h, w, alloc, dims)
+                nn.append(cycles)
+            both = []
+            for memo, dims, alloc in zip(vsa_memo, vsa_nodes, nv):
+                pair = memo.get(alloc)
+                if pair is None:
+                    pair = memo[alloc] = (
+                        vsa_node_runtime(h, w, alloc, dims, "spatial"),
+                        vsa_node_runtime(h, w, alloc, dims, "temporal"),
+                    )
+                both.append(pair)
+            # Eq. 5's whole-loop mapping: ties go to spatial.
+            spatial = sum(p[0] for p in both) <= sum(p[1] for p in both)
+            vsa = [p[0] if spatial else p[1] for p in both]
+            durations = (nn, vsa)
+            # _timeline's event loop for units (NN, VSA), unbounded MemC.
+            counts = (len(nn), len(vsa))
+            ptr = [0, 0]
+            unit_free = [0, 0]
+            dram_free = 0
+            for _ in range(counts[0] + counts[1]):
+                # The unit free first issues next; NN wins ties.
+                u = 0 if ptr[1] == counts[1] or (
+                    ptr[0] < counts[0] and unit_free[0] <= unit_free[1]
+                ) else 1
+                k = ptr[u]
+                ptr[u] = k + 1
+                t_in, t_out = io[u][k]
+                # _timeline's one-prefetch-in-flight wait never binds: the
+                # previous node's output drain holds the channel from that
+                # node's start, so the channel frees no earlier.
+                landed = dram_free + t_in
+                start = unit_free[u] if unit_free[u] > landed else landed
+                dram_free = start + t_out
+                unit_free[u] = start + durations[u][k]
+            busy = sum(nn) + sum(vsa) + dram_total
+            return busy - max(0, busy - max(unit_free[0], unit_free[1], dram_free))
+
+        return price
+
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes) -> GeometryScore:
+        """The reference scan, with every split priced by one pricer."""
+        return self._scan_splits(
+            self.partition_pricer(h, w, layers, vsa_nodes),
+            h, w, n_sub, layers, vsa_nodes,
         )
 
 

@@ -191,7 +191,7 @@ def graph_cache_key(graph: "DataflowGraph") -> tuple:
         )
         for n in sorted(graph, key=lambda node: node.name)
     )
-    edges = tuple(sorted(graph.nx_graph.edges()))
+    edges = tuple(sorted(graph.edges()))
     return (graph.workload, nodes, edges)
 
 

@@ -1,12 +1,13 @@
 """Unit tests for dataflow-graph construction (Fig. 4 steps ①-③)."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import build_dataflow_graph, fuse_loops
+from repro.graph import DataflowGraph, DataflowNode, build_dataflow_graph, fuse_loops
 from repro.nn.gemm import GemmDims
 from repro.trace import ExecutionUnit, OpDomain, Trace, Tracer
+from repro.trace.opnode import TraceOp
+from repro.workloads import build_workload
 
 
 def _chain_with_fanout() -> Trace:
@@ -21,6 +22,36 @@ def _chain_with_fanout() -> Trace:
     ]
     t.record_simd("sum", tuple(b.name for b in binds), (3,))
     return t.finish()
+
+
+def _reads_one_producer_twice() -> Trace:
+    """A binding reads the conv twice; the double read is one edge."""
+    t = Tracer("twice")
+    a = t.record("conv2d", OpDomain.NEURAL, ExecutionUnit.ARRAY_NN,
+                 ("%input",), (1, 8, 8, 8), gemm=GemmDims(64, 8, 9))
+    b = t.record_binding((a.name, a.name), n_vectors=2, dim=16)
+    c = t.record_simd("mul", (a.name,), (2, 16))
+    d = t.record_binding((b.name, c.name), n_vectors=2, dim=16)
+    t.record_simd("sum", (a.name, d.name), (1,))
+    return t.finish()
+
+
+def _simd_node(name: str) -> DataflowNode:
+    op = TraceOp(name=name, kind="add", domain=OpDomain.SYMBOLIC,
+                 unit=ExecutionUnit.SIMD, inputs=(), output_shape=(1,))
+    return DataflowNode(name=name, op=op)
+
+
+def _reachable(graph, src: str, dst: str) -> bool:
+    seen, stack = {src}, [src]
+    while stack:
+        for succ in graph.successors(stack.pop()):
+            if succ == dst:
+                return True
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False
 
 
 class TestBuild:
@@ -98,8 +129,8 @@ class TestFuseLoops:
         """Loop 1's NN does NOT depend on loop 0's symbolic tail."""
         trace = _chain_with_fanout()
         g = fuse_loops(trace, 2)
-        nxg = g.nx_graph
-        assert not nx.has_path(nxg, "%sum_1", "%conv2d_1@loop1")
+        assert not _reachable(g, "%sum_1", "%conv2d_1@loop1")
+        assert _reachable(g, "%conv2d_1", "%sum_1@loop1")
 
     def test_still_a_dag(self):
         g = fuse_loops(_chain_with_fanout(), 4)
@@ -108,3 +139,88 @@ class TestFuseLoops:
     def test_invalid_loop_count(self):
         with pytest.raises(GraphError):
             fuse_loops(_chain_with_fanout(), 0)
+
+
+class TestGraphContract:
+    """Order, error and caching rules the DSE and the goldens rely on."""
+
+    # Recorded from networkx 3.x's topological_sort: Kahn's algorithm one
+    # generation at a time over insertion-ordered adjacency.
+    ORDERS = {
+        "fanout": [
+            "%conv2d_1", "%conv2d_2", "%binding_circular_1",
+            "%binding_circular_2", "%binding_circular_3", "%sum_1",
+        ],
+        "fused3": [
+            "%conv2d_1", "%conv2d_2", "%binding_circular_1",
+            "%binding_circular_2", "%binding_circular_3", "%conv2d_1@loop1",
+            "%sum_1", "%conv2d_2@loop1", "%binding_circular_1@loop1",
+            "%binding_circular_2@loop1", "%binding_circular_3@loop1",
+            "%conv2d_1@loop2", "%sum_1@loop1", "%conv2d_2@loop2",
+            "%binding_circular_1@loop2", "%binding_circular_2@loop2",
+            "%binding_circular_3@loop2", "%sum_1@loop2",
+        ],
+        "twice": [
+            "%conv2d_1", "%binding_circular_1", "%mul_1",
+            "%binding_circular_2", "%sum_1",
+        ],
+    }
+
+    @pytest.mark.parametrize("key, make", [
+        ("fanout", lambda: build_dataflow_graph(_chain_with_fanout())),
+        ("fused3", lambda: fuse_loops(_chain_with_fanout(), 3)),
+        ("twice", lambda: build_dataflow_graph(_reads_one_producer_twice())),
+    ])
+    def test_topological_order_literals(self, key, make):
+        assert make().topological_order() == self.ORDERS[key]
+
+    def test_double_read_is_one_edge(self):
+        g = build_dataflow_graph(_reads_one_producer_twice())
+        assert g.predecessors("%binding_circular_1") == ["%conv2d_1"]
+        assert g.predecessors("%sum_1") == ["%conv2d_1", "%binding_circular_2"]
+        assert g.edges() == [
+            ("%conv2d_1", "%binding_circular_1"), ("%conv2d_1", "%mul_1"),
+            ("%conv2d_1", "%sum_1"), ("%binding_circular_1", "%binding_circular_2"),
+            ("%mul_1", "%binding_circular_2"), ("%binding_circular_2", "%sum_1"),
+        ]
+
+    def test_unknown_node_raises_graph_error(self):
+        g = build_dataflow_graph(build_workload("prae").build_trace())
+        for accessor in (g.node, g.predecessors, g.successors):
+            with pytest.raises(GraphError, match="%nope"):
+                accessor("%nope")
+
+    def test_cycle_names_its_nodes(self):
+        g = DataflowGraph("cycle")
+        for name in ("%a", "%b", "%c"):
+            g.add_node(_simd_node(name))
+        g.add_edge("%a", "%b")
+        g.add_edge("%b", "%c")
+        g.add_edge("%c", "%a")
+        with pytest.raises(GraphError, match=r"cycle.*'%a', '%b', '%c'"):
+            g.validate()
+        with pytest.raises(GraphError, match="cycle"):
+            g.topological_order()
+
+    def test_views_follow_mutation(self):
+        g = build_dataflow_graph(_chain_with_fanout())
+        assert len(g.simd_nodes) == 1
+        assert g.topological_order()[-1] == "%sum_1"
+        g.add_node(_simd_node("%late"))
+        assert g.topological_order()[:2] == ["%conv2d_1", "%late"]
+        assert [n.name for n in g.simd_nodes] == ["%late", "%sum_1"]
+        g.add_edge("%sum_1", "%late")
+        assert g.topological_order()[-1] == "%late"
+        assert [n.name for n in g.simd_nodes] == ["%sum_1", "%late"]
+
+    def test_returned_views_do_not_alias(self):
+        g = build_dataflow_graph(_chain_with_fanout())
+        order = g.topological_order()
+        layers = g.layer_nodes
+        preds = g.predecessors("%sum_1")
+        order.reverse()
+        layers.clear()
+        preds.append("%bogus")
+        assert g.topological_order() == self.ORDERS["fanout"]
+        assert [n.name for n in g.layer_nodes] == ["%conv2d_1", "%conv2d_2"]
+        assert "%bogus" not in g.predecessors("%sum_1")

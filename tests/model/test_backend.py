@@ -1,11 +1,14 @@
 """Property tests for the evaluation-backend seam.
 
-Two cross-validation contracts:
+Three cross-validation contracts:
 
 * :class:`~repro.model.backend.AnalyticBackend` must equal the
   pre-refactor scalar models of :mod:`repro.model.runtime` **bit for
   bit** on randomized workloads/geometries — the seam may never perturb
   the default cost model;
+* every backend's fast paths (``partition_pricer``, ``score_geometry``)
+  equal its reference pricing (``parallel_cycles``, ``evaluate_design``
+  and the base-class scan);
 * :class:`~repro.model.backend.ScheduleBackend` totals must be >= the
   analytic compute cycles for the same design point (memory traffic can
   only add time), with the breakdown identity
@@ -13,10 +16,11 @@ Two cross-validation contracts:
   bounded by what the DRAM model could have hidden.
 """
 
+import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arch.dram import DramModel
 from repro.errors import ConfigError
@@ -55,6 +59,22 @@ layer_sets = st.lists(gemm, min_size=1, max_size=4)
 vsa_sets = st.lists(vsa, min_size=0, max_size=3)
 modes = st.sampled_from(["sequential", "parallel"])
 
+#: Every pricing path: the analytic models, two schedule byte widths,
+#: and a DRAM pipe narrow enough that transfers often set the makespan.
+BACKENDS = (
+    AnalyticBackend(),
+    ScheduleBackend.from_precision(MIXED_PRECISION_PRESETS["MP"]),
+    ScheduleBackend.from_precision(MIXED_PRECISION_PRESETS["INT4"]),
+    ScheduleBackend(dram=DramModel(bandwidth_gb_s=0.05)),  # 1 byte/cycle
+)
+
+
+def partitions(n_sub: int, count: int):
+    """Per-node allocations as Phase II leaves them: non-uniform, in [1, N)."""
+    return st.lists(
+        st.integers(1, max(1, n_sub - 1)), min_size=count, max_size=count
+    )
+
 
 def reference_score(h, w, n_sub, layers, vsa_nodes):
     """The pre-refactor Phase I semantics, reimplemented from scratch."""
@@ -88,43 +108,55 @@ class TestAnalyticEqualsPreRefactorModels:
         )
 
     @given(geom, layer_sets, vsa_sets)
+    # Eq. 5's spatial and temporal sums tie (57 + 19 == 38 + 38) while the
+    # per-node cycles differ, so the schedule depends on the tie rule.
+    @example((4, 4, 2), [GemmDims(4, 4, 4)], [VsaDims(1, 8), VsaDims(3, 8)])
     @settings(max_examples=40, deadline=None)
     def test_score_geometry_matches_reference_all_strategies(
         self, g, layers, vsa_nodes
     ):
         h, w, n = g
         layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
-        t_seq, t_par, nl_bar, nv_bar = reference_score(
-            h, w, n, layers, vsa_nodes
-        )
-        backend = AnalyticBackend()
-        # The batched search and the base-class scalar scan.
-        for score in (
-            backend.score_geometry(h, w, n, layers, vsa_nodes),
-            EvaluationBackend.score_geometry(backend, h, w, n, layers, vsa_nodes),
-        ):
-            assert (
-                score.t_sequential, score.t_parallel,
-                score.nl_bar, score.nv_bar,
-            ) == (t_seq, t_par, nl_bar, nv_bar)
+        for backend in BACKENDS:
+            # The base-class scalar scan is every backend's reference.
+            scan = EvaluationBackend.score_geometry(
+                backend, h, w, n, layers, vsa_nodes
+            )
+            fast = backend.score_geometry(h, w, n, layers, vsa_nodes)
+            if isinstance(backend, AnalyticBackend):
+                assert (
+                    scan.t_sequential, scan.t_parallel,
+                    scan.nl_bar, scan.nv_bar,
+                ) == reference_score(h, w, n, layers, vsa_nodes)
+                # The batched search prices fewer points than the scan.
+                fast = dataclasses.replace(fast, probes=scan.probes)
+            assert fast == scan
             # The logical design-point accounting is search-invariant.
-            assert score.evaluated == (n if vsa_nodes else 1)
+            assert scan.evaluated == (n if vsa_nodes else 1)
 
-    @given(geom, layer_sets, vsa_sets)
+    @given(geom, layer_sets, vsa_sets, st.data())
     @settings(max_examples=30, deadline=None)
     def test_partition_pricer_matches_parallel_cycles(
-        self, g, layers, vsa_nodes
+        self, g, layers, vsa_nodes, data
     ):
         h, w, n = g
         layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
-        backend = AnalyticBackend()
-        pricer = backend.partition_pricer(h, w, layers, vsa_nodes)
-        for nl_bar in (1, max(1, n // 2), n - 1):
-            nl = [nl_bar] * len(layers)
-            nv = [max(1, n - nl_bar)] * len(vsa_nodes)
-            assert int(pricer(nl, nv)) == backend.parallel_cycles(
-                h, w, nl, nv, layers, vsa_nodes
-            )
+        points = [
+            ([nl_bar] * len(layers), [max(1, n - nl_bar)] * len(vsa_nodes))
+            for nl_bar in (1, max(1, n // 2), n - 1)
+        ] + [
+            (data.draw(partitions(n, len(layers))),
+             data.draw(partitions(n, len(vsa_nodes))))
+            for _ in range(3)
+        ]
+        for backend in BACKENDS:
+            pricer = backend.partition_pricer(h, w, layers, vsa_nodes)
+            for nl, nv in points:
+                assert int(pricer(nl, nv)) == backend.parallel_cycles(
+                    h, w, nl, nv, layers, vsa_nodes
+                ) == backend.evaluate_design(
+                    h, w, n, "parallel", nl, nv, layers, vsa_nodes
+                ).breakdown.total
 
     @given(geom, layer_sets, vsa_sets, modes)
     @settings(max_examples=40, deadline=None)
