@@ -17,6 +17,13 @@ A fifth leg fires N identical concurrent requests at a scenario nobody
 has priced yet and reads the server's single-flight counters back: the
 contract is exactly **one** pricing and **N − 1** coalesced waiters.
 
+A sixth leg splits a warm hit: one fresh client makes 200 sequential
+hits over synth keys stored before the server started, and the same
+keys go through the in-process ``scenario_key`` and
+``ArtifactStore.load``. It records the three medians under
+``warm_server.hit_split``; the contract is that the 200 hits open
+exactly **one** connection (keep-alive).
+
 Results land in ``BENCH_serve.json`` (repo root). The headline number
 is ``speedup_warm_hit_vs_cold_cli_hit`` — the ISSUE's acceptance bar is
 >= 10x, and in practice the warm path wins by ~2 orders of magnitude
@@ -28,9 +35,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serve.py --check-only
 
 ``--check-only`` (CI's perf-smoke job) runs one small scenario through
-both paths and asserts the two deterministic contracts — coalescing
-(1 pricing, N−1 coalesced) and the >= 10x warm-hit bar, which has two
-orders of magnitude of headroom — without writing the JSON.
+both paths and asserts the three deterministic contracts — coalescing
+(1 pricing, N−1 coalesced), the >= 10x warm-hit bar, which has two
+orders of magnitude of headroom, and one connection for the split's
+200 hits — without writing the JSON. The split's medians are printed,
+never gated.
 """
 
 from __future__ import annotations
@@ -45,15 +54,21 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from statistics import median
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.flow.artifacts import ArtifactStore  # noqa: E402
 from repro.flow.client import ServeClient  # noqa: E402
 from repro.flow.server import running_server  # noqa: E402
+from repro.flow.sweep import ScenarioSpec, run_sweep, scenario_key  # noqa: E402
 
 BENCH_WORKLOAD = "prae"
 COALESCE_N = 8
+#: The hit split: sequential warm hits, cycling over this many synth keys.
+SPLIT_HITS = 200
+SPLIT_KEYS = 20
 
 
 def _cli_sweep_s(cache_dir: pathlib.Path, workload: str) -> float:
@@ -76,9 +91,53 @@ def bench_cold_cli(tmp: pathlib.Path, workload: str) -> dict:
     return {"miss_s": miss_s, "hit_s": hit_s}
 
 
+def _split_specs() -> list[ScenarioSpec]:
+    return [ScenarioSpec(workload="synth", overrides=(("seed", 1000 + i),))
+            for i in range(SPLIT_KEYS)]
+
+
+def bench_hit_split(url: str, cache: pathlib.Path) -> dict:
+    """Sequential warm hits from one fresh client, and their in-process
+    key and store-load medians on the same keys."""
+    specs = _split_specs()
+    observer = ServeClient(url)
+    before = observer.stats()["connections"]
+    client = ServeClient(url)
+    round_trips = []
+    for i in range(SPLIT_HITS):
+        spec = specs[i % SPLIT_KEYS]
+        doc = {"workload": spec.workload, "overrides": dict(spec.overrides)}
+        t0 = time.perf_counter()
+        reply = client.compile_scenario(doc)
+        round_trips.append(time.perf_counter() - t0)
+        assert reply["cached"], reply
+    connections = observer.stats()["connections"] - before
+    store = ArtifactStore(cache)
+    keys, loads = [], []
+    for i in range(SPLIT_HITS):
+        spec = specs[i % SPLIT_KEYS]
+        t0 = time.perf_counter()
+        key = scenario_key(spec)
+        t1 = time.perf_counter()
+        assert store.load(key) is not None
+        keys.append(t1 - t0)
+        loads.append(time.perf_counter() - t1)
+    return {
+        "hits": SPLIT_HITS,
+        "keys": SPLIT_KEYS,
+        "connections": connections,
+        "round_trip_ms": median(round_trips) * 1e3,
+        "scenario_key_ms": median(keys) * 1e3,
+        "store_load_ms": median(loads) * 1e3,
+    }
+
+
 def bench_warm_server(tmp: pathlib.Path, workload: str) -> dict:
-    """Miss/hit latency plus the coalescing contract, one warm server."""
-    with running_server(tmp / "serve-cache") as server:
+    """Miss/hit latency, the coalescing contract and the hit split, one
+    warm server."""
+    cache = tmp / "serve-cache"
+    run_sweep(_split_specs(), store=ArtifactStore(cache))
+    with running_server(cache) as server:
         client = ServeClient(f"http://127.0.0.1:{server.port}")
         spec_doc = {"workload": workload}
 
@@ -111,6 +170,7 @@ def bench_warm_server(tmp: pathlib.Path, workload: str) -> dict:
                 "coalesced": after["coalesced"] - before["coalesced"],
                 "warm_hits": after["warm_hits"] - before["warm_hits"],
             },
+            "hit_split": bench_hit_split(client.base_url, cache),
         }
 
 
@@ -147,6 +207,12 @@ def run_bench(workload: str) -> tuple[dict, list[str]]:
             f"{co['pricings']} pricings ({co['coalesced']} coalesced); "
             f"expected 1 pricing, {COALESCE_N - 1} coalesced"
         )
+    split = serve["hit_split"]
+    if split["connections"] != 1:
+        failures.append(
+            f"keep-alive contract: {split['hits']} sequential hits from one "
+            f"client opened {split['connections']} connections; expected 1"
+        )
     if speedup_hit < 10.0:
         failures.append(
             f"warm cache-hit speedup {speedup_hit:.1f}x below the 10x bar "
@@ -182,13 +248,19 @@ def main(argv: list[str] | None = None) -> int:
           f"miss {doc['speedup_warm_miss_vs_cold_cli_miss']:.1f}x")
     print(f"coalescing: {co['requests']} requests -> {co['pricings']} "
           f"pricing, {co['coalesced']} coalesced")
+    split = serve["hit_split"]
+    print(f"hit split (median of {split['hits']}): round trip "
+          f"{split['round_trip_ms']:.3f} ms, scenario_key "
+          f"{split['scenario_key_ms']:.3f} ms, store load "
+          f"{split['store_load_ms']:.3f} ms; {split['connections']} connection(s)")
 
     if failures:
         for failure in failures:
             print(f"CONTRACT FAILURE: {failure}", file=sys.stderr)
         return 1
     if args.check_only:
-        print("check-only: coalescing and 10x warm-hit contracts hold")
+        print("check-only: coalescing, 10x warm-hit and keep-alive "
+              "contracts hold")
         return 0
 
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

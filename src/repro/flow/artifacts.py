@@ -33,7 +33,8 @@ See DESIGN.md "Sweep & artifact cache".
 
 Layout
 ------
-``root/<key[:2]>/<key>/`` holds ``meta.json`` (the key's input document),
+``root/<key[:2]>/<key>/`` holds ``meta.json`` (the key's input document
+plus ``files``, a fingerprint of each artifact file's bytes),
 ``trace.json`` (lossless, via :mod:`repro.trace.serialize`),
 ``design_config.json`` (via :mod:`repro.dse.config`), and
 ``report.json`` (Phase I/II results, design-space accounting, the full
@@ -53,7 +54,7 @@ import pathlib
 import shutil
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..arch.resources import FpgaDevice, ResourceEstimate
@@ -102,6 +103,10 @@ __all__ = [
 #: v3: report.json gained the functional ``accuracy`` result (and each
 #: Pareto point its ``accuracy`` stamp); the key document gained the
 #: accuracy-evaluation request block.
+#: meta.json's per-file ``files`` fingerprints came without a bump: the
+#: version sits in every key document, so a bump would change every key.
+#: An entry without them is version-skewed (a plain miss), and entries
+#: keep ``trace_fingerprint`` so older readers still accept new ones.
 ARTIFACT_FORMAT_VERSION = 3
 
 #: Cost-model generation. Bump whenever the analytical models, the DSE
@@ -195,8 +200,8 @@ class StoreStats:
     """Counters of one store's lifetime (reset only with the instance).
 
     ``corrupt`` counts entries that were *present but failed* the
-    read-time audit (truncated JSON, bad schema, trace-fingerprint
-    mismatch) — a strict subset of ``misses``; ``quarantined`` counts
+    read-time audit (a file fingerprint mismatch, truncated JSON, bad
+    schema) — a strict subset of ``misses``; ``quarantined`` counts
     how many of those were successfully moved to ``<root>/quarantine/``
     for post-mortem instead of being silently overwritten.
     """
@@ -212,6 +217,29 @@ class StoreStats:
         return self.hits + self.misses
 
 
+class _LazyTrace:
+    """The ``trace`` field: a :class:`Trace`, or audited JSON parsed on read.
+
+    A loaded entry passes its ``trace.json`` text, which matched the
+    fingerprint recorded at store time and so is exactly what
+    :func:`trace_to_json` wrote: the deferred parse cannot fail.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:     # class access: tells @dataclass "no default"
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if isinstance(value, str):
+            value = obj.__dict__[self.slot] = trace_from_json(value)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class ScenarioArtifacts:
     """Everything a sweep consumer needs from one compiled scenario.
@@ -222,14 +250,20 @@ class ScenarioArtifacts:
     generated RTL header / host code are not stored — they are cheap,
     pure functions of ``config`` and the graph, which itself rebuilds
     deterministically from ``trace``.
+
+    A loaded entry parses its trace on the first ``.trace`` read (no
+    hit-path consumer reads it) and carries ``entry_digest``, the
+    content digest of the bytes it was loaded from; a fresh compile's
+    is ``None``, and ``==`` ignores it.
     """
 
-    trace: Trace
+    trace: Trace = _LazyTrace()
     config: DesignConfig
     report: DseReport
     resources: ResourceEstimate
     total_cycles: int
     latency_ms: float
+    entry_digest: str | None = field(default=None, compare=False)
 
 
 def _report_doc(design: "CompiledDesign") -> dict:
@@ -280,13 +314,12 @@ def _frontier_from_doc(doc: dict | None) -> ParetoFrontier | None:
 
 
 def _artifacts_from_docs(
-    trace_text: str, config_text: str, report: dict
+    trace_text: str, config_text: str, report: dict, entry_digest: str
 ) -> ScenarioArtifacts:
     if report.get("format_version") != ARTIFACT_FORMAT_VERSION:
         raise ValueError(
             f"unsupported report format {report.get('format_version')!r}"
         )
-    trace = trace_from_json(trace_text)
     config = design_config_from_json(config_text)
     p2 = report["phase2"]
     dse_report = DseReport(
@@ -311,13 +344,29 @@ def _artifacts_from_docs(
         ),
     )
     return ScenarioArtifacts(
-        trace=trace,
+        trace=trace_text,
         config=config,
         report=dse_report,
         resources=ResourceEstimate(**report["resources"]),
         total_cycles=report["schedule"]["total_cycles"],
         latency_ms=report["schedule"]["latency_ms"],
+        entry_digest=entry_digest,
     )
+
+
+def _fingerprint(data: bytes) -> str:
+    """An artifact file's audit fingerprint, recorded in ``meta.json``."""
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _files_digest(files: dict[str, bytes]) -> str:
+    """Content digest over ``(name, bytes)`` of an entry's artifact files."""
+    h = hashlib.sha256()
+    for name, data in files.items():
+        h.update(name.encode("utf-8"))
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+    return h.hexdigest()[:32]
 
 
 class ArtifactStore:
@@ -329,18 +378,21 @@ class ArtifactStore:
     ...     store.store(key, compiled_design, meta_doc)
 
     ``load`` never raises on a bad entry: missing files, truncated JSON,
-    or a format/epoch mismatch all count as a miss (the entry will be
-    rewritten by the next ``store``). Corruption is *not* silent,
-    though: an entry that is present but fails the read-time audit is
-    counted (``corrupt``) and moved aside to ``<root>/quarantine/<key>``
-    so the recompile cannot destroy the evidence. Counters are exposed
-    via :attr:`stats` so sweeps can prove warm-cache behavior.
+    edited bytes, or a format/epoch mismatch all count as a miss (the
+    entry will be rewritten by the next ``store``). Corruption is *not*
+    silent, though: an entry that is present but fails the read-time
+    audit is counted (``corrupt``) and moved aside to
+    ``<root>/quarantine/<key>`` so the recompile cannot destroy the
+    evidence. Counters are exposed via :attr:`stats` so sweeps can prove
+    warm-cache behavior.
     """
 
     _META = "meta.json"
     _TRACE = "trace.json"
     _CONFIG = "design_config.json"
     _REPORT = "report.json"
+    #: The artifact files, in write, read and digest order.
+    _FILES = (_TRACE, _CONFIG, _REPORT)
     #: Quarantine directory name; deliberately longer than the 2-char
     #: fan-out prefix so ``keys()``' ``??/*`` glob never sees it.
     _QUARANTINE = "quarantine"
@@ -385,16 +437,13 @@ class ArtifactStore:
         conflict, never a legitimate outcome.
         """
         path = self.path_for(key)
-        h = hashlib.sha256()
-        for name in (self._TRACE, self._CONFIG, self._REPORT):
+        files = {}
+        for name in self._FILES:
             f = path / name
             if not f.is_file():
                 return None
-            data = f.read_bytes()
-            h.update(name.encode("utf-8"))
-            h.update(len(data).to_bytes(8, "big"))
-            h.update(data)
-        return h.hexdigest()[:32]
+            files[name] = f.read_bytes()
+        return _files_digest(files)
 
     def __len__(self) -> int:
         if not self.root.is_dir():
@@ -403,10 +452,9 @@ class ArtifactStore:
 
     # -- read ------------------------------------------------------------------
 
-    def _read_text(self, path: pathlib.Path, name: str) -> str:
-        """One artifact file's text, routed through the read failpoint."""
-        data = faultpoint("artifacts.load.read", (path / name).read_bytes())
-        return data.decode("utf-8")
+    def _read(self, path: pathlib.Path, name: str) -> bytes:
+        """One file's bytes, routed through the read failpoint."""
+        return faultpoint("artifacts.load.read", (path / name).read_bytes())
 
     def load(self, key: str) -> ScenarioArtifacts | None:
         """Return the cached artifacts for ``key``, or ``None`` on a miss.
@@ -414,37 +462,47 @@ class ArtifactStore:
         Three distinct miss shapes, deliberately kept apart:
 
         * *absent* (no ``meta.json``) — the ordinary cold-cache miss;
-        * *version-skewed* (older format/epoch) — a valid entry from
-          older code, silently superseded by the next store;
-        * *corrupt* (present but unreadable, schema-invalid, or failing
-          the trace-fingerprint audit) — counted, quarantined to
+        * *version-skewed* (older format/epoch, or no per-file
+          fingerprints) — a valid entry from older code, silently
+          superseded by the next store;
+        * *corrupt* (present but unreadable, failing the fingerprint
+          audit, or schema-invalid) — counted, quarantined to
           ``<root>/quarantine/<key>``, and then treated as a miss so the
           caller recompiles.
+
+        Each file is read once; the hit's ``entry_digest`` comes from
+        the same audited bytes, and its trace is parsed on first read.
         """
         path = self.path_for(key)
         if not (path / self._META).is_file():
             self.misses += 1
             return None
         try:
-            meta = json.loads(self._read_text(path, self._META))
+            meta = json.loads(self._read(path, self._META))
             if not isinstance(meta, dict):
                 raise ValueError("meta.json is not an object")
             if (meta.get("format") != ARTIFACT_FORMAT_VERSION
-                    or meta.get("epoch") != ENGINE_CACHE_EPOCH):
+                    or meta.get("epoch") != ENGINE_CACHE_EPOCH
+                    or "files" not in meta):
                 # Version skew is not corruption: the entry was valid
                 # for the code that wrote it.
                 self.misses += 1
                 return None
+            # Integrity audit: every file must still hash to what was
+            # stored (guards against in-place edits of an entry's files,
+            # which the content key cannot see).
+            files = {}
+            for name in self._FILES:
+                data = self._read(path, name)
+                if _fingerprint(data) != meta["files"][name]:
+                    raise ValueError(f"{name} fingerprint mismatch")
+                files[name] = data
             artifacts = _artifacts_from_docs(
-                self._read_text(path, self._TRACE),
-                self._read_text(path, self._CONFIG),
-                json.loads(self._read_text(path, self._REPORT)),
+                files[self._TRACE].decode("utf-8"),
+                files[self._CONFIG].decode("utf-8"),
+                json.loads(files[self._REPORT]),
+                _files_digest(files),
             )
-            # Integrity audit: the trace on disk must still digest to
-            # what was stored (guards against in-place edits of an
-            # entry's files, which the content key cannot see).
-            if trace_fingerprint(artifacts.trace) != meta.get("trace_fingerprint"):
-                raise ValueError("trace fingerprint mismatch")
         except (OSError, ValueError, TypeError, KeyError,
                 NSFlowError) as exc:
             # NSFlowError covers the deserializers' own wrap types
@@ -494,6 +552,20 @@ class ArtifactStore:
         """
         final = self.path_for(key)
         final.parent.mkdir(parents=True, exist_ok=True)
+        files = {
+            self._TRACE: trace_to_json(design.trace).encode("utf-8"),
+            self._CONFIG: design_config_to_json(design.config).encode("utf-8"),
+            self._REPORT: json.dumps(_report_doc(design), indent=2).encode("utf-8"),
+        }
+        meta = {
+            "format": ARTIFACT_FORMAT_VERSION,
+            "epoch": ENGINE_CACHE_EPOCH,
+            "key": key,
+            "trace_fingerprint": trace_fingerprint(design.trace),
+            "files": {name: _fingerprint(data) for name, data in files.items()},
+            "inputs": key_doc,
+        }
+        meta_bytes = json.dumps(meta, indent=2).encode("utf-8")
 
         def store_once() -> None:
             # Each attempt gets a fresh tmp dir, so a failed write can
@@ -504,21 +576,9 @@ class ArtifactStore:
             ok = False
             try:
                 faultpoint("artifacts.store.write")
-                meta = {
-                    "format": ARTIFACT_FORMAT_VERSION,
-                    "epoch": ENGINE_CACHE_EPOCH,
-                    "key": key,
-                    "trace_fingerprint": trace_fingerprint(design.trace),
-                    "inputs": key_doc,
-                }
-                (tmp / self._META).write_text(json.dumps(meta, indent=2))
-                (tmp / self._TRACE).write_text(trace_to_json(design.trace))
-                (tmp / self._CONFIG).write_text(
-                    design_config_to_json(design.config)
-                )
-                (tmp / self._REPORT).write_text(
-                    json.dumps(_report_doc(design), indent=2)
-                )
+                (tmp / self._META).write_bytes(meta_bytes)
+                for name, data in files.items():
+                    (tmp / name).write_bytes(data)
                 if final.exists():
                     shutil.rmtree(final)
                 os.replace(tmp, final)

@@ -1,11 +1,13 @@
 """Thin HTTP/JSON client for the ``repro serve`` service.
 
-Stdlib-only (:mod:`http.client`): one short-lived connection per
-request — the server answers with ``Connection: close`` anyway — so the
-client carries no connection state worth pooling. Every method returns
-the server's decoded JSON document; non-2xx responses and transport
-failures raise :class:`~repro.errors.ServeError` carrying the server's
-``error`` message, so CLI callers surface exactly what the server said.
+Stdlib-only (:mod:`http.client`). Each calling thread reuses one
+keep-alive connection; a request the server never answered because it
+had closed that connection (idle, or draining) is resent once on a new
+one, which is safe because every endpoint is idempotent. Every method
+returns the server's decoded JSON document; non-2xx responses and
+transport failures raise :class:`~repro.errors.ServeError` carrying the
+server's ``error`` message, so CLI callers surface exactly what the
+server said.
 
 ``repro submit`` and ``repro sweep --server URL`` are built on this
 module; :meth:`ServeClient.wait_job` is the polling loop behind both —
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from collections.abc import Callable
 from urllib.parse import urlencode, urlsplit
@@ -51,6 +54,7 @@ class ServeClient:
         self.host = split.hostname
         self.port = split.port or 80
         self.timeout_s = timeout_s
+        self._local = threading.local()
 
     @property
     def base_url(self) -> str:
@@ -65,19 +69,31 @@ class ServeClient:
         if doc is not None:
             body = json.dumps(doc).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
         try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected included: the server closed the
+                # connection before answering. Only a reused one is
+                # resent; a fresh connection's failure is final.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
             payload = response.read()
         except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise ServeError(
                 f"cannot reach server at {self.base_url}: {exc}"
             ) from exc
-        finally:
-            conn.close()
         try:
             out = json.loads(payload.decode("utf-8")) if payload else {}
         except (ValueError, UnicodeDecodeError) as exc:

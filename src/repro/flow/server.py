@@ -28,13 +28,24 @@ Perf mechanics
   clients poll ``GET /jobs/<id>?since=N`` for the rows appended since
   their last poll (:class:`~repro.flow.ledger.LedgerRecord` documents —
   the same serialization the ledger file uses).
+* **keep-alive** — a connection serves requests until the client sends
+  ``Connection: close`` or speaks HTTP/1.0, idles past
+  :data:`KEEPALIVE_IDLE_S`, or the server drains; the ``Connection``
+  response header says which. An error raised before the request body
+  is fully read (a malformed request line, an over-limit
+  ``Content-Length``) closes the connection, since the unread bytes
+  would parse as the next request.
 * **graceful drain** — SIGTERM (or ``POST /drain``) stops accepting
   work: new POSTs get 503, the in-flight scenario of any running sweep
   finishes normally (its ledger row closes its claim), unstarted
   scenarios are never claimed (``run_sweep``'s ``should_stop`` hook),
-  and the pool is closed with :meth:`DsePool.close`. Because a job's
-  ledger survives on disk, re-submitting the same grid after a restart
-  resumes it — the job id is a content hash of the grid.
+  and the pool is closed with :meth:`DsePool.close`. Every idle
+  connection is closed when the drain starts (and once more before the
+  listener closes) and responses sent while draining say
+  ``Connection: close``: Python 3.12's ``Server.wait_closed()`` waits
+  for every open connection. Because a job's ledger survives on disk,
+  re-submitting the same grid after a restart resumes it — the job id
+  is a content hash of the grid.
 
 Concurrency model: one asyncio loop owns all bookkeeping (stats, the
 coalescing map, the job table); all pool pricing — single compiles and
@@ -87,11 +98,16 @@ __all__ = [
     "scenario_grid_from_doc",
     "running_server",
     "MAX_BODY_BYTES",
+    "KEEPALIVE_IDLE_S",
 ]
 
 #: Request-body cap: grids are small JSON documents; anything larger is
 #: a client bug (or abuse), rejected with 413 before buffering it.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a keep-alive connection may wait for its next request before
+#: the server closes it.
+KEEPALIVE_IDLE_S = 30.0
 
 
 @dataclass
@@ -103,9 +119,12 @@ class ServeStats:
     store without touching the pool; ``coalesced`` requests that
     awaited another request's in-flight future instead of pricing —
     the single-flight proof the bench and tests assert
-    (``coalesced == N - 1`` for N concurrent identical requests).
+    (``coalesced == N - 1`` for N concurrent identical requests);
+    ``connections`` counts accepted connections, each of which may
+    carry many requests (keep-alive).
     """
 
+    connections: int = 0
     requests: int = 0
     compiles: int = 0
     warm_hits: int = 0
@@ -282,6 +301,8 @@ class DseServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._draining = False
+        #: Connections waiting for their next request line.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -303,6 +324,7 @@ class DseServer:
 
         def _begin() -> None:
             self._draining = True
+            self._close_idle()
             if self._stop is not None:
                 self._stop.set()
 
@@ -347,6 +369,9 @@ class DseServer:
                         pending + inflight,
                         return_when=asyncio.ALL_COMPLETED,
                     )
+                # Connections that went idle during the drain; no await
+                # lies between here and the listener's close.
+                self._close_idle()
         finally:
             for sig in (signal.SIGTERM, signal.SIGINT):
                 with contextlib.suppress(Exception):
@@ -357,39 +382,64 @@ class DseServer:
 
     # -- HTTP plumbing ---------------------------------------------------------
 
+    def _close_idle(self) -> None:
+        for writer in tuple(self._idle):
+            writer.close()
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        status, doc = 500, {"error": "internal error"}
+        self.stats.connections += 1
         try:
-            request = await self._read_request(reader)
-            if request is None:        # client closed without a request
-                return
-            method, path, query, body = request
-            self.stats.requests += 1
-            status, doc = await self._route(method, path, query, body)
-        except _HttpError as exc:
-            self.stats.errors += 1
-            status, doc = exc.status, {"error": str(exc)}
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return
-        except NSFlowError as exc:
-            self.stats.errors += 1
-            status, doc = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - the server must not die
-            self.stats.errors += 1
-            status, doc = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            with contextlib.suppress(Exception):
-                self._write_response(writer, status, doc)
+            keep_alive = True
+            while keep_alive:
+                request = None
+                try:
+                    request = await self._read_request(reader, writer)
+                    if request is None:   # closed, idle too long, or drained
+                        return
+                    method, path, query, body, keep_alive = request
+                    self.stats.requests += 1
+                    status, doc = await self._route(method, path, query, body)
+                except _HttpError as exc:
+                    self.stats.errors += 1
+                    status, doc = exc.status, {"error": str(exc)}
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    return
+                except NSFlowError as exc:
+                    self.stats.errors += 1
+                    status, doc = 400, {"error": str(exc)}
+                except Exception as exc:  # noqa: BLE001 - the server must not die
+                    self.stats.errors += 1
+                    status, doc = 500, {"error": f"{type(exc).__name__}: {exc}"}
+                # A request that failed before its body was read leaves
+                # bytes that would parse as the next request: close.
+                keep_alive = request is not None and keep_alive and not self._draining
+                self._write_response(writer, status, doc, keep_alive)
                 await writer.drain()
-                writer.close()
+        except ConnectionError:     # the client went away mid-response
+            pass
+        finally:
+            writer.close()
+            with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict, bytes] | None:
-        line = await reader.readline()
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> tuple[str, str, dict, bytes, bool] | None:
+        """One request, with whether the client keeps the connection open.
+
+        ``None`` when the connection closed before a request line came.
+        """
+        self._idle.add(writer)
+        idle_timer = asyncio.get_running_loop().call_later(
+            KEEPALIVE_IDLE_S, writer.close
+        )
+        try:
+            line = await reader.readline()
+        finally:
+            self._idle.discard(writer)
+            idle_timer.cancel()
         if not line:
             return None
         parts = line.decode("latin-1").split()
@@ -412,10 +462,15 @@ class DseServer:
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        return method, split.path, query, body
+        keep_alive = (
+            parts[2:3] == ["HTTP/1.1"]
+            and headers.get("connection", "").lower() != "close"
+        )
+        return method, split.path, query, body, keep_alive
 
     def _write_response(
-        self, writer: asyncio.StreamWriter, status: int, doc: dict
+        self, writer: asyncio.StreamWriter, status: int, doc: dict,
+        keep_alive: bool,
     ) -> None:
         payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
@@ -423,7 +478,7 @@ class DseServer:
             f"HTTP/1.1 {status} {reason}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         writer.write(head.encode("latin-1") + payload)
 

@@ -891,7 +891,7 @@ def run_sweep(
                         error=None, evaluations=0,
                         elapsed_s=time.perf_counter() - t0,
                         resumed=resumed,
-                        artifact_digest=store.entry_digest(key),
+                        artifact_digest=cached.entry_digest,
                     )
                 else:
                     # The ledger may claim this key is done (`resumed`

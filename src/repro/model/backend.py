@@ -596,12 +596,13 @@ class ScheduleBackend(EvaluationBackend):
     array in sequential mode) runs its nodes in order; every node's
     operands arrive over the :class:`~repro.arch.dram.DramModel` AXI
     pipe; and the double-buffered memories
-    (:class:`~repro.arch.memory.DoubleBufferedMemory` semantics) let
-    exactly one prefetch ride ahead of compute per unit — a transfer for
-    node ``i`` may start once the channel is free *and* node ``i-1`` has
-    begun computing (its shadow bank is then free to fill). Transfers
-    from all units serialize on the single DRAM channel; compute starts
-    at ``max(unit free, operands landed)``.
+    (:class:`~repro.arch.memory.DoubleBufferedMemory` semantics) let a
+    node's operand transfer ride ahead of the previous node's compute
+    on its unit — it starts once the DRAM channel is free, which is
+    never before node ``i-1`` began computing (that node's output drain
+    holds the channel from its start), so the shadow bank is always
+    free by then. Transfers from all units serialize on the single DRAM
+    channel; compute starts at ``max(unit free, operands landed)``.
 
     Divergence from :class:`AnalyticBackend` is therefore exactly the
     non-hidden memory time: designs whose compute dwarfs their traffic
@@ -728,7 +729,6 @@ class ScheduleBackend(EvaluationBackend):
         """
         ptrs = [0] * len(streams)
         unit_free = [0] * len(streams)
-        prev_start = [0] * len(streams)
         dram_free = 0
         compute_total = fill_total = dram_total = 0
         node_cycles: dict[str, int] = {}
@@ -739,11 +739,13 @@ class ScheduleBackend(EvaluationBackend):
             u = min(live, key=lambda i: (unit_free[i], i))
             task = streams[u][ptrs[u]]
             ptrs[u] += 1
-            # Double buffering: one prefetch in flight per unit — the
-            # shadow bank frees when the previous node starts computing.
+            # Double buffering: the shadow bank frees when the previous
+            # node on this unit starts computing at s. That never holds
+            # the transfer back: the node's drain set dram_free to
+            # max(dram_free, s) + t_out >= s, a spill only raises it,
+            # and dram_free never decreases.
             t_in = self.dram.transfer_cycles(task.in_bytes)
-            xfer_start = max(dram_free, prev_start[u])
-            xfer_done = xfer_start + t_in
+            xfer_done = dram_free + t_in
             dram_free = xfer_done
             start = max(unit_free[u], xfer_done)
             duration = task.compute + task.fill
@@ -766,7 +768,6 @@ class ScheduleBackend(EvaluationBackend):
                 # a free channel; the unit stalls until it completes.
                 dram_free = max(dram_free, end) + spill
                 end = dram_free
-            prev_start[u] = start
             unit_free[u] = end
             node_cycles[task.name] = end - start
             compute_total += task.compute
@@ -877,9 +878,7 @@ class ScheduleBackend(EvaluationBackend):
                 k = ptr[u]
                 ptr[u] = k + 1
                 t_in, t_out = io[u][k]
-                # _timeline's one-prefetch-in-flight wait never binds: the
-                # previous node's output drain holds the channel from that
-                # node's start, so the channel frees no earlier.
+                # As in _timeline, a transfer waits only for the channel.
                 landed = dram_free + t_in
                 start = unit_free[u] if unit_free[u] > landed else landed
                 dram_free = start + t_out

@@ -125,6 +125,12 @@ class Trace:
 
     # -- access -------------------------------------------------------------
 
+    def __eq__(self, other: object) -> bool:
+        """Same workload, same ops in the same order (order is semantic)."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.workload == other.workload and self.ops == other.ops
+
     def __len__(self) -> int:
         return len(self.ops)
 

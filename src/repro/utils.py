@@ -126,7 +126,19 @@ def jsonable(obj: object) -> object:
     scalars, and JSON primitives. Anything else is rejected so an
     unhashable or ambiguous config field fails loudly instead of
     silently weakening a cache key.
+
+    Exact JSON types take a fast path first (a scenario key walks its
+    already-converted document twice); subclasses — ``IntEnum``,
+    str-mixin enums, numpy scalars, ``OrderedDict``, namedtuples — fall
+    through to the full chain, so every output and error is the same.
     """
+    kind = type(obj)
+    if kind in _JSON_LEAVES:
+        return obj
+    if kind is dict:
+        return _jsonable_dict(obj)
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name))
@@ -135,12 +147,7 @@ def jsonable(obj: object) -> object:
     if isinstance(obj, enum.Enum):
         return jsonable(obj.value)
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise ConfigError(f"non-string dict key {k!r} in config value")
-            out[k] = jsonable(v)
-        return out
+        return _jsonable_dict(obj)
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
@@ -150,6 +157,18 @@ def jsonable(obj: object) -> object:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise ConfigError(f"value {obj!r} of type {type(obj).__name__} is not JSON-able")
+
+
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _jsonable_dict(obj: dict) -> dict:
+    out = {}
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise ConfigError(f"non-string dict key {k!r} in config value")
+        out[k] = jsonable(v)
+    return out
 
 
 def canonical_json(obj: object) -> str:

@@ -2,8 +2,10 @@
 
 import json
 
+import artifacts_oracle
 import pytest
 
+import repro.flow.artifacts as artifacts_module
 from repro import NSFlow, build_workload
 from repro.arch.resources import U250, ZCU104
 from repro.flow.artifacts import (
@@ -11,9 +13,11 @@ from repro.flow.artifacts import (
     ArtifactStore,
     scenario_cache_key,
 )
+from repro.flow.sweep import ScenarioGrid, run_sweep
 from repro.quant import MIXED_PRECISION_PRESETS
+from repro.trace.serialize import trace_fingerprint
 from repro.utils import jsonable
-from repro.workloads import workload_config
+from repro.workloads import available_workloads, workload_config
 
 
 def _key(**overrides):
@@ -256,3 +260,88 @@ class TestCorruptionQuarantine:
         assert store.stats.corrupt == 2
         qreport = tmp_path / "quarantine" / key / "report.json"
         assert qreport.read_text() == "second"
+
+
+def _scale(doc: dict, field: str, factor: int = 10) -> None:
+    doc[field] *= factor
+
+
+class TestStoreAudit:
+    """Every artifact file is audited against its stored fingerprint."""
+
+    @pytest.mark.parametrize("name, edit", [
+        ("trace.json", lambda doc: doc["ops"].pop()),
+        ("design_config.json", lambda doc: _scale(doc, "estimated_cycles")),
+        ("report.json", lambda doc: _scale(doc["schedule"], "latency_ms")),
+    ])
+    def test_in_place_edit_is_quarantined(self, tmp_path, compiled, name, edit):
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        store.store(key, compiled, {})
+        path = store.path_for(key) / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc, indent=2))
+        # Still valid JSON and schema: the eager load served the config
+        # and report edits as hits; only the trace had an audit.
+        assert (artifacts_oracle.load(store, key) is None) == (name == "trace.json")
+        assert store.load(key) is None
+        stats = store.stats
+        assert (stats.misses, stats.corrupt, stats.quarantined) == (1, 1, 1)
+        tag = json.loads(
+            (tmp_path / "quarantine" / key / "QUARANTINE.json").read_text()
+        )
+        assert tag["reason"] == f"ValueError: {name} fingerprint mismatch"
+
+    def test_entry_without_file_fingerprints_is_version_skew(
+        self, tmp_path, compiled
+    ):
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        path = store.store(key, compiled, {})
+        meta = json.loads((path / "meta.json").read_text())
+        del meta["files"]
+        (path / "meta.json").write_text(json.dumps(meta, indent=2))
+        assert artifacts_oracle.load(store, key) is not None
+        assert store.load(key) is None
+        assert store.stats.misses == 1 and store.stats.corrupt == 0
+        assert store.quarantined_keys() == []
+        store.store(key, compiled, {})
+        assert "files" in json.loads((path / "meta.json").read_text())
+        assert store.load(key) is not None
+
+    def test_hit_parses_its_trace_on_first_read(
+        self, tmp_path, compiled, monkeypatch
+    ):
+        parses = []
+        parse = artifacts_module.trace_from_json
+        monkeypatch.setattr(artifacts_module, "trace_from_json",
+                            lambda text: parses.append(text) or parse(text))
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        store.store(key, compiled, {})
+        art = store.load(key)
+        assert parses == []
+        assert art.trace == compiled.trace and len(parses) == 1
+        assert art.trace is art.trace and len(parses) == 1
+        assert art.entry_digest == store.entry_digest(key)
+
+
+def test_lazy_load_matches_the_eager_oracle(tmp_path):
+    """On every registry workload and synth seeds 0-199, the byte-audited
+    lazy load and the eager oracle accept the same entries and return
+    equal artifacts, whose trace still matches ``trace_fingerprint``."""
+    registry = tuple(n for n in available_workloads() if n != "synth")
+    grid = ScenarioGrid(workloads=registry + ("synth:0-199",))
+    result = run_sweep(grid, store=ArtifactStore(tmp_path))
+    assert result.n_errors == 0 and len(result.outcomes) == len(registry) + 200
+    store = ArtifactStore(tmp_path)
+    for outcome in result.outcomes:
+        loaded = store.load(outcome.key)
+        eager = artifacts_oracle.load(store, outcome.key)
+        assert loaded is not None and eager is not None
+        assert loaded == eager
+        meta = json.loads((store.path_for(outcome.key) / "meta.json").read_text())
+        assert trace_fingerprint(loaded.trace) == meta["trace_fingerprint"]
+        assert loaded.entry_digest == outcome.artifact_digest
+    assert store.stats.hits == len(result.outcomes)

@@ -2,7 +2,8 @@
 
 Covers the perf mechanics the service exists for: single-flight
 coalescing (N concurrent identical requests → exactly one pricing), the
-warm cache-hit path that never touches the pool, sweep jobs streamed
+warm cache-hit path that never touches the pool, HTTP keep-alive (raw
+sockets) and the client's one resend, sweep jobs streamed
 through the server-side ledger, and graceful drain — both the
 ``POST /drain`` path in-process and SIGTERM against a real server
 subprocess with an in-flight sweep (stalled via an injected
@@ -13,10 +14,12 @@ against a local sweep.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -26,12 +29,13 @@ import ledger_oracle
 import pytest
 
 import repro.flow.ledger as ledger_module
+import repro.flow.server as server_module
 from repro.errors import ServeError
 from repro.faults import injected_faults
 from repro.flow.artifacts import ArtifactStore
 from repro.flow.client import ServeClient
 from repro.flow.ledger import LedgerRecord, RunLedger, merge_ledgers
-from repro.flow.server import running_server, sweep_job_id
+from repro.flow.server import MAX_BODY_BYTES, running_server, sweep_job_id
 from repro.flow.sweep import ScenarioGrid, ScenarioSpec, run_sweep, scenario_key
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -55,6 +59,126 @@ def test_health_stats_and_bad_requests(tmp_path):
             client.compile_scenario({"workload": "no-such-workload"})
         with pytest.raises(ServeError, match="404"):
             client.job("no-such-job")
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def _connect(server) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, str, dict]:
+    """Send one raw request; return the status, ``Connection`` and body."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return (response.status, response.getheader("Connection"),
+            json.loads(response.read()))
+
+
+def _closed_by_server(sock: socket.socket) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def test_keep_alive_serves_requests_on_one_connection(tmp_path):
+    with running_server(tmp_path / "cache") as server:
+        before = _client(server).stats()["connections"]
+        with _connect(server) as sock:
+            assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
+            status, connection, stats = _exchange(
+                sock, b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+        assert (status, connection) == (200, "keep-alive")
+        assert stats["connections"] == before + 1
+
+
+def test_close_requests_get_close_then_eof(tmp_path):
+    """``Connection: close`` and HTTP/1.0 end the connection after one
+    answer, and so does an error raised before the body was read; an
+    error after it (404) keeps the connection."""
+    with running_server(tmp_path / "cache") as server:
+        with _connect(server) as sock:
+            assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
+            assert _exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )[:2] == (200, "close")
+            assert _closed_by_server(sock)
+        with _connect(server) as sock:
+            assert _exchange(
+                sock, b"GET /healthz HTTP/1.0\r\n\r\n"
+            )[:2] == (200, "close")
+            assert _closed_by_server(sock)
+        with _connect(server) as sock:
+            assert _exchange(
+                sock, b"GET /nope HTTP/1.1\r\n\r\n"
+            )[:2] == (404, "keep-alive")
+            over = (f"POST /compile HTTP/1.1\r\nContent-Length: "
+                    f"{MAX_BODY_BYTES + 1}\r\n\r\n").encode()
+            assert _exchange(sock, over)[:2] == (413, "close")
+            assert _closed_by_server(sock)
+        with _connect(server) as sock:
+            assert _exchange(sock, b"NONSENSE\r\n\r\n") == (
+                400, "close", {"error": "malformed request line"}
+            )
+            assert _closed_by_server(sock)
+
+
+def test_drain_closes_idle_keep_alive_connections(tmp_path):
+    """Python 3.12's ``Server.wait_closed()`` waits for every open
+    connection, so a drain must close the idle ones to finish."""
+    with running_server(tmp_path / "cache") as server:
+        sock = _connect(server)
+        assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
+        t0 = time.monotonic()
+    with sock:
+        assert time.monotonic() - t0 < 5.0
+        assert _closed_by_server(sock)
+
+
+def test_idle_connection_is_closed(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "KEEPALIVE_IDLE_S", 0.2)
+    with running_server(tmp_path / "cache") as server:
+        with _connect(server) as sock:
+            assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
+            t0 = time.monotonic()
+            assert _closed_by_server(sock)
+            assert time.monotonic() - t0 < 3.0
+
+
+def test_client_resends_once_on_a_closed_idle_connection(tmp_path, monkeypatch):
+    """A reused connection the server closed costs exactly one resend; a
+    fresh connection that cannot connect is not retried."""
+    monkeypatch.setattr(server_module, "KEEPALIVE_IDLE_S", 1.0)
+    sends: list[str] = []
+    send = http.client.HTTPConnection.request
+    monkeypatch.setattr(
+        http.client.HTTPConnection, "request",
+        lambda conn, method, url, *a, **kw: sends.append(url) or send(
+            conn, method, url, *a, **kw),
+    )
+    with running_server(tmp_path / "cache") as server:
+        client = _client(server)
+        before = client.stats()
+        time.sleep(2.0)               # the server closes the idle connection
+        sends.clear()
+        assert client.health()["ok"]
+        assert sends == ["/healthz", "/healthz"]
+        after = client.stats()
+        # The server saw the resent /healthz and this /stats, on one new
+        # connection.
+        assert after["requests"] - before["requests"] == 2
+        assert after["connections"] - before["connections"] == 1
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sends.clear()
+    with pytest.raises(ServeError, match="cannot reach server"):
+        ServeClient(f"http://127.0.0.1:{port}").health()
+    assert sends == ["/healthz"]
 
 
 def test_compile_miss_then_warm_hit(tmp_path):

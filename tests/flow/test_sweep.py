@@ -127,6 +127,21 @@ class TestRunSweep:
             assert c.artifacts.latency_ms == w.artifacts.latency_ms
             assert c.artifacts.report.pareto == w.artifacts.report.pareto
 
+    def test_hit_digest_comes_from_the_load(self, tmp_path, monkeypatch):
+        """A hit records the digest of the bytes its load audited; it
+        never re-reads the entry through ``entry_digest``."""
+        store = ArtifactStore(tmp_path / "cache")
+        grid = ScenarioGrid(workloads=("synth:0-2",))
+        cold = run_sweep(grid, store=store)
+        digest = ArtifactStore.entry_digest
+        calls = []
+        monkeypatch.setattr(ArtifactStore, "entry_digest",
+                            lambda self, key: calls.append(key) or digest(self, key))
+        warm = run_sweep(grid, store=store)
+        assert calls == [] and warm.n_cached == 3
+        for c, w in zip(cold.outcomes, warm.outcomes):
+            assert w.artifact_digest == c.artifact_digest == digest(store, w.key)
+
     def test_overlapping_grid_compiles_only_the_delta(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         run_sweep(ScenarioGrid(workloads=("prae",)), store=store)

@@ -1,10 +1,13 @@
 """Unit tests for repro.utils."""
 
+import collections
+import dataclasses
+import enum
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.utils import (
@@ -15,6 +18,7 @@ from repro.utils import (
     geomean,
     human_bytes,
     is_power_of_two,
+    jsonable,
     log2_int,
     make_rng,
     next_power_of_two,
@@ -176,3 +180,103 @@ class TestGeomean:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             geomean([1.0, 0.0])
+
+
+def jsonable_oracle(obj: object) -> object:
+    """``jsonable`` before its exact-type fast path: the reference chain."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: jsonable_oracle(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, enum.Enum):
+        return jsonable_oracle(obj.value)
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ConfigError(f"non-string dict key {k!r} in config value")
+            out[k] = jsonable_oracle(v)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_oracle(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(jsonable_oracle(v) for v in obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise ConfigError(f"value {obj!r} of type {type(obj).__name__} is not JSON-able")
+
+
+class Color(enum.Enum):
+    RED = "red"
+    BLUE = 2
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Mode(str, enum.Enum):
+    FAST = "fast"
+    SLOW = "slow"
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    a: object
+    b: object
+
+
+_ENUMS = list(Color) + list(Level) + list(Mode)
+_HASHABLE = st.one_of(st.integers(-3, 3), st.text(max_size=2), st.sampled_from(_ENUMS))
+_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(list(Mode)),
+                  st.integers(0, 2), st.sampled_from(list(Level)))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from(_ENUMS),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.int32, st.integers(-2**31, 2**31 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    st.just(1j), st.just(b"raw"),
+)
+_VALUES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=3),
+    st.lists(children, max_size=3).map(tuple),
+    st.builds(Point, children, children),
+    st.builds(Pair, children, children),
+    st.dictionaries(_KEYS, children, max_size=3),
+    st.dictionaries(_KEYS, children, max_size=3).map(collections.OrderedDict),
+    st.sets(_HASHABLE, max_size=3),
+    st.frozensets(_HASHABLE, max_size=3),
+), max_leaves=12)
+
+
+def _tagged(x):
+    """``x`` with each node's exact type, so 1, 1.0 and True stay apart."""
+    if isinstance(x, dict):
+        return dict, [(_tagged(k), _tagged(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return list, [_tagged(v) for v in x]
+    return type(x), repr(x)
+
+
+def _outcome(fn, value):
+    try:
+        return "ok", _tagged(fn(value))
+    except Exception as exc:  # noqa: BLE001 - errors are compared too
+        return "error", type(exc), str(exc)
+
+
+class TestJsonable:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_matches_the_reference_chain(self, value):
+        """Same output, order and types, and the same error, as the chain
+        without the fast path — on subclasses of the fast-path types too."""
+        assert _outcome(jsonable, value) == _outcome(jsonable_oracle, value)
