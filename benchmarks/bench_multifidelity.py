@@ -6,7 +6,7 @@ For each bench workload this times three Phase I regimes through
 * the exhaustive oracle under the ``schedule`` backend
   (``tests/dse/phase1_oracle.py``) — every candidate pays the
   memory-aware timeline's ``O(N)`` dense partition scan;
-* production under the ``schedule`` backend — one batched analytic
+* production under the ``schedule`` backend — one analytic
   screen, then full pricing only for candidates whose lower bound is not
   already Pareto-dominated (see :mod:`repro.dse.multifidelity`);
 * production under the ``analytic`` backend — the screen alone, the

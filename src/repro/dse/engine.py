@@ -7,7 +7,7 @@ two-phase co-exploration of paper Algorithm 1, restructured as
    enumerates pruned ``(H, W, N)`` geometries without materializing the
    design space;
 2. **one Phase I path** — :meth:`DseEngine.evaluate` screens every
-   candidate with the analytic backend's batched kernels and monotone
+   candidate with the analytic backend's integer pricing and monotone
    partition bisection, chunked over a supervised :class:`DsePool`
    (``jobs > 1``) or in-process (``jobs == 1``); the merge is performed
    in candidate order with strict-``<`` tie-breaking, so results are
@@ -43,7 +43,6 @@ from ..errors import DSEError, PoisonScenarioError
 from ..faults import faultpoint
 from ..graph.dataflow import DataflowGraph
 from ..model.backend import (
-    AUTO_DENSE_MAX_N,
     EVALUATION_BACKENDS,
     AnalyticBackend,
     BackendInfo,
@@ -93,7 +92,6 @@ __all__ = [
     "DEFAULT_RANGE_H",
     "DEFAULT_RANGE_W",
     "EVALUATION_BACKENDS",
-    "AUTO_DENSE_MAX_N",
 ]
 
 #: The paper's deployment clock and geometry sweep ranges. These are the
@@ -632,9 +630,9 @@ def _evaluate_candidates(
 ) -> list[GeometryEval]:
     """Screen a batch of geometries with the analytic backend.
 
-    Every geometry's sequential runtime is pre-evaluated in a single
-    NumPy pass over the whole batch before the per-geometry partition
-    search.
+    The workload's dimensions are grouped once for the whole batch;
+    each geometry then prices its sequential schedule and bisects for
+    its split over the groups.
     """
     faultpoint("dse.evaluate")
     scores = _ANALYTIC_BACKEND.score_geometries(

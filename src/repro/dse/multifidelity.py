@@ -6,7 +6,7 @@ pointwise, for both the sequential fallback and every static partition
 (the memory-aware ``schedule`` backend can only *add* time). The
 analytic scores are therefore an *admissible lower bound*, so Phase I
 does not have to pay an expensive backend for every geometry: the engine
-screens the whole candidate stream analytically in one batched pass,
+screens the whole candidate stream analytically in one cheap pass,
 then this module prices candidates through the expensive backend one at
 a time — cheapest-looking first — while an incumbent (latency, area,
 energy) frontier of the points already priced proves later candidates

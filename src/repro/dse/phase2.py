@@ -74,9 +74,9 @@ def run_phase2(
 
     # The refinement loop re-prices the full partition vectors on every
     # candidate move; the backend's pricer amortizes the per-geometry
-    # setup (the analytic backend precomputes its dimension arrays and
-    # prices each move as one vectorized pass over (L + V) rows,
-    # bit-identical to the scalar models).
+    # setup (the analytic backend precomputes per-node constants and
+    # prices each move in exact ints, bit-identical to the scalar
+    # models).
     pricer = backend.partition_pricer(h, w, tuple(layers), tuple(vsa_nodes))
 
     def t_para() -> int:

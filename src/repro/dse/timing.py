@@ -2,11 +2,12 @@
 
 The engine's wall-clock is dominated by a handful of stages — the
 Phase I geometry sweep, the Phase II refinement loop, Pareto filtering —
-and the point of the batched kernels (:mod:`repro.model.batch`) is to
-make those stages measurably faster. This module is the measurement: a
-process-wide registry of named :class:`StageStat` accumulators that the
-engine (and the accuracy evaluator, ``accuracy.execute``) feeds and the
-CLI / sweep report surface.
+and the point of the analytic backend's integer pricing
+(:mod:`repro.model.pricing`) is to make those stages measurably faster.
+This module is the measurement: a process-wide registry of named
+:class:`StageStat` accumulators that the engine (and the accuracy
+evaluator, ``accuracy.execute``) feeds and the CLI / sweep report
+surface.
 
 Deliberately **not** part of :class:`~repro.dse.engine.DseReport`:
 reports are required to be byte-identical across ``jobs`` values, and

@@ -543,12 +543,14 @@ class ArtifactStore:
 
     # -- write -----------------------------------------------------------------
 
-    def store(self, key: str, design: "CompiledDesign", key_doc: dict) -> pathlib.Path:
-        """Persist one compiled design under ``key``; returns the entry dir.
+    def store(self, key: str, design: "CompiledDesign", key_doc: dict) -> str:
+        """Persist one compiled design under ``key``; returns its digest.
 
         ``key_doc`` is the input document the key was hashed from; it is
         stored in ``meta.json`` so an entry is self-describing (and so
-        format/epoch checks need no re-hash on load).
+        format/epoch checks need no re-hash on load). The returned digest
+        is :meth:`entry_digest` of the bytes just written, computed from
+        them in memory rather than read back.
         """
         final = self.path_for(key)
         final.parent.mkdir(parents=True, exist_ok=True)
@@ -592,7 +594,7 @@ class ArtifactStore:
         else:
             self.retry.call(store_once, key=key)
         self.stores += 1
-        return final
+        return _files_digest(files)
 
     # -- accounting ------------------------------------------------------------
 

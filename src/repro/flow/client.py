@@ -3,11 +3,12 @@
 Stdlib-only (:mod:`http.client`). Each calling thread reuses one
 keep-alive connection; a request the server never answered because it
 had closed that connection (idle, or draining) is resent once on a new
-one, which is safe because every endpoint is idempotent. Every method
-returns the server's decoded JSON document; non-2xx responses and
-transport failures raise :class:`~repro.errors.ServeError` carrying the
-server's ``error`` message, so CLI callers surface exactly what the
-server said.
+one, which is safe because every endpoint is idempotent.
+:meth:`ServeClient.close` (or leaving a ``with`` block) closes every
+connection the client opened. Every method returns the server's decoded
+JSON document; non-2xx responses and transport failures raise
+:class:`~repro.errors.ServeError` carrying the server's ``error``
+message, so CLI callers surface exactly what the server said.
 
 ``repro submit`` and ``repro sweep --server URL`` are built on this
 module; :meth:`ServeClient.wait_job` is the polling loop behind both —
@@ -36,8 +37,8 @@ DEFAULT_POLL_S = 0.2
 class ServeClient:
     """Talk to a :class:`~repro.flow.server.DseServer` at ``base_url``.
 
-    >>> client = ServeClient("http://127.0.0.1:8177")   # doctest: +SKIP
-    >>> client.health()                                 # doctest: +SKIP
+    >>> with ServeClient("http://127.0.0.1:8177") as client:  # doctest: +SKIP
+    ...     client.health()
     {'ok': True, 'draining': False}
     """
 
@@ -55,10 +56,32 @@ class ServeClient:
         self.port = split.port or 80
         self.timeout_s = timeout_s
         self._local = threading.local()
+        # Every connection this client opened, with the thread it serves,
+        # so close() reaches all of them; a finished thread's connection
+        # is closed as soon as another thread opens one.
+        self._conns: dict[http.client.HTTPConnection, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    def close(self) -> None:
+        """Close every keep-alive connection this client opened.
+
+        Call it once no request is in flight. The client stays usable: a
+        later request from any thread opens a new connection.
+        """
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------------
 
@@ -74,6 +97,12 @@ class ServeClient:
             conn = self._local.conn = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout_s
             )
+            with self._conns_lock:
+                for old, thread in list(self._conns.items()):
+                    if not thread.is_alive():
+                        old.close()
+                        del self._conns[old]
+                self._conns[conn] = threading.current_thread()
         try:
             reused = conn.sock is not None
             try:

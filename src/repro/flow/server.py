@@ -71,7 +71,7 @@ import threading
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
 from ..dse.engine import DsePool
@@ -80,7 +80,7 @@ from ..faults import RetryPolicy, faultpoint
 from ..model.cache import cumulative_snapshot
 from ..utils import jsonable, stable_digest
 from .artifacts import ArtifactStore
-from .ledger import LedgerRecord, RunLedger
+from .ledger import RunLedger
 from .sweep import (
     DEFAULT_LEASE_TIMEOUT_S,
     ScenarioGrid,

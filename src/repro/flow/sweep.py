@@ -950,8 +950,7 @@ def run_sweep(
                             design, artifacts = _compile_scenario(spec, pool)
                         digest = None
                         if store is not None:
-                            store.store(key, design, spec.key_doc())
-                            digest = store.entry_digest(key)
+                            digest = store.store(key, design, spec.key_doc())
                     finally:
                         if heartbeat is not None:
                             heartbeat.stop()

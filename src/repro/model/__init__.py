@@ -3,7 +3,10 @@
 The models here are the DSE's objective function: cycle-count estimates of
 NN layers and VSA nodes on the AdArray for a given ``(H, W, N)`` geometry
 and partition vectors ``Nl, Nv``, plus the memory sizing rules and the
-design-space accounting that Table II reports.
+design-space accounting that Table II reports. :mod:`.runtime` holds the
+scalar reference models; :mod:`.pricing` regroups them over a workload's
+distinct dimensions in exact Python ints for the DSE's hot path (the
+analytic backend's Phase I screen and Phase II pricer).
 """
 
 from .runtime import (
@@ -18,16 +21,11 @@ from .runtime import (
 )
 from .memory import MemoryPlan, plan_memory, simd_width
 from .designspace import DesignSpaceSize, design_space_size
-from .batch import (
+from .pricing import (
     PartitionSearchOutcome,
-    WorkloadArrays,
-    bisect_uniform_partition,
-    dense_uniform_partition,
-    nn_total_runtime_vec,
-    parallel_runtime_vec,
-    sequential_runtime_batch,
-    sequential_runtime_vec,
-    vsa_total_runtime_vec,
+    UniformSplits,
+    WorkloadGroups,
+    partition_pricer,
 )
 from .backend import (
     EVALUATION_BACKENDS,
@@ -49,7 +47,6 @@ from .cache import (
     cached_plan_memory,
     cached_simd_width,
     cached_vsa_node_runtime,
-    cached_workload_arrays,
     clear_model_caches,
     graph_cache_key,
 )
@@ -68,15 +65,10 @@ __all__ = [
     "simd_width",
     "DesignSpaceSize",
     "design_space_size",
-    "WorkloadArrays",
+    "WorkloadGroups",
+    "UniformSplits",
     "PartitionSearchOutcome",
-    "bisect_uniform_partition",
-    "dense_uniform_partition",
-    "nn_total_runtime_vec",
-    "vsa_total_runtime_vec",
-    "parallel_runtime_vec",
-    "sequential_runtime_vec",
-    "sequential_runtime_batch",
+    "partition_pricer",
     "EVALUATION_BACKENDS",
     "AnalyticBackend",
     "BackendInfo",
@@ -94,7 +86,6 @@ __all__ = [
     "cached_vsa_node_runtime",
     "cached_plan_memory",
     "cached_simd_width",
-    "cached_workload_arrays",
     "clear_model_caches",
     "graph_cache_key",
 ]

@@ -1,11 +1,11 @@
 """Pluggable evaluation backends: the DSE's cost-model seam.
 
 Every latency number the flow produces used to come from one place —
-the analytical Eqs. 1-5 of :mod:`repro.model.runtime` (and their batched
-twins in :mod:`repro.model.batch`), hard-wired into the DSE engine, the
-Phase II refiner, and ``NSFlow``. This module extracts that dependency
-into an explicit protocol so *how a design is priced* becomes a
-first-class, swappable decision:
+the analytical Eqs. 1-5 of :mod:`repro.model.runtime` (and their
+regrouped integer twins in :mod:`repro.model.pricing`), hard-wired into
+the DSE engine, the Phase II refiner, and ``NSFlow``. This module
+extracts that dependency into an explicit protocol so *how a design is
+priced* becomes a first-class, swappable decision:
 
 * :class:`EvaluationBackend` — the protocol: given a workload's node
   sets (``R_l`` GEMM layers, ``R_v`` VSA nodes) and an AdArray
@@ -13,10 +13,10 @@ first-class, swappable decision:
   :class:`CycleBreakdown` (compute, fill/drain, DRAM, overlap);
 * :class:`AnalyticBackend` — the paper's analytical models, repackaged.
   This is the default and is **byte-identical** to the pre-seam engine:
-  its :meth:`~AnalyticBackend.score_geometry` runs the batched NumPy
-  kernels and the monotone partition bisection, and returns exactly
-  what the scalar reference scan of :meth:`EvaluationBackend.
-  score_geometry` returns;
+  its :meth:`~AnalyticBackend.score_geometry` prices over the
+  workload's distinct dimensions in exact ints and runs the monotone
+  partition bisection, and returns exactly what the scalar reference
+  scan of :meth:`EvaluationBackend.score_geometry` returns;
 * :class:`ScheduleBackend` — a memory-aware, event-driven per-node
   timeline. It composes the scheduling discipline of
   :class:`repro.arch.controller.Controller` (per-unit serialization,
@@ -53,29 +53,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
 from ..trace.opnode import VsaDims
 from ..utils import ceil_div
-from .batch import (
-    bisect_uniform_partition,
-    dense_uniform_partition,
-    fits_int64_domain,
-    nn_total_runtime_vec,
-    sequential_runtime_batch,
-    vsa_total_runtime_vec,
-)
-from .cache import cached_workload_arrays
+from . import pricing
 from .runtime import (
     layer_runtime,
-    nn_total_runtime,
     parallel_runtime,
     sequential_runtime,
     vsa_node_runtime,
     vsa_streaming_latency,
-    vsa_total_runtime,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -252,7 +240,7 @@ class EvaluationBackend(abc.ABC):
         The refinement loop prices thousands of partition vectors at a
         fixed ``(H, W)``; backends may return a closure that amortizes
         per-geometry setup (the analytic backend precomputes its
-        dimension arrays here).
+        per-node constants here).
         """
         return lambda nl, nv: self.parallel_cycles(h, w, nl, nv, layers, vsa_nodes)
 
@@ -367,20 +355,16 @@ def _sequential_allocs(n_sub: int, count: int) -> list[int]:
     return [n_sub] * count
 
 
-#: At or below this many sub-arrays a vectorized dense pass beats the
-#: bisection's per-probe NumPy dispatch overhead.
-AUTO_DENSE_MAX_N = 16
-
-
 class AnalyticBackend(EvaluationBackend):
     """The paper's Eqs. 1-5 behind the protocol — the default backend.
 
     Pricing is pure compute-cycle arithmetic: no DRAM term, no transfer
-    overlap. ``score_geometry`` searches the static split over the
-    batched int64 kernels — a vectorized dense pass for small ``N``, the
-    monotone crossing-point bisection above — and returns the scores of
-    the scalar reference scan bit for bit (the contract
-    ``bench_dse_hotpath.py --check-only`` guards in CI).
+    overlap. ``score_geometry`` prices over the workload's distinct
+    dimensions in exact Python ints (:mod:`repro.model.pricing`) and
+    searches the static split with the monotone crossing-point
+    bisection, returning the scores of the scalar reference scan bit for
+    bit (the contract ``bench_dse_hotpath.py --check-only`` guards in
+    CI).
     """
 
     name: ClassVar[str] = "analytic"
@@ -393,101 +377,42 @@ class AnalyticBackend(EvaluationBackend):
         return int(parallel_runtime(h, w, nl, nv, layers, vsa_nodes))
 
     def partition_pricer(self, h, w, layers, vsa_nodes):
-        """Vectorized repeat pricing over precomputed dimension arrays.
-
-        Dimensions big enough to wrap int64 fall back to the scalar
-        models (bit-identical integers either way).
-        """
-        layers = tuple(layers)
-        vsa_nodes = tuple(vsa_nodes)
-        arrays = cached_workload_arrays(layers, vsa_nodes)
-        if fits_int64_domain(arrays, h, h, w, w):
-            return lambda nl, nv: max(
-                nn_total_runtime_vec(h, w, nl, arrays),
-                vsa_total_runtime_vec(h, w, nv, arrays),
-            )
-        return lambda nl, nv: max(
-            nn_total_runtime(h, w, nl, layers),
-            vsa_total_runtime(h, w, nv, vsa_nodes),
-        )
+        """Repeat pricing over per-node constants computed once per geometry."""
+        return pricing.partition_pricer(h, w, layers, vsa_nodes)
 
     # -- Phase I ---------------------------------------------------------------
 
-    def score_geometry(
-        self, h, w, n_sub, layers, vsa_nodes, *, arrays=None, t_seq=None,
-    ) -> GeometryScore:
-        """Score one geometry exactly as the scalar reference scan does.
-
-        The static split comes from one vectorized dense pass when ``N``
-        is at most :data:`AUTO_DENSE_MAX_N` (probe dispatch overhead
-        would dominate a bisection) and from the monotone crossing-point
-        bisection above; both return the reference scan's
-        ``(t_parallel, N̄l, N̄v)`` triple. ``arrays`` and ``t_seq`` let
-        :meth:`score_geometries` share its batched precompute.
-        """
-        if arrays is None:
-            arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
-        if not fits_int64_domain(arrays, h, h, w, w):
-            # Pathologically large dimensions could wrap the int64
-            # kernels; the scalar reference scan handles any magnitude
-            # and returns the identical result.
-            return EvaluationBackend.score_geometry(
-                self, h, w, n_sub, layers, vsa_nodes
-            )
-        if t_seq is None:
-            t_seq = int(sequential_runtime_batch([h], [w], [n_sub], arrays)[0])
-        if not vsa_nodes:
-            # No VSA nodes: "parallel" degenerates to whole-array NN.
-            return GeometryScore(
-                t_sequential=t_seq, t_parallel=t_seq, nl_bar=n_sub, nv_bar=0,
-                evaluated=1, probes=1,
-            )
-        if n_sub > AUTO_DENSE_MAX_N:
-            found = bisect_uniform_partition(h, w, n_sub, arrays)
-        else:
-            found = dense_uniform_partition(h, w, n_sub, arrays)
-        return GeometryScore(
-            t_sequential=t_seq, t_parallel=found.t_parallel,
-            nl_bar=found.nl_bar, nv_bar=found.nv_bar,
-            evaluated=n_sub,            # 1 sequential + (N − 1) splits
-            probes=found.probes + 1,    # + the sequential schedule
-        )
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes) -> GeometryScore:
+        """Score one geometry exactly as the scalar reference scan does."""
+        return self.score_geometries([(h, w, n_sub)], layers, vsa_nodes)[0]
 
     def score_geometries(self, geometries, layers, vsa_nodes) -> list[GeometryScore]:
-        """Score a batch with a shared batched precompute.
+        """Score a batch, grouping the workload's dimensions once.
 
-        Every geometry's sequential runtime is pre-evaluated in a single
-        NumPy pass over the whole batch (``G × (L + V)`` elementwise ops)
-        before the per-geometry partition search.
+        Each geometry folds the groups into its coefficients, prices its
+        sequential schedule, and bisects for the reference scan's
+        ``(t_parallel, N̄l, N̄v)`` triple.
         """
-        geometries = list(geometries)
-        if not geometries:
-            return []
-        arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
-        hs = np.array([g[0] for g in geometries], dtype=np.int64)
-        ws = np.array([g[1] for g in geometries], dtype=np.int64)
-        if not fits_int64_domain(
-            arrays, int(hs.min()), int(hs.max()), int(ws.min()), int(ws.max())
-        ):
-            # The box's high corner could wrap int64: skip the batched
-            # sequential precompute and let each geometry's own headroom
-            # check keep the batched path where it individually fits,
-            # reverting only the unsafe geometries to the scalar scan.
-            return [
-                self.score_geometry(h, w, n, layers, vsa_nodes, arrays=arrays)
-                for h, w, n in geometries
-            ]
-        t_seq = sequential_runtime_batch(
-            hs, ws,
-            np.array([g[2] for g in geometries], dtype=np.int64),
-            arrays,
-        )
-        return [
-            self.score_geometry(
-                h, w, n, layers, vsa_nodes, arrays=arrays, t_seq=int(t_seq[i]),
-            )
-            for i, (h, w, n) in enumerate(geometries)
-        ]
+        groups = pricing.WorkloadGroups.from_dims(layers, vsa_nodes)
+        scores = []
+        for h, w, n_sub in geometries:
+            splits = pricing.UniformSplits(h, w, n_sub, groups)
+            t_seq = splits.t_sequential()
+            if not splits.has_vsa:
+                # No VSA nodes: "parallel" degenerates to whole-array NN.
+                scores.append(GeometryScore(
+                    t_sequential=t_seq, t_parallel=t_seq, nl_bar=n_sub,
+                    nv_bar=0, evaluated=1, probes=1,
+                ))
+                continue
+            found = splits.search()
+            scores.append(GeometryScore(
+                t_sequential=t_seq, t_parallel=found.t_parallel,
+                nl_bar=found.nl_bar, nv_bar=found.nv_bar,
+                evaluated=n_sub,            # 1 sequential + (N − 1) splits
+                probes=found.probes + 1,    # + the sequential schedule
+            ))
+        return scores
 
     # -- full-design pricing ---------------------------------------------------
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError
-from .batch import WorkloadArrays
 from .memory import MemoryPlan, plan_memory, simd_width
 from .runtime import layer_runtime, vsa_node_runtime
 
@@ -60,7 +59,6 @@ __all__ = [
     "cached_vsa_node_runtime",
     "cached_plan_memory",
     "cached_simd_width",
-    "cached_workload_arrays",
     "cache_stats",
     "counters_snapshot",
     "fresh_evaluations_since",
@@ -71,7 +69,6 @@ __all__ = [
     "VSA_RUNTIME_CACHE",
     "MEMORY_PLAN_CACHE",
     "SIMD_WIDTH_CACHE",
-    "WORKLOAD_ARRAYS_CACHE",
 ]
 
 
@@ -168,7 +165,6 @@ LAYER_RUNTIME_CACHE = EvalCache("layer_runtime")
 VSA_RUNTIME_CACHE = EvalCache("vsa_node_runtime")
 MEMORY_PLAN_CACHE = EvalCache("memory_plan", max_entries=256)
 SIMD_WIDTH_CACHE = EvalCache("simd_width", max_entries=1024)
-WORKLOAD_ARRAYS_CACHE = EvalCache("workload_arrays", max_entries=512)
 
 
 def graph_cache_key(graph: "DataflowGraph") -> tuple:
@@ -260,22 +256,6 @@ def cached_simd_width(
             graph, array_runtime_cycles, array_node_cycles, candidates,
             slack_fraction,
         ),
-    )
-
-
-def cached_workload_arrays(
-    layers: tuple["GemmDims", ...], vsa_nodes: tuple["VsaDims", ...]
-) -> WorkloadArrays:
-    """Per-workload precomputed dimension arrays (see :mod:`.batch`).
-
-    The batched kernels read the same ``(m, n, k)`` / ``(n, d)`` arrays
-    for every candidate geometry of a sweep; this cache builds them once
-    per distinct workload dimension set — including once per worker
-    process, since each process-pool worker carries its own registry.
-    """
-    key = (tuple(layers), tuple(vsa_nodes))
-    return WORKLOAD_ARRAYS_CACHE.get_or_compute(
-        key, lambda: WorkloadArrays.from_dims(*key)
     )
 
 

@@ -1,9 +1,9 @@
 """The Phase I test oracle: scalar reference sweeps production is held to.
 
 Production Phase I (:meth:`repro.dse.engine.DseEngine.evaluate`) screens
-every candidate with the batched analytic kernels and, for any other
-backend, prices only the candidates the analytic lower bound cannot
-prune. Its contract is that none of that shows: reports are
+every candidate with the analytic backend's integer pricing and
+partition bisection and, for any other backend, prices only the
+candidates the analytic lower bound cannot prune. Its contract is that none of that shows: reports are
 byte-identical to pricing every candidate through the scalar reference
 scan. This module holds the two references the tests compare against:
 

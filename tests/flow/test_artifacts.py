@@ -107,11 +107,18 @@ class TestArtifactStore:
     def test_format_version_skew_is_a_miss(self, tmp_path, compiled):
         store = ArtifactStore(tmp_path)
         key = _key()
-        path = store.store(key, compiled, {})
+        store.store(key, compiled, {})
+        path = store.path_for(key)
         meta = json.loads((path / "meta.json").read_text())
         meta["format"] = ARTIFACT_FORMAT_VERSION + 1
         (path / "meta.json").write_text(json.dumps(meta))
         assert store.load(key) is None
+
+    def test_store_returns_the_entry_digest(self, tmp_path, compiled):
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        digest = store.store(key, compiled, {})
+        assert digest == store.entry_digest(key) == store.load(key).entry_digest
 
     def test_store_overwrites_stale_entry(self, tmp_path, compiled):
         store = ArtifactStore(tmp_path)
@@ -223,7 +230,8 @@ class TestCorruptionQuarantine:
     def test_version_skew_is_not_corruption(self, tmp_path, compiled):
         store = ArtifactStore(tmp_path)
         key = _key()
-        path = store.store(key, compiled, {})
+        store.store(key, compiled, {})
+        path = store.path_for(key)
         meta = json.loads((path / "meta.json").read_text())
         meta["format"] = ARTIFACT_FORMAT_VERSION + 1
         (path / "meta.json").write_text(json.dumps(meta))
@@ -298,7 +306,8 @@ class TestStoreAudit:
     ):
         store = ArtifactStore(tmp_path)
         key = _key()
-        path = store.store(key, compiled, {})
+        store.store(key, compiled, {})
+        path = store.path_for(key)
         meta = json.loads((path / "meta.json").read_text())
         del meta["files"]
         (path / "meta.json").write_text(json.dumps(meta, indent=2))

@@ -46,8 +46,8 @@ def _client(server) -> ServeClient:
 
 
 def test_health_stats_and_bad_requests(tmp_path):
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         assert client.health() == {"ok": True, "draining": False}
         stats = client.stats()
         assert stats["pricings"] == 0 and stats["inflight"] == 0
@@ -86,7 +86,8 @@ def _closed_by_server(sock: socket.socket) -> bool:
 
 def test_keep_alive_serves_requests_on_one_connection(tmp_path):
     with running_server(tmp_path / "cache") as server:
-        before = _client(server).stats()["connections"]
+        with _client(server) as client:
+            before = client.stats()["connections"]
         with _connect(server) as sock:
             assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
             status, connection, stats = _exchange(
@@ -160,8 +161,8 @@ def test_client_resends_once_on_a_closed_idle_connection(tmp_path, monkeypatch):
         lambda conn, method, url, *a, **kw: sends.append(url) or send(
             conn, method, url, *a, **kw),
     )
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         before = client.stats()
         time.sleep(2.0)               # the server closes the idle connection
         sends.clear()
@@ -182,8 +183,8 @@ def test_client_resends_once_on_a_closed_idle_connection(tmp_path, monkeypatch):
 
 
 def test_compile_miss_then_warm_hit(tmp_path):
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         spec_doc = {"workload": "synth", "overrides": {"seed": 11}}
         miss = client.compile_scenario(spec_doc)
         hit = client.compile_scenario(spec_doc)
@@ -202,8 +203,8 @@ def test_compile_miss_then_warm_hit(tmp_path):
 def test_single_flight_coalescing(tmp_path):
     """N concurrent identical requests perform exactly one pricing."""
     n = 6
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         spec_doc = {"workload": "synth", "overrides": {"seed": 21}}
         # Stall the one real compile long enough for every concurrent
         # request to arrive while it is in flight.
@@ -225,8 +226,8 @@ def test_single_flight_coalescing(tmp_path):
 def test_warm_path_never_touches_the_pool(tmp_path):
     """Cache hits are answered from the store alone — ``pool.maps`` is
     the proof (with jobs >= 2 every fresh pricing maps on the pool)."""
-    with running_server(tmp_path / "cache", jobs=2) as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache", jobs=2) as server, \
+            _client(server) as client:
         spec_doc = {"workload": "synth", "overrides": {"seed": 31}}
         client.compile_scenario(spec_doc)
         maps_after_miss = client.stats()["pool_maps"]
@@ -240,8 +241,8 @@ def test_warm_path_never_touches_the_pool(tmp_path):
 
 
 def test_sweep_job_streams_rows_and_coalesces(tmp_path):
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         grid_doc = {"workloads": ["synth:0-3"]}
         with injected_faults("sweep.compile:delay=0.3"):
             job = client.submit_sweep(grid_doc)
@@ -273,8 +274,8 @@ def test_sweep_job_streams_rows_and_coalesces(tmp_path):
 
 
 def test_drain_finishes_inflight_and_rejects_new_work(tmp_path):
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         spec_doc = {"workload": "synth", "overrides": {"seed": 41}}
         with injected_faults("sweep.compile:delay=0.6"):
             with ThreadPoolExecutor(max_workers=1) as pool:
@@ -325,6 +326,7 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
     finally:
+        client.close()
         if proc.poll() is None:
             proc.kill()
     ledger_path = tmp_path / "cache" / "jobs" / f"{job_id}.jsonl"
@@ -349,6 +351,7 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
         assert final["summary"]["resumed"] == len(records)
         client.drain()
     finally:
+        client.close()
         if proc.wait(timeout=60) != 0:
             raise AssertionError("server did not drain cleanly")
 
@@ -369,8 +372,8 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
 
 def test_job_rows_are_ledger_records(tmp_path):
     """Polled rows round-trip through the LedgerRecord schema."""
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         job = client.submit_sweep({"workloads": ["synth:7"]})
         final = client.wait_job(job["job_id"], timeout_s=60)
         assert final["status"] == "done"
@@ -395,8 +398,8 @@ def test_job_polls_parse_only_appended_rows(tmp_path, monkeypatch):
         return parse_line(raw)
 
     monkeypatch.setattr(ledger_module, "_parse_line", counting_parse_line)
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         job = client.submit_sweep({"workloads": ["synth:0-2"]})
         assert client.wait_job(job["job_id"], timeout_s=60)["status"] == "done"
         first = client.job(job["job_id"])
@@ -415,8 +418,8 @@ def test_job_polls_parse_only_appended_rows(tmp_path, monkeypatch):
 
 def test_bad_since_cursor_is_a_client_error(tmp_path):
     """Malformed/negative ``since`` values surface as 400s, not a 500."""
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         job = client.submit_sweep({"workloads": ["synth:7"]})
         client.wait_job(job["job_id"], timeout_s=60)
         with pytest.raises(ServeError, match=r"400.*bad 'since'"):
@@ -430,8 +433,8 @@ def test_bad_since_cursor_is_a_client_error(tmp_path):
 def test_accuracy_request_threads_through_the_server(tmp_path):
     """ScenarioSpec's accuracy fields are accepted on /compile and join
     the scenario identity served back to the client."""
-    with running_server(tmp_path / "cache") as server:
-        client = _client(server)
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
         doc = {"workload": "synth", "overrides": {"seed": 11},
                "accuracy": True, "accuracy_problems": 4}
         out = client.compile_scenario(doc)
@@ -444,3 +447,20 @@ def test_accuracy_request_threads_through_the_server(tmp_path):
             {"workload": "synth", "overrides": {"seed": 11}}
         )
         assert plain["key"] != out["key"]
+
+
+def test_client_close_closes_every_connection_it_opened(tmp_path):
+    """``close()`` reaches each thread's keep-alive connection, and a
+    request after it opens exactly one new connection."""
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
+        first = client.stats()["connections"]
+        assert client.stats()["connections"] == first     # kept alive
+        client.close()
+        assert client.stats()["connections"] == first + 1
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda _i: client.health(), range(4)))
+        opened = list(client._conns)
+        assert len(opened) >= 2 and all(c.sock is not None for c in opened)
+        client.close()
+        assert all(c.sock is None for c in opened)

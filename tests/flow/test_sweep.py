@@ -142,6 +142,19 @@ class TestRunSweep:
         for c, w in zip(cold.outcomes, warm.outcomes):
             assert w.artifact_digest == c.artifact_digest == digest(store, w.key)
 
+    def test_miss_digest_comes_from_the_store(self, tmp_path, monkeypatch):
+        """A miss records the digest ``store()`` computed from the bytes
+        it wrote; it never reads the entry back through ``entry_digest``."""
+        store = ArtifactStore(tmp_path / "cache")
+        digest = ArtifactStore.entry_digest
+        calls = []
+        monkeypatch.setattr(ArtifactStore, "entry_digest",
+                            lambda self, key: calls.append(key) or digest(self, key))
+        cold = run_sweep(ScenarioGrid(workloads=("synth:0-2",)), store=store)
+        assert calls == [] and cold.n_compiled == 3
+        for outcome in cold.outcomes:
+            assert outcome.artifact_digest == digest(store, outcome.key)
+
     def test_overlapping_grid_compiles_only_the_delta(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         run_sweep(ScenarioGrid(workloads=("prae",)), store=store)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.flow.artifacts import ArtifactStore, scenario_cache_key
 from repro.flow.sweep import (
-    ScenarioGrid,
     ScenarioSpec,
     run_sweep,
     scenario_key,

@@ -158,6 +158,24 @@ class TestAnalyticEqualsPreRefactorModels:
                     h, w, n, "parallel", nl, nv, layers, vsa_nodes
                 ).breakdown.total
 
+    def test_partition_pricer_matches_parallel_cycles_past_int64(self):
+        """Cycle counts past int64 price exactly: Python ints never wrap."""
+        layers = (GemmDims(30_000_000, 30_000_000, 30_000_000),
+                  GemmDims(4, 4, 4))
+        vsa_nodes = (VsaDims(2_000_000, 2_000_000_000), VsaDims(2, 64),
+                     VsaDims(2, 64))
+        h, w, n = 4, 4, 8
+        for backend in BACKENDS:
+            pricer = backend.partition_pricer(h, w, layers, vsa_nodes)
+            for nl, nv in (([1, 7], [7, 1, 1]), ([7, 1], [1, 7, 3])):
+                total = backend.parallel_cycles(
+                    h, w, nl, nv, layers, vsa_nodes
+                )
+                assert total > 2**63
+                assert pricer(nl, nv) == total == backend.evaluate_design(
+                    h, w, n, "parallel", nl, nv, layers, vsa_nodes
+                ).breakdown.total
+
     @given(geom, layer_sets, vsa_sets, modes)
     @settings(max_examples=40, deadline=None)
     def test_design_breakdown_reconstructs_totals(
