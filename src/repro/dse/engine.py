@@ -807,7 +807,9 @@ class DseEngine:
         )
 
     def evaluate(
-        self, graph: DataflowGraph
+        self,
+        graph: DataflowGraph,
+        cost_dims: tuple[list[GemmDims], list[VsaDims]] | None = None,
     ) -> tuple[list[GeometryEval], tuple[PrunedCandidate, ...]]:
         """Phase I: score every candidate geometry.
 
@@ -820,9 +822,12 @@ class DseEngine:
         candidate order and the pruned candidates; the report built from
         them is byte-identical to pricing every candidate, for every
         ``jobs``. Wall-clock and counts accrue to the ``phase1.*``
-        stages of :mod:`repro.dse.timing`.
+        stages of :mod:`repro.dse.timing`. ``cost_dims`` is
+        ``extract_cost_dims(graph)`` when the caller holds it already.
         """
-        layer_list, vsa_list = extract_cost_dims(graph)
+        if cost_dims is None:
+            cost_dims = extract_cost_dims(graph)
+        layer_list, vsa_list = cost_dims
         layers = tuple(layer_list)
         vsa_nodes = tuple(vsa_list)
         candidates = list(self.iter_candidates())
@@ -936,12 +941,15 @@ class DseEngine:
         advantage, so deciding the mode before refinement would be biased
         toward sequential (DESIGN.md "Interpretation notes").
         """
-        evals, pruned = self.evaluate(graph)
+        cost_dims = extract_cost_dims(graph)
+        evals, pruned = self.evaluate(graph, cost_dims)
         phase1 = self._reduce_phase1(
             evals, extra_evaluated=sum(p.evaluated for p in pruned)
         )
         t0 = time.perf_counter()
-        phase2 = run_phase2(graph, phase1, self.iter_max, backend=self.backend)
+        phase2 = run_phase2(
+            graph, phase1, self.iter_max, backend=self.backend, cost_dims=cost_dims
+        )
         record_stage(
             "phase2.refine", time.perf_counter() - t0,
             items=phase2.iterations_run,

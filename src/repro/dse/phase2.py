@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from ..errors import DSEError
 from ..graph.dataflow import DataflowGraph
 from ..model.backend import AnalyticBackend, EvaluationBackend
+from ..nn.gemm import GemmDims
+from ..trace.opnode import VsaDims
 from .phase1 import Phase1Result, extract_cost_dims
 
 __all__ = ["Phase2Result", "run_phase2"]
@@ -47,16 +49,19 @@ def run_phase2(
     phase1: Phase1Result,
     iter_max: int = 8,
     backend: EvaluationBackend | None = None,
+    cost_dims: tuple[list[GemmDims], list[VsaDims]] | None = None,
 ) -> Phase2Result:
     """Refine ``Nl``/``Nv`` around the Phase I point (Algorithm 1 l.17-25).
 
     ``backend`` is the cost model every candidate move is priced with
     (default: the analytic Eqs. 1-5, matching Phase I's default).
+    ``cost_dims`` is ``extract_cost_dims(graph)`` when the caller (the
+    engine's ``explore``, which priced Phase I on it) holds it already.
     """
     if iter_max < 1:
         raise DSEError(f"iter_max must be >= 1, got {iter_max}")
     backend = backend or AnalyticBackend()
-    layers, vsa_nodes = extract_cost_dims(graph)
+    layers, vsa_nodes = cost_dims if cost_dims is not None else extract_cost_dims(graph)
     if not vsa_nodes:
         # Nothing to balance; Phase II is a no-op.
         nl = tuple([phase1.nl_bar] * len(layers))

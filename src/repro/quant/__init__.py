@@ -18,6 +18,7 @@ from .schemes import (
     dequantize,
     quantization_noise_floor,
     quantize_array,
+    quantize_rows,
     quantize_tensor,
 )
 from .mixed import (
@@ -31,6 +32,7 @@ __all__ = [
     "Precision",
     "QuantizedTensor",
     "quantize_array",
+    "quantize_rows",
     "quantize_tensor",
     "dequantize",
     "quantization_noise_floor",

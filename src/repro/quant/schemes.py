@@ -149,20 +149,63 @@ def _round_float(arr: np.ndarray, precision: Precision) -> np.ndarray:
     raise PrecisionError(f"{precision.value} is not a float precision")
 
 
+def _snap(arr: np.ndarray, scale: np.ndarray | float, precision: Precision) -> np.ndarray:
+    """``quantize_tensor(arr).dequantize()`` for a finite, positive ``scale``.
+
+    The grid point is rounded, clipped and scaled back in float64, which
+    is exact: every grid value is a small integer. The one difference
+    from the int32 round trip is the sign of zero, which ``+ 0.0`` clears.
+    ``scale`` may be an array that broadcasts against ``arr``.
+    """
+    half = precision.integer_levels // 2
+    q = arr / scale
+    np.rint(q, out=q)
+    np.clip(q, -half, half - 1, out=q)
+    q *= scale
+    q += 0.0
+    return q
+
+
 def quantize_array(arr: np.ndarray, precision: Precision | str) -> np.ndarray:
     """Fake-quantize: round ``arr`` to ``precision`` and return real values.
 
     This is the uniform entry point used by the Table IV pipeline: FP32 is
     the identity (modulo float32 rounding), FP16/FP8 round the mantissa,
-    INT8/INT4 round onto a symmetric per-tensor integer grid.
+    INT8/INT4 round onto a symmetric per-tensor integer grid. The integer
+    result equals ``quantize_tensor(arr, precision).dequantize()`` bit for
+    bit; a 0-d input, or one whose scale is not a finite positive number
+    (NaN or inf, or a subnormal peak whose scale underflows to 0), takes
+    that path itself.
     """
     precision = Precision.parse(precision)
     arr = np.asarray(arr, dtype=np.float64)
     if arr.size == 0:
         return arr.copy()
-    if precision.is_integer:
+    if not precision.is_integer:
+        return _round_float(arr, precision)
+    scale = _symmetric_scale(arr, precision)
+    if not 0.0 < scale < np.inf or arr.ndim == 0:
         return quantize_tensor(arr, precision).dequantize()
-    return _round_float(arr, precision)
+    return _snap(arr, scale, precision)
+
+
+def quantize_rows(arr: np.ndarray, precision: Precision | str) -> np.ndarray:
+    """:func:`quantize_array` of every ``arr[i]`` on its own grid, stacked.
+
+    Bitwise equal to ``np.stack([quantize_array(row, p) for row in arr])``:
+    each row gets its own ``peak / qmax`` scale (per-codeword, per-PMF
+    storage), and float precisions round element-wise anyway.
+    """
+    precision = Precision.parse(precision)
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.size == 0 or not precision.is_integer:
+        return quantize_array(arr, precision)
+    peak = np.abs(arr).reshape(len(arr), -1).max(axis=1)
+    scale = peak / ((precision.integer_levels // 2) - 1)
+    scale[peak == 0.0] = 1.0
+    if not np.all((scale > 0.0) & (scale < np.inf)):
+        return np.stack([quantize_array(row, precision) for row in arr])
+    return _snap(arr, scale.reshape((-1,) + (1,) * (arr.ndim - 1)), precision)
 
 
 def quantization_noise_floor(precision: Precision | str) -> float:

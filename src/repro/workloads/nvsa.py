@@ -15,7 +15,10 @@ This module provides three cooperating pieces:
   accuracy deltas come from quantizing the *pipeline*.
 * :class:`NvsaReasoner` — the functional VSA abduction/execution engine
   built on fractional-power codebooks, with a symbolic-precision
-  quantization hook on every stored vector and every binding result.
+  quantization hook on every stored vector. It computes every
+  operand-derived quantity once (spectra, norms, quantized rows) with
+  every score bit-identical to binding pair by pair (DESIGN.md,
+  "Exact execution").
 * :class:`NvsaWorkload` — ties both together, answers RPM problems,
   reports component element counts, and emits the deployment-scale
   execution trace.
@@ -34,7 +37,13 @@ from ..errors import ConfigError
 from ..nn.gemm import GemmDims
 from ..nn.layers import WeightSource
 from ..nn.resnet import build_resnet18
-from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, Precision, quantize_array
+from ..quant import (
+    MixedPrecisionConfig,
+    MIXED_PRECISION_PRESETS,
+    Precision,
+    quantize_array,
+    quantize_rows,
+)
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
 from ..trace.tracer import Tracer
 from ..utils import make_rng
@@ -138,18 +147,75 @@ class PerceptionModel:
 
     def pmf(self, n_values: int, true_value: int) -> np.ndarray:
         """One noisy, quantized PMF over ``n_values``."""
-        if not 0 <= true_value < n_values:
-            raise ConfigError(f"value {true_value} out of range [0, {n_values})")
-        logits = self._rng.normal(0.0, self.effective_noise, size=n_values)
-        logits[true_value] += self.confidence
-        logits = quantize_array(logits, self.neural_precision)
-        z = logits - logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return self.pmfs(n_values, [true_value])[0]
+
+    def pmfs(self, n_values: int, true_values: list[int]) -> np.ndarray:
+        """One PMF per true value: row ``i`` of a ``(k, n_values)`` array.
+
+        The k logit rows come from one ``normal(size=(k, n_values))``
+        draw, which consumes the stream exactly as k single-PMF draws do;
+        each row is quantized on its own grid and softmaxed, so row ``i``
+        is bit for bit the ``i``-th of k successive :meth:`pmf` calls.
+        """
+        for true_value in true_values:
+            if not 0 <= true_value < n_values:
+                raise ConfigError(f"value {true_value} out of range [0, {n_values})")
+        k = len(true_values)
+        logits = self._rng.normal(0.0, self.effective_noise, size=(k, n_values))
+        logits[np.arange(k), true_values] += self.confidence
+        logits = quantize_rows(logits, self.neural_precision)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
 
 #: Rule template vocabulary used by the reasoner: (kind, parameter).
 RuleTemplate = tuple[str, int]
+
+
+class _Operand:
+    """A vector whose spectrum and per-block norms are computed at most once.
+
+    ``vec`` is ``(blocks, d)`` or a stack ``(k, blocks, d)``. Identical
+    inputs give identical spectra, so :meth:`bind` equals
+    ``circular_convolution`` of the two vectors bit for bit, and the norm
+    is ``np.linalg.norm(vec, axis=-1)``'s own expression.
+    """
+
+    def __init__(self, vec: np.ndarray):
+        self.vec = vec
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.vec, axis=-1)
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return np.sqrt(np.add.reduce(self.vec * self.vec, axis=-1))
+
+    def bind(self, spectrum: np.ndarray) -> "_Operand":
+        """``self ⊛ s`` given ``rfft(s)``: operands stay quantized in storage,
+        the wide-accumulator MAC result is not re-quantized (Sec. IV-D)."""
+        d = self.vec.shape[-1]
+        return _Operand(np.fft.irfft(self.spectrum * spectrum, n=d, axis=-1))
+
+
+def _sim(a: _Operand, b: _Operand) -> np.ndarray:
+    """Mean per-block cosine similarity, clipped to [0, 1].
+
+    Supports broadcasting: ``a`` may be ``(blocks, d)`` while ``b`` is
+    ``(k, blocks, d)``; the result then has shape ``(k,)``.
+    """
+    num = np.add.reduce(a.vec * b.vec, axis=-1)
+    sims = num / np.maximum(a.norm * b.norm, 1e-12)
+    return np.clip(np.add.reduce(sims, axis=-1) / sims.shape[-1], 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class _Codebook:
+    """One attribute's stored vectors, built from its base on first read."""
+
+    atoms: np.ndarray                      # (n_values, blocks, d)
+    step_spectra: dict[int, np.ndarray]    # step d -> rfft of quantized g^d
 
 
 class NvsaReasoner:
@@ -163,6 +229,12 @@ class NvsaReasoner:
     quantizer; intermediate binding results stay wide, matching the
     hardware's wide MAC accumulators over narrow INT4 operands
     (Sec. IV-D / ref. [30]).
+
+    Construction draws only one unitary base per attribute, in attribute
+    order; the codebooks (atoms, step vectors and the steps' spectra) are
+    built from the bases on first read, so tracing and memory accounting
+    never build them. Two threads racing on that first read build
+    identical values.
     """
 
     def __init__(
@@ -182,65 +254,69 @@ class NvsaReasoner:
         self.symbolic_precision = symbolic_precision
         self.rule_weight_power = rule_weight_power
         gen = make_rng(rng)
+        self._bases = {
+            attr.name: vops.random_unitary_vector(
+                block_dim, blocks=blocks, rng=gen
+            ).reshape(blocks, block_dim)
+            for attr in self.attributes
+        }
+        # The progression steps plus the arithmetic offset g^1.
+        self._step_keys = tuple(dict.fromkeys([*spec.progression_steps, 1]))
 
-        self._atoms: dict[str, np.ndarray] = {}
-        self._steps: dict[str, dict[int, np.ndarray]] = {}
-        for attr in self.attributes:
-            base = vops.random_unitary_vector(block_dim, blocks=blocks, rng=gen)
-            base = base.reshape(blocks, block_dim)
-            # Offset encoding atom(k) = g^(k+1): the binding identity
-            # (delta vector) never appears as an atom — its lone unit
-            # spike would otherwise dominate the quantization scale.
-            atoms = np.stack(
-                [vops.bind_power(base, k + 1) for k in range(attr.n_values)],
-                axis=0,
+    # -- codebooks ----------------------------------------------------------------
+
+    @cached_property
+    def _codebooks(self) -> dict[str, _Codebook]:
+        return {attr.name: self._build_codebook(attr) for attr in self.attributes}
+
+    def _build_codebook(self, attr: RpmAttribute) -> _Codebook:
+        base = self._bases[attr.name]
+        # Offset encoding atom(k) = g^(k+1): the binding identity
+        # (delta vector) never appears as an atom — its lone unit
+        # spike would otherwise dominate the quantization scale. Each
+        # atom is quantized on its own scale (per-codeword storage).
+        atoms = quantize_rows(
+            np.stack([vops.bind_power(base, k + 1) for k in range(attr.n_values)]),
+            self.symbolic_precision,
+        )
+        spectra = {
+            d: np.fft.rfft(
+                quantize_array(vops.bind_power(base, d), self.symbolic_precision), axis=-1
             )
-            self._atoms[attr.name] = self._quant_rows(atoms)
-            steps: dict[int, np.ndarray] = {}
-            for d in list(spec.progression_steps) + [1]:
-                steps[d] = self._quant(vops.bind_power(base, d))
-            self._steps[attr.name] = steps
+            for d in self._step_keys
+        }
+        return _Codebook(atoms, spectra)
 
-    # -- quantization hooks -----------------------------------------------------
+    @property
+    def _atoms(self) -> dict[str, np.ndarray]:
+        """Each attribute's quantized atoms, ``(n_values, blocks, d)``."""
+        return {name: book.atoms for name, book in self._codebooks.items()}
 
-    def _quant(self, arr: np.ndarray) -> np.ndarray:
-        return quantize_array(arr, self.symbolic_precision)
-
-    def _quant_rows(self, stack: np.ndarray) -> np.ndarray:
-        """Quantize each atom with its own scale (per-codeword storage)."""
-        return np.stack([self._quant(row) for row in stack], axis=0)
+    def atom_elements(self) -> int:
+        """Stored codebook elements (for memory accounting), from shapes alone."""
+        n_values = {attr.name: attr.n_values for attr in self.attributes}
+        per_vector = self.blocks * self.block_dim
+        return sum(n + len(self._step_keys) for n in n_values.values()) * per_vector
 
     # -- encoding -------------------------------------------------------------
 
-    def atom_elements(self) -> int:
-        """Stored codebook elements (for memory accounting)."""
-        return sum(m.size for m in self._atoms.values()) + sum(
-            v.size for steps in self._steps.values() for v in steps.values()
-        )
+    def encode(self, attr: RpmAttribute, pmfs: np.ndarray) -> np.ndarray:
+        """``(k, n_values)`` PMFs → ``(k, blocks, d)`` VSA vectors.
 
-    def encode(self, attr: RpmAttribute, pmf: np.ndarray) -> np.ndarray:
-        """PMF → VSA vector: probability-weighted atom superposition."""
-        atoms = self._atoms[attr.name]
-        if pmf.shape != (atoms.shape[0],):
+        Each vector is a probability-weighted atom superposition, quantized
+        on its own scale. The superposition stays one ``tensordot`` per PMF:
+        a stacked one runs as a GEMM whose last bits differ.
+        """
+        atoms = self._codebooks[attr.name].atoms
+        if pmfs.shape[1:] != (atoms.shape[0],):
             raise ConfigError(
-                f"pmf shape {pmf.shape} does not match attribute {attr.name!r} "
+                f"pmf shape {pmfs.shape[1:]} does not match attribute {attr.name!r} "
                 f"with {atoms.shape[0]} values"
             )
-        return self._quant(np.tensordot(pmf, atoms, axes=(0, 0)))
-
-    # -- similarity ------------------------------------------------------------
-
-    @staticmethod
-    def _sim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mean per-block cosine similarity, clipped to [0, 1].
-
-        Supports broadcasting: ``a`` may be ``(blocks, d)`` while ``b`` is
-        ``(k, blocks, d)``; the result then has shape ``(k,)``.
-        """
-        num = np.sum(a * b, axis=-1)
-        den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        sims = num / np.maximum(den, 1e-12)
-        return np.clip(np.mean(sims, axis=-1), 0.0, 1.0)
+        return quantize_rows(
+            np.stack([np.tensordot(pmf, atoms, axes=(0, 0)) for pmf in pmfs]),
+            self.symbolic_precision,
+        )
 
     # -- rule templates -----------------------------------------------------------
 
@@ -255,44 +331,33 @@ class NvsaReasoner:
         templates.append(("distribute_three", 0))
         return templates
 
-    def _bind(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Wide-accumulator binding: operands are quantized in storage, the
-        # MAC result is not re-quantized (Sec. IV-D).
-        return vops.circular_convolution(a, b)
-
     def _row_fit(
         self,
-        attr: RpmAttribute,
+        book: _Codebook,
         template: RuleTemplate,
-        x: np.ndarray,
-        y: np.ndarray,
-        z: np.ndarray,
-        row_bundle_ref: np.ndarray | None = None,
+        x: _Operand,
+        y: _Operand,
+        z: _Operand,
     ) -> np.ndarray:
-        """Fit of rule ``template`` on a (possibly candidate-batched) row.
+        """Fit of a binding rule ``template`` on a (possibly candidate-batched) row.
 
-        ``z`` may be ``(blocks, d)`` or ``(k, blocks, d)``;
-        ``row_bundle_ref`` is the reference bundle for distribute-three.
+        ``z`` may be ``(blocks, d)`` or ``(k, blocks, d)``. Distribute-three
+        compares whole-row bundles, so :meth:`solve` scores it itself.
         """
         kind, param = template
         if kind == "constant":
-            return self._sim(x, y) * self._sim(y, z)
+            return _sim(x, y) * _sim(y, z)
         if kind == "progression":
-            step = self._steps[attr.name][param]
-            return self._sim(self._bind(x, step), y) * self._sim(self._bind(y, step), z)
+            step = book.step_spectra[param]
+            return _sim(x.bind(step), y) * _sim(y.bind(step), z)
         if kind == "arithmetic":
             # With offset atoms (atom(k) = g^(k+1)):
             #   z = x + y  ⇔  atom(x) ⊛ atom(y) = atom(z) ⊛ g,
             #   z = x − y  ⇔  atom(y) ⊛ atom(z) = atom(x) ⊛ g.
-            g1 = self._steps[attr.name][1]
+            g1 = book.step_spectra[1]
             if param > 0:
-                return self._sim(self._bind(x, y), self._bind(z, g1))
-            return self._sim(self._bind(y, z), self._bind(x, g1))
-        if kind == "distribute_three":
-            if row_bundle_ref is None:
-                raise ConfigError("distribute_three fit needs a reference bundle")
-            bundle = x + y + z
-            return self._sim(bundle / 3.0, row_bundle_ref / 3.0)
+                return _sim(x.bind(y.spectrum), z.bind(g1))
+            return _sim(y.bind(z.spectrum), x.bind(g1))
         raise ConfigError(f"unknown rule template {template}")
 
     # -- solving ---------------------------------------------------------------
@@ -308,51 +373,35 @@ class NvsaReasoner:
         """
         n_cands = len(problem.candidates)
         scores = np.zeros(n_cands)
+        # The eight context panels in row-major order, then the candidates.
+        panels = problem.context + problem.candidates
 
         for attr in problem.all_attributes:
-            n_values = attr.n_values
+            book = self._codebooks[attr.name]
             # Encode context grid and candidates through the perception channel.
-            v = [
-                [
-                    self.encode(attr, perception.pmf(n_values, problem.grid[r][c].value(attr.name)))
-                    for c in range(3)
-                ]
-                for r in range(2)
-            ]
-            a = self.encode(
-                attr, perception.pmf(n_values, problem.grid[2][0].value(attr.name))
-            )
-            b = self.encode(
-                attr, perception.pmf(n_values, problem.grid[2][1].value(attr.name))
-            )
-            cands = np.stack(
-                [
-                    self.encode(
-                        attr, perception.pmf(n_values, cand.value(attr.name))
-                    )
-                    for cand in problem.candidates
-                ],
-                axis=0,
-            )
+            pmfs = perception.pmfs(attr.n_values, [p.value(attr.name) for p in panels])
+            enc = self.encode(attr, pmfs)
+            v = [[_Operand(enc[3 * r + c]) for c in range(3)] for r in range(2)]
+            a, b, cands = _Operand(enc[6]), _Operand(enc[7]), _Operand(enc[8:])
 
-            bundle0 = v[0][0] + v[0][1] + v[0][2]
-            bundle1 = v[1][0] + v[1][1] + v[1][2]
-            partial2 = a + b
+            bundle0 = v[0][0].vec + v[0][1].vec + v[0][2].vec
+            bundle1 = v[1][0].vec + v[1][1].vec + v[1][2].vec
+            partial2 = a.vec + b.vec
 
             attr_scores = np.zeros(n_cands)
             weight_total = 0.0
             for template in self.rule_templates(attr):
                 # Abduction: how well does this rule explain rows 1 and 2?
                 if template[0] == "distribute_three":
-                    prior = float(self._sim(bundle0 / 3.0, bundle1 / 3.0))
-                    cand_bundles = partial2[None, ...] + cands
+                    prior = float(_sim(_Operand(bundle0 / 3.0), _Operand(bundle1 / 3.0)))
+                    cand_bundles = partial2[None, ...] + cands.vec
                     ref = (bundle0 + bundle1) / 2.0
-                    row3 = self._sim(cand_bundles / 3.0, ref[None, ...] / 3.0)
+                    row3 = _sim(_Operand(cand_bundles / 3.0), _Operand(ref[None, ...] / 3.0))
                 else:
-                    fit0 = float(self._row_fit(attr, template, v[0][0], v[0][1], v[0][2]))
-                    fit1 = float(self._row_fit(attr, template, v[1][0], v[1][1], v[1][2]))
+                    fit0 = float(self._row_fit(book, template, *v[0]))
+                    fit1 = float(self._row_fit(book, template, *v[1]))
                     prior = float(np.sqrt(max(fit0, 0.0) * max(fit1, 0.0)))
-                    row3 = self._row_fit(attr, template, a, b, cands)
+                    row3 = self._row_fit(book, template, a, b, cands)
                 weight = prior**self.rule_weight_power
                 attr_scores += weight * np.asarray(row3)
                 weight_total += weight
@@ -434,9 +483,10 @@ class NvsaWorkload(NSAIWorkload):
         """Seeded functional accuracy (see :class:`NSAIWorkload`).
 
         The problem set and a fresh perception channel share one stream
-        derived from ``seed``; the reasoner's codebooks are fixed at
-        construction from the workload config, so the result is a pure
-        function of (config, n_problems, seed).
+        derived from ``seed``; the reasoner's bases are drawn at
+        construction from the workload config (its codebooks are built
+        from them on first use), so the result is a pure function of
+        (config, n_problems, seed).
         """
         if n_problems < 1:
             raise ConfigError(f"n_problems must be >= 1, got {n_problems}")

@@ -30,7 +30,7 @@ from ..errors import ConfigError
 from ..nn.gemm import GemmDims
 from ..nn.layers import WeightSource
 from ..nn.resnet import build_small_cnn
-from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, quantize_array
+from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, quantize_array, quantize_rows
 from ..trace.opnode import ExecutionUnit, OpDomain, Trace
 from ..trace.tracer import Tracer
 from ..utils import make_rng
@@ -110,9 +110,8 @@ class PraeWorkload(NSAIWorkload):
     def _row_prob(
         self, template: tuple[str, int], p: np.ndarray, q: np.ndarray, r: np.ndarray
     ) -> float:
-        """Probability the rule holds for a row of PMFs (quantized algebra)."""
+        """Probability the rule holds for a row of symbolic-precision PMFs."""
         kind, param = template
-        p, q, r = self._quant(p), self._quant(q), self._quant(r)
         n = p.shape[0]
         if kind == "constant":
             return float(np.sum(p * q * r))
@@ -176,25 +175,24 @@ class PraeWorkload(NSAIWorkload):
     def solve_problem(
         self, problem: RpmProblem, perception: PerceptionModel | None = None
     ) -> int:
+        return int(np.argmax(self.candidate_scores(problem, perception)))
+
+    def candidate_scores(
+        self, problem: RpmProblem, perception: PerceptionModel | None = None
+    ) -> np.ndarray:
+        """Posterior-weighted score of every candidate; the argmax is the answer."""
         perception = perception or self.perception
         n_cands = len(problem.candidates)
         scores = np.zeros(n_cands)
+        # Row-major grid, the answer panel grid[2][2] included (perception
+        # still reads it), then the candidates.
+        panels = [panel for row in problem.grid for panel in row] + problem.candidates
         for attr in problem.all_attributes:
-            nv = attr.n_values
-            pm = [
-                [
-                    perception.pmf(nv, problem.grid[r][c].value(attr.name))
-                    for c in range(3)
-                ]
-                for r in range(3)
-            ]
-            cand_pmfs = np.stack(
-                [
-                    perception.pmf(nv, cand.value(attr.name))
-                    for cand in problem.candidates
-                ],
-                axis=0,
-            )
+            pmfs = perception.pmfs(attr.n_values, [p.value(attr.name) for p in panels])
+            pm = pmfs[:9].reshape(3, 3, -1)
+            cand_pmfs = pmfs[9:]
+            # Abduction reads rows 1-2 on the symbolic grid: each PMF once.
+            rows = quantize_rows(pmfs[:6], self.config.precision.symbolic).reshape(2, 3, -1)
             mass0 = (pm[0][0] + pm[0][1] + pm[0][2]) / 3.0
             mass1 = (pm[1][0] + pm[1][1] + pm[1][2]) / 3.0
             mass_ref = (mass0 + mass1) / 2.0
@@ -206,8 +204,8 @@ class PraeWorkload(NSAIWorkload):
                     # Rows share a value multiset: compare mass profiles.
                     prior = float(np.sum(np.minimum(mass0, mass1)))
                 else:
-                    f0 = self._row_prob(template, *pm[0])
-                    f1 = self._row_prob(template, *pm[1])
+                    f0 = self._row_prob(template, *rows[0])
+                    f1 = self._row_prob(template, *rows[1])
                     prior = float(np.sqrt(max(f0, 0.0) * max(f1, 0.0)))
                 pred = self._predict_pmf(template, pm[2][0], pm[2][1], mass_ref)
                 weight = prior**self.config.rule_weight_power
@@ -215,7 +213,7 @@ class PraeWorkload(NSAIWorkload):
                 weight_total += weight
             if weight_total > 0:
                 scores += attr_scores / weight_total
-        return int(np.argmax(scores))
+        return scores
 
     def accuracy(
         self,

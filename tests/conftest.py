@@ -13,7 +13,9 @@ import pytest
 from repro.datasets import generate_dataset, make_spec
 from repro.graph import build_dataflow_graph
 from repro.nn import Conv2d, Linear
+from repro.workloads.lvrf import LvrfConfig
 from repro.workloads.nvsa import NvsaConfig, NvsaWorkload
+from repro.workloads.prae import PraeConfig
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +50,21 @@ def small_nvsa_config():
         dictionary_atoms=32,
         seed=7,
     )
+
+
+@pytest.fixture(scope="session")
+def small_lvrf_config():
+    """An LVRF config small enough for per-test solving and tracing."""
+    return LvrfConfig(
+        batch_panels=4, image_size=32, resnet_width=8,
+        blocks=2, block_dim=128, dictionary_atoms=16, seed=0,
+    )
+
+
+@pytest.fixture(scope="session")
+def small_prae_config():
+    """A PrAE config small enough for per-test solving and tracing."""
+    return PraeConfig(batch_panels=4, image_size=32, cnn_width=8, cnn_depth=2, seed=0)
 
 
 @pytest.fixture(scope="session")

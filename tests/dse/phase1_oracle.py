@@ -107,8 +107,8 @@ def scalar_score(backend: EvaluationBackend, h, w, n_sub, layers, vsa_nodes):
 class OracleEngine(DseEngine):
     """Prices every candidate through the scalar scan; prunes nothing."""
 
-    def evaluate(self, graph):
-        layers, vsa_nodes = extract_cost_dims(graph)
+    def evaluate(self, graph, cost_dims=None):
+        layers, vsa_nodes = cost_dims or extract_cost_dims(graph)
         evals = [
             _eval_from_score(c, scalar_score(
                 self.backend, c.h, c.w, c.n_sub, layers, vsa_nodes

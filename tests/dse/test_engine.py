@@ -250,6 +250,28 @@ class TestCaching:
         assert MEMORY_PLAN_CACHE.stats.misses == misses_after_first
         assert MEMORY_PLAN_CACHE.stats.hits >= 1
 
+    @pytest.mark.parametrize("backend", ["analytic", "schedule"])
+    def test_cost_dims_extracted_once_per_explore(
+        self, small_nvsa_graph, monkeypatch, backend
+    ):
+        """Phase I and Phase II price the same dims; explore pulls them once."""
+        import repro.dse.engine as engine_module
+        import repro.dse.phase2 as phase2_module
+
+        calls = []
+        original = engine_module.extract_cost_dims
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        want = DseEngine(max_pes=1024, backend=backend).explore(small_nvsa_graph)
+        monkeypatch.setattr(engine_module, "extract_cost_dims", counting)
+        monkeypatch.setattr(phase2_module, "extract_cost_dims", counting)
+        got = DseEngine(max_pes=1024, backend=backend).explore(small_nvsa_graph)
+        assert calls == [small_nvsa_graph]
+        assert pickle.dumps(got) == pickle.dumps(want)
+
 
 class TestCompatibilityShim:
     """Production against the historical exhaustive Phase I: the oracle

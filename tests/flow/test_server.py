@@ -13,6 +13,7 @@ against a local sweep.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import http.client
 import json
@@ -294,29 +295,38 @@ def test_drain_finishes_inflight_and_rejects_new_work(tmp_path):
                 time.sleep(0.05)
 
 
-def _spawn_server(tmp_path, *extra_args):
+@contextlib.contextmanager
+def _spawned_server(tmp_path, *extra_args):
+    """``repro serve`` as a subprocess, with a client.
+
+    On exit the client's connections and the server's stdout pipe are
+    closed, and a server still running is killed.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--cache-dir", str(tmp_path / "cache"), *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-    )
-    ready = proc.stdout.readline()
-    m = re.search(r"http://[\d.]+:(\d+)", ready)
-    if m is None:
-        proc.kill()
-        raise AssertionError(f"no ready line from server: {ready!r}")
-    return proc, ServeClient(f"http://127.0.0.1:{m.group(1)}")
+    ) as proc:
+        try:
+            ready = proc.stdout.readline()
+            m = re.search(r"http://[\d.]+:(\d+)", ready)
+            if m is None:
+                raise AssertionError(f"no ready line from server: {ready!r}")
+            with ServeClient(f"http://127.0.0.1:{m.group(1)}") as client:
+                yield proc, client
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
     """SIGTERM mid-sweep: the in-flight scenario finishes, nothing else
     starts, claims are closed; resubmitting after restart resumes the
     job to a result byte-identical to a local sweep of the same grid."""
-    proc, client = _spawn_server(
+    with _spawned_server(
         tmp_path, "--faults", "sweep.compile:delay=0.6x*",
-    )
-    try:
+    ) as (proc, client):
         job = client.submit_sweep({"workloads": ["synth:0-3"]})
         job_id = job["job_id"]
         deadline = time.monotonic() + 30
@@ -325,10 +335,6 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
-    finally:
-        client.close()
-        if proc.poll() is None:
-            proc.kill()
     ledger_path = tmp_path / "cache" / "jobs" / f"{job_id}.jsonl"
     ledger = RunLedger(ledger_path)
     records = ledger.records()
@@ -341,8 +347,7 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
 
     # Restart (no faults) and resubmit the identical grid: same job id,
     # same ledger, completed scenarios resume instead of re-pricing.
-    proc, client = _spawn_server(tmp_path)
-    try:
+    with _spawned_server(tmp_path) as (proc, client):
         job = client.submit_sweep({"workloads": ["synth:0-3"]})
         assert job["job_id"] == job_id
         final = client.wait_job(job_id, timeout_s=60)
@@ -350,10 +355,7 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
         assert final["summary"]["errors"] == 0
         assert final["summary"]["resumed"] == len(records)
         client.drain()
-    finally:
-        client.close()
-        if proc.wait(timeout=60) != 0:
-            raise AssertionError("server did not drain cleanly")
+        assert proc.wait(timeout=60) == 0, "server did not drain cleanly"
 
     # Byte-identity: the server-produced ledger merges to exactly the
     # canonical rows of a local `repro sweep` over the same grid.

@@ -1,8 +1,10 @@
 """Unit tests for quantization schemes."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import PrecisionError
@@ -11,8 +13,33 @@ from repro.quant import (
     dequantize,
     quantization_noise_floor,
     quantize_array,
+    quantize_rows,
     quantize_tensor,
 )
+
+#: Finite float64 arrays of 1-3 dimensions, with zeros of both signs,
+#: subnormals and magnitudes near the top of the float64 range mixed in.
+finite_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -1e-320, 2.5e-308, 1e300, -1e300]),
+    ),
+)
+
+INTEGER = st.sampled_from([Precision.INT8, Precision.INT4])
+
+
+def int32_grid(x: np.ndarray, precision: Precision) -> np.ndarray:
+    """The reference: a round trip through ``quantize_tensor``'s int32 grid.
+
+    A subnormal peak underflows the scale to 0, which divides by zero
+    there; its warnings are part of the reference result, not a failure.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return quantize_tensor(x, precision).dequantize()
 
 
 class TestPrecision:
@@ -130,6 +157,42 @@ class TestQuantizeArray:
     def test_empty_array(self):
         q = quantize_array(np.array([]), Precision.INT8)
         assert q.size == 0
+
+    @given(finite_arrays, INTEGER)
+    @example(np.zeros((2, 3)), Precision.INT4)
+    @example(np.array([-0.0]), Precision.INT8)
+    @example(np.array([5e-324, -0.0, 0.0]), Precision.INT4)
+    @example(np.array([[1e300, -1e300], [1e-300, 0.0]]), Precision.INT8)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_path_equals_the_int32_grid_bitwise(self, x, precision):
+        """No int32 round trip, same bytes (signed zeros included)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = quantize_array(x, precision)
+        want = int32_grid(x, precision)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_keeps_the_int32_result(self, value):
+        x = np.array([[value, 1.0], [-2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = quantize_array(x, Precision.INT4)
+            want = quantize_tensor(x, Precision.INT4).dequantize()
+        assert got.tobytes() == want.tobytes()
+
+    @given(finite_arrays, st.sampled_from(list(Precision)))
+    @example(np.array([[0.0, -0.0], [5e-324, 1.0]]), Precision.INT4)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_per_row_quantize_array(self, x, precision):
+        """``quantize_rows`` is ``quantize_array`` of each row, stacked."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = quantize_rows(x, precision)
+            want = np.stack([quantize_array(row, precision) for row in x])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @given(st.sampled_from(list(Precision)))
     def test_idempotent(self, precision):

@@ -5,24 +5,17 @@ import pytest
 from repro.errors import ConfigError
 from repro.trace.opnode import ExecutionUnit, OpDomain
 from repro.workloads.lvrf import LvrfConfig, LvrfWorkload
-from repro.workloads.prae import PraeConfig, PraeWorkload
+from repro.workloads.prae import PraeWorkload
 
 
 @pytest.fixture(scope="module")
-def small_lvrf():
-    return LvrfWorkload(
-        LvrfConfig(
-            batch_panels=4, image_size=32, resnet_width=8,
-            blocks=2, block_dim=128, dictionary_atoms=16, seed=0,
-        )
-    )
+def small_lvrf(small_lvrf_config):
+    return LvrfWorkload(small_lvrf_config)
 
 
 @pytest.fixture(scope="module")
-def small_prae():
-    return PraeWorkload(
-        PraeConfig(batch_panels=4, image_size=32, cnn_width=8, cnn_depth=2, seed=0)
-    )
+def small_prae(small_prae_config):
+    return PraeWorkload(small_prae_config)
 
 
 class TestLvrf:
