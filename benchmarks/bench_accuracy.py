@@ -9,7 +9,7 @@ the memo cleared, so the deployed twin is built and its codebooks or CNN
 weights drawn), for prae, nvsa, lvrf and mimonet at INT4 over 16
 problems, and records per workload:
 
-* the median wall time of ``--repeats`` passes;
+* the median wall time of ``REPEATS`` passes;
 * a per-stage split from one instrumented pass: perception PMFs, PMF
   encoding, FFTs (every ``np.fft.rfft``/``irfft``), similarity, PrAE's
   rule algebra, the CNN forward, and the rest. A stage called inside
@@ -80,6 +80,7 @@ RPM = ("prae", "nvsa", "lvrf")
 PRESET = "INT4"
 N_PROBLEMS = 16
 SEED = 0
+REPEATS = 5
 
 #: The configs ``--check-only`` runs (the test suite's small configs).
 SMALL = {
@@ -98,8 +99,9 @@ COUNTED = ("fft", "quantize_array", "quantize_rows", "tensordot")
 class Probe:
     """Times stages, counts calls and captures scores by wrapping functions.
 
-    Targets that a tree does not define are skipped, so the same probe
-    runs against an older checkout for comparison.
+    Every target must exist where it is named: a renamed or moved
+    function raises rather than reading as zero calls, which the
+    call-count gate would pass.
     """
 
     def __init__(self) -> None:
@@ -110,12 +112,10 @@ class Probe:
         self._undo: list[tuple[object, str, object]] = []
 
     def _install(self, owner, attr: str, make) -> None:
-        raw = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        raw = vars(owner).get(attr)
         if raw is None:
-            return
-        func = raw.__func__ if isinstance(raw, staticmethod) else raw
-        wrapped = make(func)
-        setattr(owner, attr, staticmethod(wrapped) if isinstance(raw, staticmethod) else wrapped)
+            raise AttributeError(f"probe target {owner.__name__}.{attr} is not defined")
+        setattr(owner, attr, make(raw))
         self._undo.append((owner, attr, raw))
 
     def stage(self, owner, attr: str, stage: str, counter: str | None = None) -> None:
@@ -153,26 +153,33 @@ class Probe:
         self._install(owner, attr, make)
 
     def __enter__(self) -> Probe:
+        try:
+            self._wrap_targets()
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def _wrap_targets(self) -> None:
         self.stage(np.fft, "rfft", "fft", "fft")
         self.stage(np.fft, "irfft", "fft", "fft")
         self.count(np, "tensordot", "tensordot")
+        # Every module binding of the function, its defining one included,
+        # so calls through any import path are counted.
         for name in ("quantize_array", "quantize_rows"):
-            original = getattr(schemes, name, None)
+            original = getattr(schemes, name)
             for module in [m for n, m in sys.modules.items() if n.startswith("repro")]:
-                if original is not None and getattr(module, name, None) is original:
+                if getattr(module, name, None) is original:
                     self.count(module, name, name)
-        self.stage(PerceptionModel, "pmf", "perception")
         self.stage(PerceptionModel, "pmfs", "perception")
         self.stage(NvsaReasoner, "encode", "encode")
         self.stage(nvsa_module, "_sim", "similarity")
-        self.stage(NvsaReasoner, "_sim", "similarity")
         self.stage(PraeWorkload, "_row_prob", "rule_algebra")
         self.stage(PraeWorkload, "_predict_pmf", "rule_algebra")
         self.stage(ResNet, "forward", "cnn_forward")
         self.capture(NvsaReasoner, "solve", lambda out: out[1])
         self.capture(PraeWorkload, "candidate_scores", lambda out: out)
         self.capture(MimoNetWorkload, "_features", lambda out: out)
-        return self
 
     def __exit__(self, *exc) -> None:
         for owner, attr, raw in reversed(self._undo):
@@ -263,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_accuracy.json",
                         help="result JSON path (default: repo-root BENCH_accuracy.json)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed passes per workload (default: 5)")
     parser.add_argument("--check-only", action="store_true",
                         help="run the small configs; fail on an oracle mismatch or "
                              "a call count above the recorded one; skip the JSON write")
@@ -281,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
               "no call count above the recorded one")
         return 0
 
-    rows = {name: measure(name, {}, args.repeats) for name in WORKLOADS}
-    print(f"{PRESET} x {N_PROBLEMS} problems, seed {SEED}, median of {args.repeats} cold passes:")
+    rows = {name: measure(name, {}, REPEATS) for name in WORKLOADS}
+    print(f"{PRESET} x {N_PROBLEMS} problems, seed {SEED}, median of {REPEATS} cold passes:")
     print_table(rows)
     check = {name: {"calls": measure(name, dict(SMALL[name]), repeats=0)["calls"]}
              for name in WORKLOADS}
@@ -297,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         "precision": PRESET,
         "n_problems": N_PROBLEMS,
         "seed": SEED,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "workloads": rows,
         "check": check,
     }
