@@ -7,14 +7,10 @@ full NSFlow flow re-explores the design each time. The fused-loop
 steady-state means symbolic growth hides behind NN time until it
 dominates, so runtime grows far sub-linearly.
 
-Exploration goes through the batched :class:`~repro.dse.engine.DseEngine`;
-set ``NSFLOW_DSE_JOBS=N`` to fan the per-scale sweeps over a process pool
-(results are bit-identical to the serial sweep for any N).
+Exploration goes through the batched :class:`~repro.dse.engine.DseEngine`.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -26,7 +22,6 @@ from repro.workloads.scaling import ScalableConfig, ScalableNsaiWorkload
 from conftest import emit, once
 
 SCALES = (1, 10, 50, 100, 150)
-DSE_JOBS = int(os.environ.get("NSFLOW_DSE_JOBS", "1"))
 #: Base symbolic share: small, as in the paper's starting point.
 BASE_RATIO = 0.01
 CLOCK_KHZ = 272e3
@@ -43,7 +38,7 @@ def scalability_series():
             )
         )
         graph = build_dataflow_graph(wl.build_trace())
-        report = DseEngine(max_pes=8192, jobs=DSE_JOBS).explore(graph)
+        report = DseEngine(max_pes=8192).explore(graph)
         series.append((scale, report.config.estimated_cycles / CLOCK_KHZ))
     return series
 

@@ -9,7 +9,7 @@ Prices the same scenario four ways and times each request end to end:
   artifact store answers, but the process cold-start is paid in full.
 * **warm server, cache miss** — ``POST /compile`` against a running
   :class:`~repro.flow.server.DseServer`: pricing only, imports and
-  pool already resident.
+  model caches already resident.
 * **warm server, cache hit** — the same request again: an HTTP
   round-trip plus one store read.
 

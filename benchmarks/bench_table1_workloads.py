@@ -6,9 +6,9 @@ each Table I model's execution trace.
 
 Since PR 2 the four workloads are compiled as one *scenario sweep*
 (``repro.flow.sweep``) instead of four independent trace extractions:
-the sweep shares a single jobs budget, isolates per-workload failures,
-and parks every compiled scenario in an artifact store, so the taxonomy
-rows read straight from the sweep's cached traces.
+the sweep isolates per-workload failures and parks every compiled
+scenario in an artifact store, so the taxonomy rows read straight from
+the sweep's cached traces.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ runtime, falling back to sequential mode when that wins. Phase II
 fine-tunes the per-node partition vectors around the Phase I point by
 shifting sub-arrays between each layer and the VSA nodes that overlap it.
 
-:class:`DseEngine` is the batched/parallel/cached implementation of the
-sweep: a lazy candidate stream, chunked process-pool evaluation
-(``jobs``), memoized model sub-evaluations, and a full Pareto frontier
-(latency × area × energy proxy) on ``DseReport.pareto``.
+:class:`DseEngine` is the batched, cached implementation of the sweep: a
+lazy candidate stream screened in-process, memoized model
+sub-evaluations, and a full Pareto frontier (latency × area × energy
+proxy) on ``DseReport.pareto``.
 """
 
 from .accuracy import (
@@ -27,7 +27,6 @@ from .phase1 import Phase1Result
 from .phase2 import Phase2Result, run_phase2
 from .engine import (
     DseEngine,
-    DsePool,
     DseReport,
     GeometryCandidate,
     GeometryEval,
@@ -65,7 +64,6 @@ __all__ = [
     "Phase2Result",
     "run_phase2",
     "DseEngine",
-    "DsePool",
     "DseReport",
     "GeometryCandidate",
     "GeometryEval",

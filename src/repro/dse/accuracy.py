@@ -18,8 +18,8 @@ Determinism and caching contract:
   hit.
 * The problem set is generated from ``seed`` alone and the perception /
   classification randomness is drawn from the same seeded stream, so the
-  same key yields a bit-identical accuracy in any process, at any
-  ``--jobs`` setting, in any evaluation order.
+  same key yields a bit-identical accuracy in any process, in any
+  evaluation order.
 * Results (including ``None`` for workloads without a functional
   pipeline, e.g. the synth generator) are memoized in-process;
   :func:`accuracy_cache_stats` exposes executed/hit counters so tests
@@ -179,7 +179,7 @@ def accuracy_cache_stats() -> dict[str, int]:
 
 
 def clear_accuracy_cache() -> None:
-    """Drop memoized evaluations and reset the counters (tests/pools)."""
+    """Drop memoized evaluations and reset the counters (tests, benches)."""
     with _lock:
         _cache.clear()
         _stats["executed"] = 0

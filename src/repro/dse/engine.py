@@ -1,4 +1,4 @@
-"""Batched, parallel, cached Pareto exploration engine.
+"""Batched, cached Pareto exploration engine.
 
 This is the scalable successor to the serial Phase I sweep: the same
 two-phase co-exploration of paper Algorithm 1, restructured as
@@ -7,11 +7,10 @@ two-phase co-exploration of paper Algorithm 1, restructured as
    enumerates pruned ``(H, W, N)`` geometries without materializing the
    design space;
 2. **one Phase I path** — :meth:`DseEngine.evaluate` screens every
-   candidate with the analytic backend's integer pricing and monotone
-   partition bisection, chunked over a supervised :class:`DsePool`
-   (``jobs > 1``) or in-process (``jobs == 1``); the merge is performed
-   in candidate order with strict-``<`` tie-breaking, so results are
-   **bit-identical for every value of ``jobs``**;
+   candidate in-process with the analytic backend's integer pricing and
+   monotone partition bisection; the reduction walks candidates in
+   enumeration order with strict-``<`` tie-breaking, so the first
+   candidate in sweep order wins every tie;
 3. **a pluggable cost-model seam** — every design point is priced
    through an :class:`repro.model.backend.EvaluationBackend`. Under the
    default :class:`~repro.model.backend.AnalyticBackend` the screen is
@@ -31,15 +30,12 @@ two-phase co-exploration of paper Algorithm 1, restructured as
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from ..errors import DSEError, PoisonScenarioError
+from ..errors import DSEError
 from ..faults import faultpoint
 from ..graph.dataflow import DataflowGraph
 from ..model.backend import (
@@ -55,7 +51,6 @@ from ..model.cache import (
     cached_plan_memory,
     cached_simd_width,
     cached_vsa_node_runtime,
-    clear_model_caches,
 )
 from ..model.designspace import (
     DesignSpaceSize,
@@ -80,12 +75,6 @@ __all__ = [
     "ParetoFrontier",
     "DseReport",
     "DseEngine",
-    "DsePool",
-    "SweepExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "EXECUTOR_BACKENDS",
-    "make_executor",
     "pareto_filter",
     "area_pe_equiv",
     "DEFAULT_CLOCK_MHZ",
@@ -103,291 +92,18 @@ DEFAULT_CLOCK_MHZ = 272.0
 DEFAULT_RANGE_H: tuple[int, int] = (4, 256)
 DEFAULT_RANGE_W: tuple[int, int] = (4, 256)
 
-def _auto_chunksize(n_items: int, jobs: int) -> int:
-    """Executor-map batching: ≈4 IPC shipments per worker, never per item."""
-    return max(1, -(-n_items // (4 * jobs)))
-
 #: The Phase I screen. Stateless, so one shared instance serves every
-#: engine (and every pool worker).
+#: engine.
 _ANALYTIC_BACKEND = AnalyticBackend()
-
-
-class SweepExecutor:
-    """The execution seam under :class:`DsePool`: ``map`` + ``close``.
-
-    ``DsePool`` owns the jobs budget and the cache lifecycle; *where*
-    the work actually runs is this seam. The in-tree backends are
-    :class:`SerialExecutor` (in-process) and :class:`ProcessExecutor`
-    (a lazy ``concurrent.futures`` process pool); a multi-host backend
-    — shipping chunks to remote workers over the run-ledger/artifact
-    substrate — slots in by registering another factory in
-    :data:`EXECUTOR_BACKENDS`. The engine's merge is keyed on candidate
-    index, so any executor that applies ``fn`` to every item and
-    preserves order is result-identical by construction.
-    """
-
-    def map(self, fn, items: Sequence, chunksize: int) -> list:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release executor resources; further ``map`` calls are invalid."""
-
-    def terminate(self) -> None:
-        """Forcefully release resources without waiting on running work.
-
-        The default just closes; executors whose ``close`` can block on
-        a hung worker (process pools) override this with a hard stop.
-        Unlike ``close``, a terminated executor may be mapped on again —
-        it must rebuild whatever it tore down.
-        """
-        self.close()
-
-
-class SerialExecutor(SweepExecutor):
-    """In-process, no-spawn execution — the ``jobs == 1`` path."""
-
-    def map(self, fn, items: Sequence, chunksize: int) -> list:
-        return [fn(item) for item in items]
-
-
-class ProcessExecutor(SweepExecutor):
-    """A lazily created, *supervised* ``ProcessPoolExecutor`` fleet.
-
-    A worker dying mid-batch (OOM kill, segfault, an injected
-    ``dse.worker:kill`` fault) historically surfaced as
-    ``BrokenProcessPool`` and aborted the entire sweep, losing every
-    sibling scenario. This executor supervises instead:
-
-    * a broken pool is torn down and lazily rebuilt, and only the batch
-      that was in flight is re-run;
-    * if the re-run breaks the pool again, the batch is *bisected* so
-      healthy items complete and the offender is isolated;
-    * a single item that keeps killing fresh workers is poison —
-      after :data:`MAX_ITEM_ATTEMPTS` attempts it raises
-      :class:`~repro.errors.PoisonScenarioError`, which the sweep
-      records as that one scenario's error row while the rest proceed.
-
-    Results are position-stable, so supervision cannot change outputs —
-    only whether a crash is survivable. ``rebuilds`` counts pool
-    rebuilds over the executor's lifetime for reporting.
-    """
-
-    #: Attempts a single work item gets before being declared poison.
-    MAX_ITEM_ATTEMPTS = 3
-    #: Rebuild budget per ``map`` call, beyond which the pool is judged
-    #: systemically broken (fork bomb protection, not fault tolerance).
-    MAX_MAP_REBUILDS = 32
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise DSEError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._executor: ProcessPoolExecutor | None = None
-        self.rebuilds = 0
-        self._map_rebuilds = 0
-
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def _discard_broken(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        self.rebuilds += 1
-        self._map_rebuilds += 1
-
-    def map(self, fn, items: Sequence, chunksize: int) -> list:
-        results = [None] * len(items)
-        self._map_rebuilds = 0
-        self._run(fn, list(enumerate(items)), chunksize, results)
-        return results
-
-    def _run(self, fn, indexed: list, chunksize: int, results: list,
-             attempt: int = 1) -> None:
-        try:
-            mapped = list(self._ensure().map(
-                fn, [item for _, item in indexed], chunksize=chunksize
-            ))
-        except BrokenProcessPool:
-            self._discard_broken()
-            if self._map_rebuilds > self.MAX_MAP_REBUILDS:
-                raise DSEError(
-                    f"process pool broke {self._map_rebuilds} times in one "
-                    "map; workers are dying faster than work completes"
-                ) from None
-            if len(indexed) > 1:
-                mid = len(indexed) // 2
-                self._run(fn, indexed[:mid], chunksize, results)
-                self._run(fn, indexed[mid:], chunksize, results)
-            elif attempt < self.MAX_ITEM_ATTEMPTS:
-                self._run(fn, indexed, chunksize, results, attempt + 1)
-            else:
-                raise PoisonScenarioError(
-                    f"work unit crashed a fresh worker pool {attempt} "
-                    "times in a row; quarantining it instead of retrying "
-                    "forever"
-                ) from None
-        else:
-            for (pos, _), value in zip(indexed, mapped):
-                results[pos] = value
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def terminate(self) -> None:
-        """Hard-stop the fleet (possibly hung workers); rebuilt lazily."""
-        if self._executor is None:
-            return
-        procs = list(getattr(self._executor, "_processes", {}).values())
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-
-
-#: Executor-backend registry: name → factory taking the jobs budget.
-#: ``serial`` ignores the budget (always in-process); ``process`` spawns
-#: up to ``jobs`` workers lazily. Future multi-host backends register
-#: here so ``DsePool(executor="...")`` — and anything built on it —
-#: can target them without code changes.
-EXECUTOR_BACKENDS: dict[str, "type[SweepExecutor] | object"] = {
-    "serial": lambda jobs: SerialExecutor(),
-    "process": lambda jobs: ProcessExecutor(jobs),
-}
-
-
-def make_executor(name: str, jobs: int) -> SweepExecutor:
-    """Instantiate a registered executor backend for a jobs budget."""
-    try:
-        factory = EXECUTOR_BACKENDS[name]
-    except KeyError:
-        raise DSEError(
-            f"unknown executor {name!r}; "
-            f"available: {', '.join(sorted(EXECUTOR_BACKENDS))}"
-        ) from None
-    return factory(jobs)
-
-
-class DsePool:
-    """A reusable jobs budget: one process pool shared across explorations.
-
-    A ``DseEngine`` without a pool opens and closes its own inside every
-    parallel :meth:`DseEngine.evaluate` call, so a scenario sweep
-    compiling many workloads would pay worker fork/spawn cost once per
-    scenario. ``DsePool`` owns the executor so any number of engines
-    (and therefore scenarios) share one worker fleet and one ``jobs``
-    budget:
-
-    >>> with DsePool(jobs=4) as pool:                    # doctest: +SKIP
-    ...     for graph in graphs:
-    ...         DseEngine(pool=pool).explore(graph)
-
-    ``jobs == 1`` never spawns processes — :meth:`map` runs in-process —
-    and the process fleet is created lazily on the first parallel
-    ``map``. Sharing a pool cannot change results: the engine's merge is
-    keyed on candidate index (see DESIGN.md "Parallel determinism").
-
-    Where the work runs is delegated to the :class:`SweepExecutor` seam:
-    by default ``serial`` for ``jobs == 1`` and ``process`` otherwise,
-    overridable with ``executor=`` (a registry name or an instance) so a
-    multi-host backend can slot in under every existing caller.
-
-    Closing the pool also clears the process-lifetime model caches
-    (:func:`repro.model.cache.clear_model_caches`) by default: the
-    ``lru_cache``/keyed entries accumulated by a long sweep are keyed on
-    per-scenario dimensions and rarely useful to the next sweep, so the
-    pool's end of life is the natural bound on their growth. Pass
-    ``clear_caches_on_close=False`` to keep them warm.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        clear_caches_on_close: bool = True,
-        executor: str | SweepExecutor | None = None,
-    ):
-        if jobs < 1:
-            raise DSEError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.clear_caches_on_close = clear_caches_on_close
-        if executor is None:
-            executor = "serial" if jobs == 1 else "process"
-        self._executor: SweepExecutor = (
-            make_executor(executor, jobs) if isinstance(executor, str)
-            else executor
-        )
-        self._closed = False
-        #: Lifetime count of ``map`` calls served. A long-lived owner
-        #: (the ``repro serve`` warm server) exposes this to prove the
-        #: warm cache-hit path never touched the pool: a request served
-        #: from the artifact store leaves the counter unchanged.
-        self.maps = 0
-
-    def map(self, fn, items: Sequence, chunksize: int | None = None) -> list:
-        """Apply ``fn`` over ``items`` on the pool's executor backend.
-
-        ``chunksize`` is forwarded to the executor so a long ``items``
-        stream is shipped in batches instead of paying one IPC
-        round-trip per work unit; ``None`` picks
-        ``⌈len(items) / (4 · jobs)⌉`` — at most four batches per worker,
-        enough slack for load balancing without per-item overhead.
-        """
-        if self._closed:
-            raise DSEError("DsePool is closed")
-        if chunksize is not None and chunksize < 1:
-            raise DSEError(f"chunksize must be >= 1, got {chunksize}")
-        if chunksize is None:
-            chunksize = _auto_chunksize(len(items), self.jobs)
-        self.maps += 1
-        return self._executor.map(fn, items, chunksize=chunksize)
-
-    def close(self) -> None:
-        """Shut the worker fleet down; subsequent ``map`` calls raise.
-
-        Also drops the model caches (unless constructed with
-        ``clear_caches_on_close=False``) — callers that need the counter
-        totals of a run must snapshot them *before* closing.
-        """
-        self._executor.close()
-        if not self._closed and self.clear_caches_on_close:
-            clear_model_caches()
-        self._closed = True
-
-    def reset(self) -> None:
-        """Hard-stop the executor's current workers; the pool stays usable.
-
-        The recovery hook for a scenario timeout: the interrupted
-        ``map`` may have left work running (or hung) on pool workers,
-        and a graceful ``close`` would block on it. ``terminate`` drops
-        the fleet without waiting; the next ``map`` rebuilds it lazily.
-        """
-        if self._closed:
-            raise DSEError("DsePool is closed")
-        self._executor.terminate()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "DsePool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
 class GeometryCandidate:
     """One point of the lazy geometry stream: ``(H, W, N)`` plus its rank.
 
-    ``index`` is the candidate's position in enumeration order; the merge
-    step uses it to reproduce the serial sweep's first-wins tie-breaking
-    regardless of how candidates were chunked across workers.
+    ``index`` is the candidate's position in enumeration order; the
+    Phase I reduction and the multi-fidelity screen break ties on it, so
+    the first candidate in sweep order wins.
     """
 
     index: int
@@ -641,20 +357,8 @@ def _evaluate_candidates(
     return [_eval_from_score(c, s) for c, s in zip(candidates, scores)]
 
 
-def _evaluate_chunk(
-    chunk: tuple[GeometryCandidate, ...],
-    layers: tuple[GemmDims, ...],
-    vsa_nodes: tuple[VsaDims, ...],
-) -> list[GeometryEval]:
-    """Process-pool work unit: screen a batch of geometries."""
-    # Worker-entry failpoint: the canonical site for ``kill`` faults,
-    # hit inside the pool worker process (not the coordinator).
-    faultpoint("dse.worker")
-    return _evaluate_candidates(chunk, layers, vsa_nodes)
-
-
 class DseEngine:
-    """Parallel Pareto design-space exploration (Algorithm 1, batched).
+    """Pareto design-space exploration (Algorithm 1, batched).
 
     Parameters
     ----------
@@ -666,32 +370,23 @@ class DseEngine:
         the cycle models are precision-independent as in the paper).
     iter_max:
         Phase II iteration cap (``Iter_max``).
-    jobs:
-        Worker processes for the Phase I analytic screen. ``1`` (default)
-        runs serially in-process — no pool, no pickling; ``N > 1`` runs
-        the screen on a supervised :class:`DsePool` the call owns (a
-        killed worker costs a rebuild, not the compile). Survivors of a
-        non-analytic backend are priced serially in-process, so ``jobs``
-        fans out only the screen. Results are bit-identical for every
-        value of ``jobs``.
     pareto_k:
         Keep only the ``k`` lowest-latency frontier points in the
         report (``None`` or ``0`` keeps the full frontier, matching the
         CLI's ``--pareto-k 0`` convention).
-    pool:
-        A :class:`DsePool` to evaluate on instead of an engine-private
-        one. The pool's ``jobs`` budget overrides the ``jobs`` argument,
-        so every engine sharing the pool also shares one worker-count
-        policy. The engine never closes a caller's pool.
     backend:
         The cost model every design point is priced with: a registry
         name (``"analytic"`` — the default, the paper's Eqs. 1-5 — or
         ``"schedule"`` — the memory-aware event-driven timeline), or an
         :class:`~repro.model.backend.EvaluationBackend` instance, which
-        must never price below the analytic model. Unlike ``jobs`` this
-        knob **changes results**, so it joins the artifact-cache key and
-        is stamped into every report (see DESIGN.md "Evaluation
-        backends").
+        must never price below the analytic model. This knob **changes
+        results**, so it joins the artifact-cache key and is stamped
+        into every report (see DESIGN.md "Evaluation backends").
+
+    The whole exploration runs in the calling process: a Phase I screen
+    takes milliseconds, so scenarios — not candidates — are the unit of
+    parallelism (several ``repro sweep --shard i/N`` processes over one
+    ledger).
     """
 
     def __init__(
@@ -702,20 +397,14 @@ class DseEngine:
         range_h: tuple[int, int] = DEFAULT_RANGE_H,
         range_w: tuple[int, int] = DEFAULT_RANGE_W,
         clock_mhz: float = DEFAULT_CLOCK_MHZ,
-        jobs: int = 1,
         pareto_k: int | None = None,
         aspect_min: float = 0.25,
         aspect_max: float = 16.0,
-        pool: DsePool | None = None,
         backend: str | EvaluationBackend = "analytic",
         accuracy: AccuracyResult | None = None,
     ):
         if not is_power_of_two(max_pes):
             raise DSEError(f"max_pes must be a power of two, got {max_pes}")
-        if jobs < 1:
-            raise DSEError(f"jobs must be >= 1, got {jobs}")
-        if pool is not None:
-            jobs = pool.jobs
         if pareto_k == 0:
             pareto_k = None
         if pareto_k is not None and pareto_k < 1:
@@ -736,11 +425,9 @@ class DseEngine:
         self.range_h = range_h
         self.range_w = range_w
         self.clock_mhz = clock_mhz
-        self.jobs = jobs
         self.pareto_k = pareto_k
         self.aspect_min = aspect_min
         self.aspect_max = aspect_max
-        self.pool = pool
         #: Pre-computed functional accuracy of the workload being explored
         #: (the engine only sees the graph, so the caller — NSFlow —
         #: evaluates and injects it). Stamped onto every frontier point.
@@ -763,48 +450,7 @@ class DseEngine:
             yield GeometryCandidate(index=index, h=h, w=w, n_sub=n_sub)
             index += 1
 
-    def _make_chunks(
-        self, candidates: Sequence[GeometryCandidate]
-    ) -> list[tuple[GeometryCandidate, ...]]:
-        """Group candidates into pool work units.
-
-        Per-geometry cost grows with the sub-array count ``N``, so small
-        sub-arrays are far more expensive than large ones. Candidates are
-        sorted by descending ``N`` and dealt round-robin into
-        ``4 · jobs`` chunks, so every chunk carries a comparable mix of
-        heavy and light geometries. The merge is keyed on candidate
-        index, so chunking never affects results.
-        """
-        by_cost = sorted(candidates, key=lambda c: (-c.n_sub, c.index))
-        n_chunks = max(1, min(len(candidates), 4 * self.jobs))
-        return [tuple(by_cost[i::n_chunks]) for i in range(n_chunks)]
-
     # -- evaluation ------------------------------------------------------------
-
-    def _screen(
-        self,
-        candidates: list[GeometryCandidate],
-        layers: tuple[GemmDims, ...],
-        vsa_nodes: tuple[VsaDims, ...],
-    ) -> list[GeometryEval]:
-        """Analytic scores of every candidate, in candidate order."""
-        if self.jobs == 1:
-            return _evaluate_candidates(candidates, layers, vsa_nodes)
-        work = functools.partial(
-            _evaluate_chunk, layers=layers, vsa_nodes=vsa_nodes
-        )
-        chunks = self._make_chunks(candidates)
-        if self.pool is not None:
-            chunk_results = self.pool.map(work, chunks)
-        else:
-            # Phase II and the SIMD rule still read the model caches, so
-            # closing this call's pool must not drop them.
-            with DsePool(self.jobs, clear_caches_on_close=False) as pool:
-                chunk_results = pool.map(work, chunks)
-        return sorted(
-            (ev for chunk in chunk_results for ev in chunk),
-            key=lambda e: e.index,
-        )
 
     def evaluate(
         self,
@@ -820,9 +466,9 @@ class DseEngine:
         screen's lower bounds cannot prune
         (:mod:`repro.dse.multifidelity`). Returns the priced evals in
         candidate order and the pruned candidates; the report built from
-        them is byte-identical to pricing every candidate, for every
-        ``jobs``. Wall-clock and counts accrue to the ``phase1.*``
-        stages of :mod:`repro.dse.timing`. ``cost_dims`` is
+        them is byte-identical to pricing every candidate. Wall-clock and
+        counts accrue to the ``phase1.*`` stages of
+        :mod:`repro.dse.timing`. ``cost_dims`` is
         ``extract_cost_dims(graph)`` when the caller holds it already.
         """
         if cost_dims is None:
@@ -837,7 +483,7 @@ class DseEngine:
                 f"H range {self.range_h}, W range {self.range_w}"
             )
         t0 = time.perf_counter()
-        evals = self._screen(candidates, layers, vsa_nodes)
+        evals = _evaluate_candidates(candidates, layers, vsa_nodes)
         probes = sum(ev.probes for ev in evals)
         pruned: tuple[PrunedCandidate, ...] = ()
         if type(self.backend) is not AnalyticBackend:
@@ -860,7 +506,7 @@ class DseEngine:
         """Merge per-geometry winners into the serial sweep's Phase I result.
 
         Strict-``<`` updates in candidate order reproduce the serial
-        first-wins semantics exactly (DESIGN.md "Parallel determinism").
+        first-wins semantics exactly (DESIGN.md "Phase I determinism").
         ``extra_evaluated`` accounts the logical design points of
         candidates the screen pruned without pricing, so
         ``candidates_evaluated`` equals pricing every candidate (pruned

@@ -10,11 +10,10 @@ evaluator, ``accuracy.execute``) feeds and the CLI / sweep report
 surface.
 
 Deliberately **not** part of :class:`~repro.dse.engine.DseReport`:
-reports are required to be byte-identical across ``jobs`` values, and
-wall-clock never is. Timings follow the
-same snapshot/delta pattern as the model-cache counters
-(:func:`repro.model.cache.counters_snapshot`), so a sweep can report
-exactly the work it performed:
+reports are required to be byte-identical from run to run, and
+wall-clock never is. Timings follow the same snapshot/delta pattern as
+the model-cache counters (:func:`repro.model.cache.cumulative_snapshot`),
+so a sweep can report exactly the work it performed:
 
 >>> snap = timings_snapshot()
 >>> # ... run explorations ...
@@ -22,9 +21,6 @@ exactly the work it performed:
 
 ``items`` counts stage-specific work units (geometries swept, model
 probes paid, refinement moves tried); ``calls`` counts stage entries.
-With ``jobs > 1`` the sweep stage is timed in the parent around the
-pool ``map``, so worker wall-clock is attributed once, not per process;
-probe counts travel back with each evaluation result and stay exact.
 """
 
 from __future__ import annotations

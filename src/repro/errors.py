@@ -68,16 +68,6 @@ class LedgerWriteError(NSFlowError):
     """
 
 
-class PoisonScenarioError(DSEError):
-    """A work unit repeatedly crashed the worker pool and was quarantined.
-
-    The supervised executor rebuilds a broken pool and bisects the
-    failed batch down to the offending item; an item that kills a fresh
-    worker on every attempt is poison — deterministic sweeps must fail
-    it loudly rather than retry forever or abort sibling scenarios.
-    """
-
-
 class ScenarioTimeoutError(NSFlowError):
     """A scenario exceeded its per-scenario wall-clock budget.
 

@@ -5,9 +5,9 @@ happy paths, and process-kill smoke tests (``tools/distributed_smoke.py``)
 only reach the coarsest failure mode. This module makes faults a
 first-class, *deterministic* input to the stack:
 
-* **failpoints** — every interesting I/O or worker boundary calls
+* **failpoints** — every interesting I/O or compute boundary calls
   :func:`faultpoint` with a stable dotted name (``ledger.append.fsync``,
-  ``artifacts.load.read``, ``dse.worker`` …). When no plan is armed the
+  ``artifacts.load.read``, ``dse.evaluate`` …). When no plan is armed the
   call is a dict lookup and a ``None`` check — effectively free — and
   the site behaves exactly as if the line were absent.
 * **fault plans** — a plan is a list of rules, each binding a failpoint
@@ -17,13 +17,13 @@ first-class, *deterministic* input to the stack:
   through the site, or ``kill`` the current process with SIGKILL.
   Plans are armed programmatically (:func:`arm_faults`,
   :func:`injected_faults`) or via the ``REPRO_FAULTS`` environment
-  variable — the latter is how sweep subprocesses and forked pool
-  workers inherit a schedule.
+  variable — the latter is how sweep subprocesses inherit a schedule.
 * **cross-process one-shots** — a rule marked ``!once`` fires at most
   once *globally* by claiming an ``O_CREAT|O_EXCL`` sentinel file in
   the ``REPRO_FAULTS_STATE`` directory; every fire is also appended to
   ``fires.log`` there, so a chaos harness can assert that each intended
-  fault really happened even when it fired inside a pool worker.
+  fault really happened even when it fired inside a process that was
+  then killed.
 * **retries** — :class:`RetryPolicy` wraps transient I/O with bounded
   attempts and a seeded-deterministic exponential backoff + jitter
   schedule, so retry timing is a pure function of ``(seed, key)`` and
@@ -38,7 +38,7 @@ Rule grammar (rules joined by ``;``)::
                                        globally across all processes
     artifacts.load.read:corrupt        flip a byte of the 1st read
     ledger.append.write:short          truncate the 1st write payload
-    dse.worker:kill@5x2                SIGKILL at the 5th and 6th hits
+    sweep.compile:kill@5x2             SIGKILL at the 5th and 6th hits
     ledger.*:raise@1x*                 raise at every hit from the 1st
 
 Hit counters are per-process and per-point. ``xcount`` widens the firing
@@ -78,8 +78,8 @@ __all__ = [
 ]
 
 #: Environment variable holding a fault-plan spec; parsed lazily on the
-#: first faultpoint hit of each process, so forked/spawned workers pick
-#: it up with no plumbing.
+#: first faultpoint hit of each process, so child processes pick it up
+#: with no plumbing.
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Directory for cross-process fault state: ``!once`` sentinel files and

@@ -26,9 +26,9 @@ Cache key
 
 plus :data:`ARTIFACT_FORMAT_VERSION` (the on-disk schema) and
 :data:`ENGINE_CACHE_EPOCH` (the cost-model generation). Knobs that are
-guaranteed *not* to change results are deliberately excluded: ``jobs``
-(bit-identical for any worker count) and ``pareto_k`` (the store always
-keeps the full frontier; truncation happens at render time).
+guaranteed *not* to change results are deliberately excluded:
+``pareto_k`` (the store always keeps the full frontier; truncation
+happens at render time).
 See DESIGN.md "Sweep & artifact cache".
 
 Layout

@@ -4,7 +4,7 @@ Mirrors the paper's user story — "NSAI workload (.py) in, deployment
 artifacts out" — as a CLI:
 
     python -m repro compile nvsa --precision MP --out build/nvsa
-    python -m repro compile nvsa --jobs 4 --pareto-k 8
+    python -m repro compile nvsa --pareto-k 8
     python -m repro workloads
     python -m repro characterize nvsa
     python -m repro sweep --devices u250,zcu104 --precisions MP,INT8
@@ -14,23 +14,17 @@ output directory: ``trace.json``, ``design_config.json``,
 ``nsflow_params.vh`` and ``host.cpp``, and prints the deployment summary.
 
 ``sweep`` compiles a whole scenario grid (workloads × devices ×
-precisions × loop counts) through one shared jobs budget, caching every
-compiled scenario in a content-addressed artifact store (``--cache-dir``,
-default ``.nsflow-cache``) so re-runs and overlapping grids only compile
-the delta. It prints one row per scenario, a cross-scenario comparison
-table, and a summary with the cache counters. See docs/CLI.md for the
-full flag reference.
+precisions × loop counts), caching every compiled scenario in a
+content-addressed artifact store (``--cache-dir``, default
+``.nsflow-cache``) so re-runs and overlapping grids only compile the
+delta. It prints one row per scenario, a cross-scenario comparison
+table, and a summary with the cache counters. Every scenario compiles
+in the calling process; to parallelize a grid, run several ``sweep
+--shard i/N`` (or ``--worker-id``) processes over one ledger. See
+docs/CLI.md for the full flag reference.
 
 DSE flags
 ---------
-``--jobs N``
-    Worker processes for the Phase I analytic screen. ``1`` (the
-    default) screens candidates serially in-process; ``N > 1`` fans the
-    chunked candidate stream out over a supervised process pool (a
-    killed worker is replaced, not fatal). Candidates a non-analytic
-    backend prices after the screen are priced serially. The chosen
-    design is **bit-identical for every value of N** — the merge
-    preserves the serial sweep's deterministic tie-breaking.
 ``--pareto-k K``
     How many Pareto-frontier rows to keep and print (default 8; ``0``
     keeps the full frontier).
@@ -161,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Phase II iteration cap (Algorithm 1 Iter_max)")
     comp.add_argument("--loops", type=int, default=1,
                       help="inference loops to fuse (inter-loop parallelism)")
-    comp.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the Phase I analytic "
-                           "screen (1 = serial; results identical for "
-                           "any N)")
     comp.add_argument("--pareto-k", type=int, default=8, dest="pareto_k",
                       help="Pareto-frontier rows to keep/print "
                            "(0 = full frontier)")
@@ -212,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--exclude", action="append", default=[], metavar="PAT",
                      help="drop scenario ids matching this fnmatch pattern "
                           "(repeatable, e.g. '*@zcu104/*')")
-    swp.add_argument("--jobs", type=int, default=1,
-                     help="sweep-wide worker-process budget shared by every "
-                          "scenario's DSE (1 = serial)")
     swp.add_argument("--backends", default="analytic",
                      help="comma-separated evaluation backends as a grid "
                           f"axis (available: {', '.join(EVALUATION_BACKENDS)}"
@@ -258,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
                           f"{DEFAULT_LEASE_TIMEOUT_S:.0f})")
     swp.add_argument("--scenario-timeout", type=float, default=None,
                      dest="scenario_timeout", metavar="SECONDS",
-                     help="per-scenario wall-clock budget; a scenario that "
-                          "blows it (even hung on a pool worker) is recorded "
-                          "as a retryable error row and the worker pool is "
-                          "reset (default: unlimited)")
+                     help="per-scenario wall-clock budget (> 0); a scenario "
+                          "that blows it is recorded as a retryable error "
+                          "row (default: unlimited)")
     swp.add_argument("--max-retries", type=int, default=2,
                      dest="max_retries", metavar="N",
                      help="retries for transient ledger/artifact I/O errors, "
@@ -278,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="submit the grid to a running 'repro serve' "
                           "instance instead of compiling locally "
                           "(equivalent to 'repro submit'; local-execution "
-                          "flags like --jobs/--cache-dir are ignored)")
+                          "flags like --cache-dir are ignored)")
 
     srv = sub.add_parser(
         "serve",
-        help="run the warm-process DSE service: persistent pool + caches, "
+        help="run the warm-process DSE service: persistent caches, "
              "request coalescing, streamed sweep jobs, graceful drain",
     )
     srv.add_argument("--host", default="127.0.0.1",
@@ -295,9 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="artifact-store directory shared by every request; "
                           "job ledgers live under <cache-dir>/jobs/ "
                           "(default: .nsflow-cache)")
-    srv.add_argument("--jobs", type=int, default=1,
-                     help="worker-process budget of the server's one "
-                          "persistent DSE pool (1 = serial)")
+    # Accepted and ignored: perfbench/serve.py starts the server with
+    # `--jobs 1`, so the flag stays (accepting only 1) until the next
+    # benchmark change removes it.
+    srv.add_argument("--jobs", type=int, choices=(1,), default=1,
+                     help=argparse.SUPPRESS)
     srv.add_argument("--max-retries", type=int, default=2,
                      dest="max_retries", metavar="N",
                      help="retries for transient ledger/artifact I/O "
@@ -409,9 +397,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
     if args.pareto_k < 0:
         print(f"error: --pareto-k must be >= 0, got {args.pareto_k}",
               file=sys.stderr)
@@ -421,7 +406,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         device=_DEVICES[args.device],
         precision=MIXED_PRECISION_PRESETS[args.precision],
         iter_max=args.iter_max,
-        jobs=args.jobs,
         pareto_k=args.pareto_k,
         backend=args.backend,
         accuracy=args.accuracy,
@@ -590,9 +574,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .server import DseServer
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
     if args.max_retries < 0:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
@@ -607,7 +588,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.cache_dir,
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
         max_retries=args.max_retries,
         worker_id=args.worker_id,
         lease_timeout_s=args.lease_timeout,
@@ -617,8 +597,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # The ready line is machine-read (tests, tools/serve_smoke.py):
         # with --port 0 it is the only place the real port appears.
         print(f"Serving on http://{srv.host}:{srv.port} "
-              f"(cache: {srv.cache_dir}, pool jobs: {srv.jobs}, "
-              f"worker id: {srv.worker_id})", flush=True)
+              f"(cache: {srv.cache_dir}, worker id: {srv.worker_id})",
+              flush=True)
 
     asyncio.run(server.serve(on_ready=on_ready))
     s = server.stats
@@ -635,9 +615,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if grid_doc is None:
             return 1
         return _submit_grid(args.server, grid_doc)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
     try:
         loops = tuple(int(v) for v in _split_csv(args.loops))
     except ValueError:
@@ -716,7 +693,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{outcome.elapsed_s:6.2f}s  {tail}")
 
     result = run_sweep(
-        grid, store=store, jobs=args.jobs,
+        grid, store=store,
         progress=progress, ledger=ledger, resume=args.resume,
         shard=args.shard, worker=worker,
         lease_timeout_s=args.lease_timeout,

@@ -31,7 +31,6 @@ from ..dse.engine import (
     DEFAULT_RANGE_H,
     DEFAULT_RANGE_W,
     DseEngine,
-    DsePool,
     DseReport,
 )
 from ..errors import ConfigError
@@ -89,9 +88,7 @@ class NSFlow:
         max_pes: int | None = None,
         range_h: tuple[int, int] = DEFAULT_RANGE_H,
         range_w: tuple[int, int] = DEFAULT_RANGE_W,
-        jobs: int = 1,
         pareto_k: int | None = None,
-        pool: DsePool | None = None,
         backend: str | EvaluationBackend = "analytic",
         accuracy: bool = False,
         accuracy_problems: int = DEFAULT_ACCURACY_PROBLEMS,
@@ -104,9 +101,7 @@ class NSFlow:
         self.max_pes = max_pes or device.max_pes()
         self.range_h = range_h
         self.range_w = range_w
-        self.jobs = jobs
         self.pareto_k = pareto_k
-        self.pool = pool
         self.backend = backend
         self.accuracy = accuracy
         self.accuracy_problems = accuracy_problems
@@ -150,9 +145,7 @@ class NSFlow:
             range_h=self.range_h,
             range_w=self.range_w,
             clock_mhz=self.clock_mhz,
-            jobs=self.jobs,
             pareto_k=self.pareto_k,
-            pool=self.pool,
             backend=self.backend,
             accuracy=accuracy,
         )

@@ -1,14 +1,14 @@
 """``repro serve``: a warm-process DSE service over the sweep machinery.
 
 Every one-shot ``repro compile``/``repro sweep`` invocation pays Python
-startup, ``import repro``, process-pool fork, and model/artifact cache
-warm-up before doing any useful work — even when the answer is already
-sitting in the content-addressed :class:`~repro.flow.artifacts.
-ArtifactStore`. This module keeps all of that warm in one long-lived
-process: a stdlib-``asyncio`` HTTP/JSON service (no new dependencies —
-the HTTP/1.1 handler is ~60 lines below) that prices compile and sweep
-requests through the existing :func:`~repro.flow.sweep.run_sweep` /
-:class:`~repro.dse.engine.DsePool` machinery.
+startup, ``import repro``, and model/artifact cache warm-up before doing
+any useful work — even when the answer is already sitting in the
+content-addressed :class:`~repro.flow.artifacts.ArtifactStore`. This
+module keeps all of that warm in one long-lived process: a
+stdlib-``asyncio`` HTTP/JSON service (no new dependencies — the
+HTTP/1.1 handler is ~60 lines below) that prices compile and sweep
+requests through the existing :func:`~repro.flow.sweep.run_sweep`
+machinery.
 
 Perf mechanics
 --------------
@@ -20,9 +20,9 @@ Perf mechanics
   requests arriving in the same loop iteration cannot both miss the
   map.
 * **warm-path fast serve** — a request whose key the store already
-  holds is answered from the store alone: the reply never touches the
-  :class:`DsePool` (its ``maps`` counter is the proof the tests
-  assert), only a store read on a small reader thread pool.
+  holds is answered from the store alone: the reply never reaches the
+  pricer (``/stats`` ``pricings`` and ``warm_hits`` are the proof the
+  tests assert), only a store read on a small reader thread pool.
 * **streamed progress** — sweep jobs append to a server-side
   :class:`~repro.flow.ledger.RunLedger` exactly as a local sweep would;
   clients poll ``GET /jobs/<id>?since=N`` for the rows appended since
@@ -39,7 +39,7 @@ Perf mechanics
   work: new POSTs get 503, the in-flight scenario of any running sweep
   finishes normally (its ledger row closes its claim), unstarted
   scenarios are never claimed (``run_sweep``'s ``should_stop`` hook),
-  and the pool is closed with :meth:`DsePool.close`. Every idle
+  and the pricer and reader threads are shut down. Every idle
   connection is closed when the drain starts (and once more before the
   listener closes) and responses sent while draining say
   ``Connection: close``: Python 3.12's ``Server.wait_closed()`` waits
@@ -48,10 +48,11 @@ Perf mechanics
   is a content hash of the grid.
 
 Concurrency model: one asyncio loop owns all bookkeeping (stats, the
-coalescing map, the job table); all pool pricing — single compiles and
-whole sweeps — is serialized through a one-thread executor, mirroring
-the CLI where one process owns one pool. Warm-path store reads run on a
-separate small reader pool so cache hits never queue behind a compile.
+coalescing map, the job table); all pricing — single compiles and whole
+sweeps — is serialized through a one-thread executor, mirroring the CLI
+where one process prices one scenario at a time. Warm-path store reads
+run on a separate small reader pool so cache hits never queue behind a
+compile.
 
 The server's ledger worker id is **stable across restarts** (no pid):
 a SIGKILLed server that left stale claims re-acquires them immediately
@@ -74,7 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
-from ..dse.engine import DsePool
 from ..errors import ConfigError, NSFlowError, ServeError
 from ..faults import RetryPolicy, faultpoint
 from ..model.cache import cumulative_snapshot
@@ -114,9 +114,9 @@ KEEPALIVE_IDLE_S = 30.0
 class ServeStats:
     """The server's lifetime counters (``GET /stats``).
 
-    ``pricings`` counts scenarios actually priced on the pool by
-    ``/compile`` requests; ``warm_hits`` requests answered from the
-    store without touching the pool; ``coalesced`` requests that
+    ``pricings`` counts scenarios actually priced on the pricer thread
+    by ``/compile`` requests; ``warm_hits`` requests answered from the
+    store without reaching the pricer; ``coalesced`` requests that
     awaited another request's in-flight future instead of pricing —
     the single-flight proof the bench and tests assert
     (``coalesced == N - 1`` for N concurrent identical requests);
@@ -254,8 +254,8 @@ _REASONS = {
 class DseServer:
     """The warm-process DSE service. See the module docstring.
 
-    One instance owns one :class:`DsePool` (the ``jobs`` worker budget
-    shared by every request, exactly like one CLI sweep), one
+    One instance owns one pricer thread (every request's compiles run
+    there, one at a time, exactly like one CLI sweep), one
     :class:`ArtifactStore`, and one asyncio loop. ``port=0`` binds an
     ephemeral port; :attr:`port` holds the real one once
     :meth:`serve`'s ``on_ready`` callback fires.
@@ -267,7 +267,6 @@ class DseServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
         max_retries: int = 2,
         worker_id: str | None = None,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
@@ -275,7 +274,6 @@ class DseServer:
         self.cache_dir = pathlib.Path(cache_dir)
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.retry = RetryPolicy(max_attempts=max_retries + 1)
         # Stable across restarts by design: a restarted server must
         # re-own (not wait out) stale claims its SIGKILLed predecessor
@@ -283,14 +281,13 @@ class DseServer:
         self.worker_id = worker_id or f"serve@{socket.gethostname()}"
         self.lease_timeout_s = lease_timeout_s
         self.store = ArtifactStore(self.cache_dir, retry=self.retry)
-        self.pool = DsePool(jobs)
         self.stats = ServeStats()
         self.started_at = time.time()
         self._inflight: dict[str, asyncio.Future] = {}
         self._jobs: dict[str, SweepJob] = {}
         self._job_tasks: dict[str, asyncio.Future] = {}
-        # All pool pricing — single compiles and whole sweeps — funnels
-        # through this one thread: one process, one pool, one pricer.
+        # All pricing — single compiles and whole sweeps — funnels
+        # through this one thread: one process, one pricer.
         self._pricer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-pricer"
         )
@@ -316,7 +313,7 @@ class DseServer:
         Idempotent. New work is rejected with 503, running sweeps stop
         at their next scenario boundary (``should_stop``), in-flight
         pricings finish and answer their waiters, then the listener
-        closes and the pool shuts down.
+        closes and the pricer and reader threads shut down.
         """
         loop = self._loop
         if loop is None or loop.is_closed():
@@ -336,7 +333,7 @@ class DseServer:
     async def serve(
         self, on_ready: Callable[["DseServer"], None] | None = None
     ) -> None:
-        """Bind, serve until drained, then shut the pool down."""
+        """Bind, serve until drained, then shut the executors down."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         server = await asyncio.start_server(self._handle, self.host, self.port)
@@ -378,7 +375,6 @@ class DseServer:
                     self._loop.remove_signal_handler(sig)
             self._pricer.shutdown(wait=True)
             self._readers.shutdown(wait=True)
-            self.pool.close()
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -530,8 +526,6 @@ class DseServer:
             draining=self._draining,
             inflight=len(self._inflight),
             jobs=len(self._jobs),
-            pool_jobs=self.jobs,
-            pool_maps=self.pool.maps,
             worker_id=self.worker_id,
             store=dataclasses.asdict(self.store.stats),
             model_cache={
@@ -595,12 +589,12 @@ class DseServer:
         )
 
     def _price(self, spec: ScenarioSpec, key: str):
-        """Price one scenario on the pool (pricer thread only).
+        """Price one scenario (pricer thread only).
 
         Re-checks the store first: a sweep job serialized ahead of us on
         this same thread may have stored the entry since the warm-path
-        miss — compiling again would waste the pool and (harmlessly but
-        noisily) double-price.
+        miss — compiling again would waste the pricer and (harmlessly
+        but noisily) double-price.
         """
         from .sweep import _compile_scenario
 
@@ -608,7 +602,7 @@ class DseServer:
         if cached is not None:
             return cached, 0, True
         faultpoint("sweep.compile")
-        design, artifacts = _compile_scenario(spec, self.pool)
+        design, artifacts = _compile_scenario(spec)
         self.store.store(key, design, spec.key_doc())
         return artifacts, design.dse.phase1.candidates_evaluated, False
 
@@ -668,7 +662,6 @@ class DseServer:
             result = run_sweep(
                 job.grid,
                 store=self.store,
-                pool=self.pool,
                 ledger=ledger,
                 resume=ledger.exists(),
                 worker=self.worker_id,

@@ -8,13 +8,13 @@ compilations:
 * :class:`ScenarioGrid` declares a cartesian product of workloads ×
   devices × mixed-precision presets × DSE knobs, with ``fnmatch``-style
   include/exclude filters over scenario ids;
-* :func:`run_sweep` compiles every scenario through one shared
-  :class:`~repro.dse.engine.DsePool` (a single ``jobs`` budget for the
-  whole sweep), isolates per-scenario failures (a bad scenario yields a
-  recorded error, never an aborted sweep), and — given an
+* :func:`run_sweep` compiles every scenario in the calling process,
+  isolates per-scenario failures (a bad scenario yields a recorded
+  error, never an aborted sweep), and — given an
   :class:`~repro.flow.artifacts.ArtifactStore` — reuses any scenario the
   store has already seen, so overlapping or repeated grids only compile
-  the delta.
+  the delta. Several processes split one grid through ``shard``/
+  ``worker`` and a shared ledger (the claim protocol below).
 
 Two scale features ride on that determinism:
 
@@ -30,13 +30,14 @@ Two scale features ride on that determinism:
 
 Determinism: scenarios are expanded and executed in declaration order
 (workload-major, then device, precision, loops, iter_max, max_pes), and
-each compilation is bit-identical for any ``jobs`` value (the engine
-guarantee), so a sweep's results are a pure function of its grid.
+each compilation is a pure function of its scenario, so a sweep's
+results are a pure function of its grid.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import math
 import os
 import re
 import signal
@@ -52,7 +53,6 @@ from ..dse.engine import (
     DEFAULT_CLOCK_MHZ,
     DEFAULT_RANGE_H,
     DEFAULT_RANGE_W,
-    DsePool,
 )
 from ..dse.timing import StageStat, stage_timings_since, timings_snapshot
 from ..errors import ConfigError, ScenarioTimeoutError
@@ -64,7 +64,7 @@ from ..faults import (
     retry_count,
 )
 from ..model.backend import EVALUATION_BACKENDS
-from ..model.cache import counters_snapshot, fresh_evaluations_since
+from ..model.cache import cumulative_snapshot, delta_since
 from ..quant import MIXED_PRECISION_PRESETS, MixedPrecisionConfig
 from ..utils import jsonable, stable_digest
 from ..workloads import available_workloads, build_workload, workload_config
@@ -304,8 +304,7 @@ def scenario_key_doc(spec: ScenarioSpec) -> dict:
     the result-affecting engine knobs. Clock and H/W ranges come from
     the engine-level defaults that ``NSFlow``/``DseEngine`` actually
     compile with, so a changed default invalidates the cache rather
-    than serving stale hits. ``jobs`` is deliberately absent: reports
-    are byte-identical for every value.
+    than serving stale hits.
     """
     return _key_doc(
         workload=spec.workload,
@@ -525,7 +524,7 @@ class SweepResult:
     #: Transient ledger/artifact I/O failures absorbed by retries.
     io_retries: int = 0
     #: ``point:action`` fire counts of any armed fault plan (this
-    #: process only; pool workers log to the shared fires.log instead).
+    #: process only; other processes log to the shared fires.log).
     fault_fires: dict[str, int] = field(default_factory=dict)
     #: The sweep was stopped early by its ``should_stop`` hook (server
     #: drain): scenarios after the stop point were never started and are
@@ -585,8 +584,8 @@ class SweepResult:
         return [o for o in self.ok_outcomes() if o.spec.workload == workload]
 
 
-def _compile_scenario(spec: ScenarioSpec, pool: DsePool) -> tuple:
-    """Run the full toolchain for one scenario on the shared pool."""
+def _compile_scenario(spec: ScenarioSpec) -> tuple:
+    """Run the full toolchain for one scenario."""
     from .nsflow import CompiledDesign  # noqa: F401  (documentation anchor)
 
     workload = build_workload(spec.workload, **dict(spec.overrides))
@@ -595,7 +594,6 @@ def _compile_scenario(spec: ScenarioSpec, pool: DsePool) -> tuple:
         precision=spec.precision_obj,
         iter_max=spec.iter_max,
         max_pes=spec.max_pes,
-        pool=pool,
         pareto_k=None,   # always keep the full frontier; render-time truncation
         backend=spec.backend,
         accuracy=spec.accuracy,
@@ -676,18 +674,16 @@ class _ClaimHeartbeat:
 class _ScenarioTimeout:
     """SIGALRM-based per-scenario wall-clock guard.
 
-    Interrupts whatever the scenario is doing — including a ``map``
-    blocked on a hung pool worker — by raising
+    Interrupts whatever the scenario is doing by raising
     :class:`~repro.errors.ScenarioTimeoutError` in the main thread.
-    Silently inert when no budget is set, on platforms without
-    ``SIGALRM``, or off the main thread (``signal`` handlers can only
-    be installed there); the lease protocol remains the cross-worker
-    backstop in those cases.
+    Inert when no budget is set (``None``). A budget needs ``SIGALRM``
+    and the main thread (``signal`` handlers can only be installed
+    there); :func:`_check_scenario_timeout` rejects a budget that cannot
+    be armed before any scenario runs.
     """
 
     def __init__(self, seconds: float | None):
         self.seconds = seconds
-        self._armed = False
         self._prev = None
 
     def _on_alarm(self, signum, frame):
@@ -696,28 +692,46 @@ class _ScenarioTimeout:
         )
 
     def __enter__(self) -> "_ScenarioTimeout":
-        if (
-            self.seconds
-            and self.seconds > 0
-            and hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()
-        ):
+        if self.seconds is not None:
             self._prev = signal.signal(signal.SIGALRM, self._on_alarm)
             signal.setitimer(signal.ITIMER_REAL, self.seconds)
-            self._armed = True
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._armed:
+        if self.seconds is not None:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, self._prev)
+
+
+def _check_scenario_timeout(seconds: float | None) -> None:
+    """Raise :class:`ConfigError` unless ``seconds`` can be armed here.
+
+    A deadline that silently never fires would let a hung scenario run
+    unbounded while its caller believes it is guarded, so an unusable
+    budget fails the sweep before anything is priced.
+    """
+    if seconds is None:
+        return
+    if not 0 < seconds < math.inf:
+        raise ConfigError(
+            f"scenario timeout must be a positive number of seconds, "
+            f"got {seconds!r}"
+        )
+    if not hasattr(signal, "SIGALRM"):
+        raise ConfigError(
+            "scenario timeout needs SIGALRM, which this platform lacks"
+        )
+    if threading.current_thread() is not threading.main_thread():
+        raise ConfigError(
+            "scenario timeout is a SIGALRM deadline and can only be armed "
+            f"on the main thread, not {threading.current_thread().name!r}"
+        )
 
 
 def run_sweep(
     grid: ScenarioGrid | Sequence[ScenarioSpec],
     *,
     store: ArtifactStore | None = None,
-    jobs: int = 1,
     progress: Callable[[ScenarioOutcome], None] | None = None,
     ledger: RunLedger | str | os.PathLike | None = None,
     resume: bool = False,
@@ -726,7 +740,6 @@ def run_sweep(
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
     scenario_timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
-    pool: DsePool | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> SweepResult:
     """Compile every scenario of ``grid``, reusing cached artifacts.
@@ -741,10 +754,6 @@ def run_sweep(
         first looked up by content key; hits skip trace extraction, DSE,
         and backend instantiation entirely, and fresh compilations are
         persisted for the next sweep.
-    jobs:
-        The sweep-wide worker budget. One :class:`DsePool` is shared by
-        every scenario's engine, so ``jobs=4`` means four processes
-        total — not four per scenario.
     progress:
         Optional callback invoked with each :class:`ScenarioOutcome` as
         it completes (the CLI uses this for live per-scenario lines).
@@ -779,12 +788,12 @@ def run_sweep(
         How stale a claim's heartbeat may grow before its owner is
         presumed dead and the scenario is re-issued.
     scenario_timeout_s:
-        Optional per-scenario wall-clock budget. A scenario that blows
-        it — including one blocked on a hung pool worker — is recorded
-        as a retryable ``error`` row (``timed_out=True``) and the pool's
-        workers are hard-reset so the hang cannot leak into the next
-        scenario. SIGALRM-based: only active on the main thread of
-        platforms that have it.
+        Optional per-scenario wall-clock budget in seconds. A scenario
+        that blows it is recorded as a retryable ``error`` row
+        (``timed_out=True``). SIGALRM-based: a budget that is not a
+        positive finite number, or a call off the main thread or on a
+        platform without ``SIGALRM``, raises
+        :class:`~repro.errors.ConfigError` before any scenario runs.
     retry:
         :class:`~repro.faults.RetryPolicy` for transient ledger I/O.
         ``None`` (default) uses :data:`~repro.faults.
@@ -793,13 +802,6 @@ def run_sweep(
         is given as a *path* (an already-constructed :class:`RunLedger`
         or :class:`ArtifactStore` keeps whatever policy it was built
         with).
-    pool:
-        An externally owned :class:`~repro.dse.engine.DsePool` to price
-        on. The sweep then neither creates nor closes a pool — the
-        caller keeps the worker fleet (and the model caches bounded by
-        the pool's lifetime) warm across many sweeps. ``jobs`` is
-        ignored when a pool is given; this is how the ``repro serve``
-        warm server amortizes fork + cache-warmup over requests.
     should_stop:
         Optional zero-arg predicate polled before each scenario. Once
         it returns true the sweep stops starting new scenarios: the
@@ -808,6 +810,11 @@ def run_sweep(
         result row), remaining scenarios are simply never started, and
         the result is marked ``stopped=True``. A later ``resume=True``
         run completes the grid. This is the graceful-drain hook.
+
+    Every scenario is compiled in the calling process. To parallelize a
+    grid, run several processes over one ledger with ``shard`` or
+    ``worker``: the claim protocol splits the work and prices each
+    scenario exactly once.
 
     Failure isolation: any exception from one scenario (trace extraction,
     DSE, backend, artifact I/O) is recorded on its outcome — message and
@@ -829,171 +836,160 @@ def run_sweep(
         shard_label = f"{index}/{count}"
     if worker is not None and ledger is None:
         raise ConfigError("worker (claim protocol) requires a run ledger")
+    _check_scenario_timeout(scenario_timeout_s)
     claims_active = ledger is not None and worker is not None
     completed = ledger.completed_keys() if resume else frozenset()
     specs = list(grid.expand() if isinstance(grid, ScenarioGrid) else grid)
     if shard_label is not None:
         specs = shard_filter(specs, (index, count))
     result = SweepResult(shard=shard_label, worker=worker)
-    snapshot = counters_snapshot()
+    snapshot = cumulative_snapshot()
     timing_snapshot = timings_snapshot()
     retries_before = retry_count()
     fires_before = fire_counts()
     t_start = time.perf_counter()
-    owned_pool = pool is None
-    if owned_pool:
-        pool = DsePool(jobs)
-    try:
-        for spec in specs:
-            if should_stop is not None and should_stop():
-                # Graceful stop: nothing new is started. Unstarted
-                # scenarios get no outcome and no ledger row — exactly
-                # the state a resume run knows how to finish.
-                result.stopped = True
-                break
-            t0 = time.perf_counter()
-            key = ""
-            recovered = False
-            try:
-                key = spec.cache_key()
-                resumed = key in completed
-                corrupt_before = store.corrupt if store is not None else 0
-                decision = None
-                while True:
-                    # Noted before the lookup, without file I/O: an ok
-                    # row past it means another worker finished the key
-                    # while we looked (ClaimDecision.finished).
-                    mark = ledger.position() if claims_active else 0
-                    cached = store.load(key) if store is not None else None
-                    if (cached is not None or not claims_active
-                            or result.heartbeat_lost):
-                        break
-                    decision = ledger.acquire(
-                        spec.scenario_id, key, worker,
-                        shard=shard_label,
-                        lease_timeout_s=lease_timeout_s,
-                        since=mark,
-                    )
-                    # Finished: look again — the finisher stored it. A
-                    # miss means the ok row is stale (artifact gone), and
-                    # the next acquire, past that row, arbitrates afresh.
-                    if not decision.finished:
-                        break
-                # A load that tripped the corruption audit quarantined
-                # the entry; the recompile below is *recovery*, not a
-                # fresh pricing (merge accounting must not double-count).
-                recovered = (
-                    store is not None and store.corrupt > corrupt_before
+    for spec in specs:
+        if should_stop is not None and should_stop():
+            # Graceful stop: nothing new is started. Unstarted
+            # scenarios get no outcome and no ledger row — exactly
+            # the state a resume run knows how to finish.
+            result.stopped = True
+            break
+        t0 = time.perf_counter()
+        key = ""
+        recovered = False
+        try:
+            key = spec.cache_key()
+            resumed = key in completed
+            corrupt_before = store.corrupt if store is not None else 0
+            decision = None
+            while True:
+                # Noted before the lookup, without file I/O: an ok
+                # row past it means another worker finished the key
+                # while we looked (ClaimDecision.finished).
+                mark = ledger.position() if claims_active else 0
+                cached = store.load(key) if store is not None else None
+                if (cached is not None or not claims_active
+                        or result.heartbeat_lost):
+                    break
+                decision = ledger.acquire(
+                    spec.scenario_id, key, worker,
+                    shard=shard_label,
+                    lease_timeout_s=lease_timeout_s,
+                    since=mark,
                 )
-                if cached is not None:
+                # Finished: look again — the finisher stored it. A
+                # miss means the ok row is stale (artifact gone), and
+                # the next acquire, past that row, arbitrates afresh.
+                if not decision.finished:
+                    break
+            # A load that tripped the corruption audit quarantined
+            # the entry; the recompile below is *recovery*, not a
+            # fresh pricing (merge accounting must not double-count).
+            recovered = (
+                store is not None and store.corrupt > corrupt_before
+            )
+            if cached is not None:
+                outcome = ScenarioOutcome(
+                    spec=spec, key=key, cached=True, artifacts=cached,
+                    error=None, evaluations=0,
+                    elapsed_s=time.perf_counter() - t0,
+                    resumed=resumed,
+                    artifact_digest=cached.entry_digest,
+                )
+            else:
+                # The ledger may claim this key is done (`resumed`
+                # above) while the store no longer holds it — the
+                # ledger is an index, the store is the truth. This
+                # scenario is being compiled, so restate its status:
+                # anything else would count it as resumed in the
+                # summary tally while the elapsed time and fresh
+                # evaluations say otherwise.
+                resumed = False
+                reissued = False
+                heartbeat = None
+                if claims_active and result.heartbeat_lost:
+                    # Our previous claim's heartbeat died: this
+                    # worker can no longer promise to keep leases
+                    # fresh, so it must not claim new work — a
+                    # healthy worker (or a retry) will pick it up.
                     outcome = ScenarioOutcome(
-                        spec=spec, key=key, cached=True, artifacts=cached,
-                        error=None, evaluations=0,
+                        spec=spec, key=key, cached=False,
+                        artifacts=None, error=None, evaluations=0,
                         elapsed_s=time.perf_counter() - t0,
-                        resumed=resumed,
-                        artifact_digest=cached.entry_digest,
+                        deferred=True,
                     )
-                else:
-                    # The ledger may claim this key is done (`resumed`
-                    # above) while the store no longer holds it — the
-                    # ledger is an index, the store is the truth. This
-                    # scenario is being compiled, so restate its status:
-                    # anything else would count it as resumed in the
-                    # summary tally while the elapsed time and fresh
-                    # evaluations say otherwise.
-                    resumed = False
-                    reissued = False
-                    heartbeat = None
-                    if claims_active and result.heartbeat_lost:
-                        # Our previous claim's heartbeat died: this
-                        # worker can no longer promise to keep leases
-                        # fresh, so it must not claim new work — a
-                        # healthy worker (or a retry) will pick it up.
+                    result.outcomes.append(outcome)
+                    if progress is not None:
+                        progress(outcome)
+                    continue
+                if claims_active:
+                    if not decision.owned:
+                        # Another live worker owns this scenario; it
+                        # will record the result. Nothing is priced
+                        # or appended here — a deferred row in the
+                        # ledger would read as a second outcome.
                         outcome = ScenarioOutcome(
                             spec=spec, key=key, cached=False,
                             artifacts=None, error=None, evaluations=0,
                             elapsed_s=time.perf_counter() - t0,
-                            deferred=True,
+                            deferred=True, holder=decision.holder,
                         )
                         result.outcomes.append(outcome)
                         if progress is not None:
                             progress(outcome)
                         continue
-                    if claims_active:
-                        if not decision.owned:
-                            # Another live worker owns this scenario; it
-                            # will record the result. Nothing is priced
-                            # or appended here — a deferred row in the
-                            # ledger would read as a second outcome.
-                            outcome = ScenarioOutcome(
-                                spec=spec, key=key, cached=False,
-                                artifacts=None, error=None, evaluations=0,
-                                elapsed_s=time.perf_counter() - t0,
-                                deferred=True, holder=decision.holder,
-                            )
-                            result.outcomes.append(outcome)
-                            if progress is not None:
-                                progress(outcome)
-                            continue
-                        reissued = decision.reissued
-                        heartbeat = _ClaimHeartbeat(
-                            ledger,
-                            ClaimRecord(
-                                scenario_id=spec.scenario_id, key=key,
-                                worker=worker, ts=0.0, shard=shard_label,
-                            ),
-                            lease_timeout_s,
-                        )
-                    try:
-                        with _ScenarioTimeout(scenario_timeout_s):
-                            faultpoint("sweep.compile")
-                            design, artifacts = _compile_scenario(spec, pool)
-                        digest = None
-                        if store is not None:
-                            digest = store.store(key, design, spec.key_doc())
-                    finally:
-                        if heartbeat is not None:
-                            heartbeat.stop()
-                            if heartbeat.lost:
-                                result.heartbeat_lost = True
-                    outcome = ScenarioOutcome(
-                        spec=spec, key=key, cached=False, artifacts=artifacts,
-                        error=None,
-                        evaluations=design.dse.phase1.candidates_evaluated,
-                        elapsed_s=time.perf_counter() - t0,
-                        resumed=resumed, reissued=reissued,
-                        artifact_digest=digest, recovered=recovered,
+                    reissued = decision.reissued
+                    heartbeat = _ClaimHeartbeat(
+                        ledger,
+                        ClaimRecord(
+                            scenario_id=spec.scenario_id, key=key,
+                            worker=worker, ts=0.0, shard=shard_label,
+                        ),
+                        lease_timeout_s,
                     )
-            except Exception as exc:   # noqa: BLE001 - isolation is the point
-                timed_out = isinstance(exc, ScenarioTimeoutError)
+                try:
+                    with _ScenarioTimeout(scenario_timeout_s):
+                        faultpoint("sweep.compile")
+                        design, artifacts = _compile_scenario(spec)
+                    digest = None
+                    if store is not None:
+                        digest = store.store(key, design, spec.key_doc())
+                finally:
+                    if heartbeat is not None:
+                        heartbeat.stop()
+                        if heartbeat.lost:
+                            result.heartbeat_lost = True
                 outcome = ScenarioOutcome(
-                    spec=spec, key=key, cached=False, artifacts=None,
-                    error=f"{type(exc).__name__}: {exc}", evaluations=0,
+                    spec=spec, key=key, cached=False, artifacts=artifacts,
+                    error=None,
+                    evaluations=design.dse.phase1.candidates_evaluated,
                     elapsed_s=time.perf_counter() - t0,
-                    traceback=traceback_module.format_exc(),
-                    timed_out=timed_out,
+                    resumed=resumed, reissued=reissued,
+                    artifact_digest=digest, recovered=recovered,
                 )
-                if timed_out:
-                    # The interrupted map may have left work running (or
-                    # a worker hung) on the pool; hard-reset the fleet so
-                    # the next scenario starts on healthy workers.
-                    pool.reset()
-            result.outcomes.append(outcome)
-            if ledger is not None:
-                ledger.append(LedgerRecord.from_outcome(
-                    outcome, worker=worker, shard=shard_label,
-                ))
-            if progress is not None:
-                progress(outcome)
-        # Account the counters before the pool closes: DsePool.close()
-        # clears the model caches (the long-sweep memory-growth bound),
-        # which would zero the miss deltas this audit is built on.
-        result.fresh_model_evaluations = fresh_evaluations_since(snapshot)
-    finally:
-        # An external pool outlives the sweep by design — its owner
-        # (e.g. the serve loop) keeps workers and caches warm.
-        if owned_pool:
-            pool.close()
+        except Exception as exc:   # noqa: BLE001 - isolation is the point
+            timed_out = isinstance(exc, ScenarioTimeoutError)
+            outcome = ScenarioOutcome(
+                spec=spec, key=key, cached=False, artifacts=None,
+                error=f"{type(exc).__name__}: {exc}", evaluations=0,
+                elapsed_s=time.perf_counter() - t0,
+                traceback=traceback_module.format_exc(),
+                timed_out=timed_out,
+            )
+        result.outcomes.append(outcome)
+        if ledger is not None:
+            ledger.append(LedgerRecord.from_outcome(
+                outcome, worker=worker, shard=shard_label,
+            ))
+        if progress is not None:
+            progress(outcome)
+    # Keyed-cache misses only: a probe the ``lru.*`` layers served is
+    # never counted against its keyed twin.
+    result.fresh_model_evaluations = sum(
+        stats.misses for name, stats in delta_since(snapshot).items()
+        if not name.startswith("lru.")
+    )
     result.elapsed_s = time.perf_counter() - t_start
     result.stage_timings = stage_timings_since(timing_snapshot)
     result.store_stats = store.stats if store is not None else None

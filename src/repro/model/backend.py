@@ -40,8 +40,8 @@ Contract (enforced by ``tests/model/test_backend.py``):
   (``overlap <= compute + fill_drain``);
 * for every backend, ``total == compute + fill_drain + dram - overlap``.
 
-The backend choice is **result-affecting** — unlike ``--jobs`` it
-changes which design wins — so it joins the artifact-cache key
+The backend choice is **result-affecting** — it changes which design
+wins — so it joins the artifact-cache key
 (:mod:`repro.flow.artifacts`) and is recorded in every
 :class:`~repro.dse.engine.DseReport`.
 """
@@ -301,7 +301,7 @@ class EvaluationBackend(abc.ABC):
         layers: tuple[GemmDims, ...],
         vsa_nodes: tuple[VsaDims, ...],
     ) -> list[GeometryScore]:
-        """Score a batch of ``(H, W, N)`` geometries (one pool work unit)."""
+        """Score a batch of ``(H, W, N)`` geometries (one Phase I screen)."""
         return [
             self.score_geometry(h, w, n, layers, vsa_nodes)
             for h, w, n in geometries
@@ -535,10 +535,10 @@ class ScheduleBackend(EvaluationBackend):
     designs pay the exposed transfer tail — which is what re-ranks
     geometries the analytic model sees as ties.
 
-    Parameters are plain value objects so instances pickle cleanly into
-    process-pool workers: bytes-per-element for the two workload halves
-    (from a :class:`~repro.quant.MixedPrecisionConfig`) and the DRAM
-    model. ``version`` tags the pricing semantics for artifacts.
+    Parameters are plain value objects, so instances pickle cleanly:
+    bytes-per-element for the two workload halves (from a
+    :class:`~repro.quant.MixedPrecisionConfig`) and the DRAM model.
+    ``version`` tags the pricing semantics for artifacts.
     """
 
     name: ClassVar[str] = "schedule"

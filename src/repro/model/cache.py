@@ -1,6 +1,6 @@
 """Keyed memoization for the DSE's analytical-model sub-evaluations.
 
-The parallel exploration engine (:mod:`repro.dse.engine`) evaluates the
+The exploration engine (:mod:`repro.dse.engine`) evaluates the
 same analytical sub-models — layer latency (Eq. 1), VSA node latency
 (Eqs. 3-4), the memory plan, the SIMD width — for thousands of candidate
 design points, and re-explores the same dataflow graph across benchmark
@@ -18,21 +18,18 @@ Two layers of memoization coexist:
   SIMD width) that ``lru_cache`` cannot key on mutable graph objects.
 
 ``clear_model_caches()`` resets everything, including the ``lru_cache``
-layers — benchmarks call it to time genuinely cold sweeps.
+layers — benchmarks call it to time genuinely cold sweeps. Nothing in
+the toolchain clears them: every cache is bounded by its own size (the
+``lru_cache`` layers in :mod:`repro.model.runtime`, ``max_entries``
+here).
 
-Two counter views coexist, for two different lifetimes:
-
-* the **resettable** view (:func:`counters_snapshot` /
-  :func:`fresh_evaluations_since`) zeroes with ``clear()`` — it is what
-  one sweep uses to audit its own fresh work, and clearing between
-  sweeps is part of its contract;
-* the **cumulative** view (:func:`cumulative_snapshot` /
-  :func:`delta_since`) is monotonic for the life of the process —
-  ``clear_model_caches()`` folds the cleared counters into a running
-  total instead of losing them. Long-lived processes (the ``repro
-  serve`` warm server) account per-request hits/misses by diffing two
-  cumulative snapshots, so they never need to clear caches between
-  requests just to keep the books straight.
+Work is audited with the **cumulative** counters
+(:func:`cumulative_snapshot` / :func:`delta_since`), which are monotonic
+for the life of the process — ``clear_model_caches()`` folds the cleared
+counters into a running total instead of losing them. A sweep diffs two
+snapshots to count its fresh model evaluations, and the ``repro serve``
+warm server exposes the same totals, so neither ever has to clear caches
+to keep the books straight.
 """
 
 from __future__ import annotations
@@ -60,8 +57,6 @@ __all__ = [
     "cached_plan_memory",
     "cached_simd_width",
     "cache_stats",
-    "counters_snapshot",
-    "fresh_evaluations_since",
     "cumulative_snapshot",
     "delta_since",
     "clear_model_caches",
@@ -126,11 +121,11 @@ class EvalCache:
         return value
 
     def clear(self) -> None:
-        """Drop entries and reset the *resettable* counters.
+        """Drop entries and zero ``hits``/``misses``.
 
         The cleared counters are folded into the cumulative totals first
-        — clearing bounds memory and restarts per-sweep accounting, but
-        never erases the process-lifetime history.
+        — clearing drops memory, but never erases the process-lifetime
+        history.
         """
         self._cleared_hits += self.hits
         self._cleared_misses += self.misses
@@ -263,8 +258,8 @@ def _lru_model_stats() -> dict[str, CacheStats]:
     """The ``runtime.py`` ``lru_cache`` layers as :class:`CacheStats`.
 
     These caches are process-lifetime and invisible to the keyed
-    registry; surfacing their sizes here is what lets a long sweep see
-    (and bound, via :func:`clear_model_caches`) their memory growth.
+    registry; surfacing their sizes here is what lets a caller see their
+    memory growth.
     """
     stats = {}
     for fn in (layer_runtime, vsa_node_runtime):
@@ -285,22 +280,6 @@ def cache_stats() -> dict[str, CacheStats]:
     return stats
 
 
-def counters_snapshot() -> dict[str, tuple[int, int, int]]:
-    """Point-in-time ``(hits, misses, entries)`` per cache.
-
-    The persistence layer (``repro.flow.sweep``) takes one snapshot
-    before and one after a sweep; the miss delta is the number of fresh
-    model evaluations the sweep actually performed — the number a fully
-    warm artifact cache must drive to zero. ``entries`` surfaces each
-    cache's resident size, including the ``lru.*`` layers whose
-    process-lifetime growth :func:`clear_model_caches` bounds.
-    """
-    return {
-        name: (s.hits, s.misses, s.entries)
-        for name, s in cache_stats().items()
-    }
-
-
 #: Counters the ``lru_cache`` layers held at each ``cache_clear()``;
 #: ``cache_info()`` resets with the cache, so the cumulative view must
 #: carry the pre-clear totals itself.
@@ -308,15 +287,15 @@ _LRU_CLEARED: dict[str, tuple[int, int]] = {}
 
 
 def cumulative_snapshot() -> dict[str, tuple[int, int]]:
-    """Monotonic ``(hits, misses)`` per cache — the long-lived-process view.
+    """Monotonic ``(hits, misses)`` per cache, for the life of the process.
 
-    Unlike :func:`counters_snapshot`, these totals only grow:
+    Unlike :func:`cache_stats`, these totals only grow:
     :func:`clear_model_caches` (and per-cache ``clear()``) folds the
     dropped counters into a running carry instead of zeroing them. A
-    warm server takes one snapshot per request and diffs with
-    :func:`delta_since` — no cache clearing required between requests,
-    and a clear that *does* happen (pool close, memory bound) cannot
-    make a delta go negative or silently vanish.
+    sweep takes one snapshot before it starts and diffs with
+    :func:`delta_since` at the end; a clear that happens in between (a
+    benchmark timing a cold run) cannot make a delta go negative or
+    silently vanish.
     """
     snap = {
         name: (cache.cumulative_hits, cache.cumulative_misses)
@@ -352,25 +331,13 @@ def delta_since(snapshot: dict[str, tuple[int, int]]) -> dict[str, CacheStats]:
     return deltas
 
 
-def fresh_evaluations_since(snapshot: dict[str, tuple]) -> int:
-    """Total new keyed-cache *misses* since ``snapshot`` (each miss
-    computed a model result from scratch). Caches cleared or created
-    after the snapshot count from zero; the ``lru.*`` layers are
-    excluded so a probe served by ``lru_cache`` is never double-counted
-    against its keyed twin."""
-    total = 0
-    for name, cache in _REGISTRY.items():
-        misses_then = snapshot.get(name, (0, 0, 0))[1]
-        total += max(0, cache.misses - misses_then)
-    return total
-
-
 def clear_model_caches() -> None:
     """Reset every keyed cache *and* the runtime ``lru_cache`` layers.
 
-    Resettable counters zero; the cumulative view keeps counting — the
-    dropped ``lru_cache`` counters are folded into :data:`_LRU_CLEARED`
-    (the keyed caches carry their own fold in :meth:`EvalCache.clear`).
+    :func:`cache_stats` counters zero; the cumulative view keeps
+    counting — the dropped ``lru_cache`` counters are folded into
+    :data:`_LRU_CLEARED` (the keyed caches carry their own fold in
+    :meth:`EvalCache.clear`).
     """
     for cache in _REGISTRY.values():
         cache.clear()

@@ -7,9 +7,9 @@ DAGs over the existing trace vocabulary — ``ARRAY_NN`` GEMM layers,
 ``ARRAY_VSA`` blockwise bindings, ``SIMD`` similarity/reduction kernels,
 ``HOST`` glue — and a ``seed`` picks one member. Generation is a pure
 function of the config: the same config (seed included) produces a
-byte-identical trace in every process, on every platform, for every
-``--jobs`` value, so the sweep's content-addressed artifact cache and
-scenario fingerprints work unchanged.
+byte-identical trace in every process and on every platform, so the
+sweep's content-addressed artifact cache and scenario fingerprints work
+unchanged.
 
 Knobs (mirroring :mod:`repro.workloads.scaling` where they overlap):
 

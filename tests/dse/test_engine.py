@@ -1,14 +1,13 @@
-"""Unit tests for the batched/parallel/cached Pareto DSE engine."""
+"""Unit tests for the batched, cached Pareto DSE engine."""
 
 import pickle
 
 import pytest
 
 from phase1_oracle import OracleEngine, run_phase1
-from repro.dse import DseEngine, DsePool, ExecutionMode, pareto_filter
+from repro.dse import DseEngine, ExecutionMode, pareto_filter
 from repro.dse.engine import ParetoPoint, area_pe_equiv
 from repro.errors import DSEError
-from repro.faults import injected_faults
 from repro.model.cache import (
     LAYER_RUNTIME_CACHE,
     MEMORY_PLAN_CACHE,
@@ -151,74 +150,13 @@ class TestParetoFrontier:
 
 
 class TestParallelEquality:
-    def test_jobs_do_not_change_results(self, tiny_graph):
-        serial = _tiny_engine(jobs=1).explore(tiny_graph)
-        pooled = _tiny_engine(jobs=2).explore(tiny_graph)
-        assert pooled.config == serial.config
-        assert pooled.phase1 == serial.phase1
-        assert pooled.phase2 == serial.phase2
-        assert pooled.pareto == serial.pareto
-
-    def test_chunk_size_does_not_change_results(self, small_nvsa_graph):
-        """Work units are ``4 · jobs`` round-robin chunks, so two and three
-        workers cut the candidates into different chunk sizes."""
-        serial = DseEngine(max_pes=1024).explore(small_nvsa_graph)
-        for jobs in (2, 3):
-            pooled = DseEngine(max_pes=1024, jobs=jobs).explore(small_nvsa_graph)
-            assert pickle.dumps(pooled) == pickle.dumps(serial)
-
-    def test_private_pool_survives_killed_worker(self, small_nvsa_graph,
-                                                 tmp_path):
-        """Without ``pool=``, ``jobs > 1`` still runs a supervised pool: a
-        SIGKILLed worker costs a rebuild, not the compile."""
-        serial = DseEngine(max_pes=256).explore(small_nvsa_graph)
-        with injected_faults("dse.worker:kill@1!once",
-                             state_dir=tmp_path / "state"):
-            pooled = DseEngine(max_pes=256, jobs=2).explore(small_nvsa_graph)
-        fires = (tmp_path / "state" / "fires.log").read_text().splitlines()
-        assert len(fires) == 1 and fires[0].startswith("dse.worker:kill:")
-        assert pickle.dumps(pooled) == pickle.dumps(serial)
-
     def test_invalid_parallel_params(self):
-        with pytest.raises(DSEError):
-            DseEngine(jobs=0)
         with pytest.raises(DSEError):
             DseEngine(pareto_k=-1)
 
     def test_pareto_k_zero_means_full_frontier(self, tiny_graph):
         full = _tiny_engine(pareto_k=0).explore(tiny_graph).pareto
         assert len(full) == full.non_dominated
-
-
-class TestDsePool:
-    def test_serial_pool_runs_in_process(self):
-        with DsePool(jobs=1) as pool:
-            assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_shared_pool_matches_private_executor(self, tiny_graph):
-        serial = _tiny_engine(jobs=1).explore(tiny_graph)
-        with DsePool(jobs=2) as pool:
-            first = _tiny_engine(pool=pool).explore(tiny_graph)
-            second = _tiny_engine(pool=pool).explore(tiny_graph)
-        assert first.config == serial.config
-        assert first.pareto == serial.pareto
-        assert second.config == serial.config
-
-    def test_pool_jobs_budget_overrides_engine_jobs(self):
-        with DsePool(jobs=3) as pool:
-            engine = _tiny_engine(jobs=1, pool=pool)
-            assert engine.jobs == 3
-
-    def test_closed_pool_raises(self):
-        pool = DsePool(jobs=1)
-        pool.close()
-        assert pool.closed
-        with pytest.raises(DSEError):
-            pool.map(lambda x: x, [1])
-
-    def test_invalid_jobs(self):
-        with pytest.raises(DSEError):
-            DsePool(jobs=0)
 
 
 class TestCaching:
@@ -315,18 +253,6 @@ class TestEvaluationBackends:
         assert sched.phase1.t_parallel >= ana.phase1.t_parallel
         assert sched.phase1.t_sequential >= ana.phase1.t_sequential
         assert sched.config.estimated_cycles >= ana.config.estimated_cycles
-
-    def test_schedule_backend_jobs_equivalence(self, small_nvsa_graph):
-        """Backends ship to pool workers; results stay merge-identical."""
-        serial = DseEngine(
-            max_pes=1024, backend="schedule"
-        ).explore(small_nvsa_graph)
-        parallel = DseEngine(
-            max_pes=1024, backend="schedule", jobs=2
-        ).explore(small_nvsa_graph)
-        assert serial.phase1 == parallel.phase1
-        assert serial.config == parallel.config
-        assert serial.pareto == parallel.pareto
 
     def test_unknown_backend_name_rejected(self):
         with pytest.raises(DSEError):

@@ -1,20 +1,19 @@
-"""Fault-tolerance tests: supervised pools, retries, timeouts, recovery.
+"""Fault-tolerance tests: retries, timeouts, recovery.
 
-Every test here runs real failure modes — SIGKILLed pool workers,
-injected fsync/short-write faults, corrupted artifact entries, lost
-heartbeats, wall-clock timeouts — through the production code paths and
+Every test here runs real failure modes — injected fsync/short-write
+faults, corrupted artifact entries, lost heartbeats, wall-clock
+timeouts — through the production code paths and
 asserts the sweep's exactly-once accounting survives them. The
 multi-process end-to-end version of this suite is
 ``tools/chaos_smoke.py`` (CI's ``chaos-smoke`` job).
 """
 
-import os
 import signal
+import threading
 
 import pytest
 
-from repro.dse.engine import DsePool, ProcessExecutor
-from repro.errors import LedgerWriteError, PoisonScenarioError
+from repro.errors import ConfigError, LedgerWriteError
 from repro.faults import RetryPolicy, injected_faults, retry_count
 from repro.flow import (
     ArtifactStore,
@@ -43,62 +42,6 @@ def _record(scenario_id="s@u250/MP", key="k" * 32) -> LedgerRecord:
         scenario_id=scenario_id, key=key, status="ok", cached=False,
         resumed=False, latency_ms=1.0, evaluations=10, elapsed_s=0.1,
     )
-
-
-def _double_or_kill(item):
-    """Pool-worker payload: doubles ``value``; SIGKILLs its own worker
-    when the flag protocol says so (module-level so it pickles)."""
-    value, flag = item
-    if flag == "ALWAYS":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if flag is not None:
-        try:
-            # O_EXCL: exactly one worker claims the flag and dies.
-            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            os.kill(os.getpid(), signal.SIGKILL)
-        except FileExistsError:
-            pass
-    return value * 2
-
-
-class TestProcessExecutorSupervision:
-    def test_worker_kill_mid_batch_is_survived(self, tmp_path):
-        """One SIGKILLed worker must cost a rebuild, not the results."""
-        flag = str(tmp_path / "killed-once")
-        executor = ProcessExecutor(jobs=2)
-        try:
-            items = [(i, flag if i == 3 else None) for i in range(8)]
-            results = executor.map(_double_or_kill, items, chunksize=1)
-        finally:
-            executor.close()
-        assert results == [i * 2 for i in range(8)]
-        assert executor.rebuilds >= 1
-
-    def test_poison_item_is_quarantined_not_retried_forever(self):
-        executor = ProcessExecutor(jobs=2)
-        try:
-            with pytest.raises(PoisonScenarioError):
-                executor.map(_double_or_kill, [(1, "ALWAYS")], chunksize=1)
-        finally:
-            executor.close()
-        assert executor.rebuilds == ProcessExecutor.MAX_ITEM_ATTEMPTS
-
-    def test_terminate_leaves_executor_usable(self):
-        executor = ProcessExecutor(jobs=2)
-        try:
-            assert executor.map(_double_or_kill, [(1, None)], chunksize=1) \
-                == [2]
-            executor.terminate()
-            assert executor.map(_double_or_kill, [(2, None)], chunksize=1) \
-                == [4]
-        finally:
-            executor.close()
-
-    def test_pool_reset_hard_stops_workers(self):
-        with DsePool(jobs=2) as pool:
-            assert pool.map(_double_or_kill, [(5, None)]) == [10]
-            pool.reset()
-            assert pool.map(_double_or_kill, [(6, None)]) == [12]
 
 
 class TestLedgerWriteFaults:
@@ -185,6 +128,42 @@ class TestSweepFaultTolerance:
         assert resumed.n_errors == 0 and resumed.n_compiled == 1
         assert ledger.completed_keys() == {outcome.key}
 
+    def test_timeout_off_the_main_thread_fails_before_pricing(self, tmp_path):
+        """SIGALRM handlers install only on the main thread: a deadline
+        asked for on another thread raises instead of pricing unguarded."""
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        raised: list[Exception] = []
+
+        def sweep() -> None:
+            try:
+                run_sweep(synth_grid("0"), ledger=ledger,
+                          scenario_timeout_s=5.0)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
+
+        thread = threading.Thread(target=sweep, name="pricer")
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        (exc,) = raised
+        assert isinstance(exc, ConfigError) and "main thread" in str(exc)
+        assert not ledger.path.exists()
+
+    @pytest.mark.parametrize("seconds", [0, -5.0, float("nan"), float("inf")])
+    def test_unusable_timeout_budget_is_rejected(self, tmp_path, seconds):
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        with pytest.raises(ConfigError, match="positive"):
+            run_sweep(synth_grid("0"), ledger=ledger,
+                      scenario_timeout_s=seconds)
+        assert not ledger.path.exists()
+
+    def test_timeout_without_sigalrm_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(signal, "SIGALRM")
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        with pytest.raises(ConfigError, match="SIGALRM"):
+            run_sweep(synth_grid("0"), ledger=ledger, scenario_timeout_s=5.0)
+        assert not ledger.path.exists()
+
     def test_heartbeat_failure_stops_claiming_new_work(self, tmp_path):
         """A worker whose lease heartbeat dies must defer its remaining
         claim-protocol scenarios, not keep claiming work it cannot
@@ -228,19 +207,3 @@ class TestSweepFaultTolerance:
         # Deterministic recompile: the recovered entry is byte-identical,
         # so distributed merges cannot see a digest conflict.
         assert store.entry_digest(priced.key) == digest_before
-
-    def test_sweep_survives_killed_pool_worker(self, tmp_path):
-        """A SIGKILLed DSE pool worker costs a rebuild, not the sweep."""
-        grid = synth_grid("0-1")
-        with injected_faults("dse.worker:kill@1!once",
-                             state_dir=tmp_path / "state"):
-            result = run_sweep(grid, jobs=2,
-                               store=ArtifactStore(tmp_path / "cache"))
-        assert result.n_errors == 0 and result.n_compiled == 2
-        fires = (tmp_path / "state" / "fires.log").read_text().splitlines()
-        assert len(fires) == 1 and fires[0].startswith("dse.worker:kill:")
-        # The kill fired in a pool worker, not this process — the fact
-        # only the shared fires.log can prove it happened is the point.
-        serial = run_sweep(grid, store=ArtifactStore(tmp_path / "serial"))
-        assert [o.artifact_digest for o in result.outcomes] \
-            == [o.artifact_digest for o in serial.outcomes]

@@ -26,7 +26,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.devices == "u250"
         assert args.precisions == "MP"
-        assert args.jobs == 1
         assert not args.no_cache
         assert str(args.cache_dir) == ".nsflow-cache"
 
@@ -37,6 +36,27 @@ class TestParser:
         ])
         assert args.include == ["nvsa@*", "mimonet@*"]
         assert args.exclude == ["*@zcu104/*"]
+
+    def test_serve_accepts_the_benchmark_argv(self, tmp_path):
+        """``perfbench/serve.py`` starts the server with exactly this argv."""
+        args = build_parser().parse_args([
+            "serve", "--port", "0", "--cache-dir", str(tmp_path), "--jobs", "1",
+        ])
+        assert args.port == 0 and args.cache_dir == tmp_path
+
+    def test_serve_rejects_jobs_other_than_one(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--jobs", "2"])
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "mimonet", "--jobs", "2"],
+        ["sweep", "--jobs", "2"],
+    ])
+    def test_compile_and_sweep_have_no_jobs_flag(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -105,3 +125,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["compile", "mimonet", "--backend", "rtl"])
         assert "--backend" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_deadline_it_cannot_arm(self, tmp_path, capsys):
+        """A zero budget can never fire, so the sweep refuses to start."""
+        ledger = tmp_path / "run.jsonl"
+        assert main([
+            "sweep", "--workloads", "prae", "--no-cache",
+            "--ledger", str(ledger), "--scenario-timeout", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scenario timeout")
+        assert "prae@" not in captured.out
+        assert not ledger.exists()

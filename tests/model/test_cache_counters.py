@@ -1,12 +1,11 @@
-"""Both counter views of the model caches: resettable and cumulative.
+"""Counter views of the model caches: current and cumulative.
 
-The resettable view (``counters_snapshot``/``fresh_evaluations_since``)
-zeroes with ``clear()`` — one sweep's audit of its own fresh work. The
-cumulative view (``cumulative_snapshot``/``delta_since``) must stay
-monotonic across ``clear_model_caches()`` so a long-lived server can
-account per-request hits/misses without clearing caches between
-requests — and without a clear that *does* happen (pool close) making
-a delta go negative or vanish.
+``cache_stats()`` reports each cache's current counters and size, which
+zero with ``clear()``. The cumulative view (``cumulative_snapshot``/
+``delta_since``) must stay monotonic across ``clear_model_caches()`` so a
+sweep or a long-lived server can account its hits/misses without clearing
+caches — and without a clear that *does* happen (a benchmark timing a
+cold run) making a delta go negative or vanish.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.model.cache import (
+    CacheStats,
     EvalCache,
+    cache_stats,
     cached_layer_runtime,
     clear_model_caches,
-    counters_snapshot,
     cumulative_snapshot,
     delta_since,
-    fresh_evaluations_since,
 )
 from repro.model.runtime import layer_runtime
 from repro.nn.gemm import GemmDims
@@ -37,9 +36,13 @@ def test_resettable_counters_zero_on_clear():
     cache = EvalCache("test_resettable")
     cache.get_or_compute("k", lambda: 1)
     cache.get_or_compute("k", lambda: 1)
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert cache_stats()["test_resettable"] == CacheStats(
+        name="test_resettable", hits=1, misses=1, entries=1,
+    )
     cache.clear()
-    assert (cache.hits, cache.misses) == (0, 0)
+    assert cache_stats()["test_resettable"] == CacheStats(
+        name="test_resettable", hits=0, misses=0, entries=0,
+    )
     assert len(cache) == 0
 
 
@@ -51,15 +54,6 @@ def test_cumulative_counters_survive_clear():
     cache.get_or_compute("k", lambda: 1)   # recomputed: a fresh miss
     assert (cache.hits, cache.misses) == (0, 1)
     assert (cache.cumulative_hits, cache.cumulative_misses) == (1, 2)
-
-
-def test_fresh_evaluations_since_is_the_resettable_view():
-    snapshot = counters_snapshot()
-    dims = GemmDims(8, 8, 8)
-    cached_layer_runtime(4, 4, 1, dims)        # miss
-    cached_layer_runtime(4, 4, 1, dims)        # hit
-    cached_layer_runtime(8, 8, 1, dims)        # miss
-    assert fresh_evaluations_since(snapshot) == 2
 
 
 def test_delta_since_counts_keyed_hits_and_misses():

@@ -2,9 +2,8 @@
 
 The generator's contract is the artifact cache's foundation: the same
 config (seed included) must produce an identical ``fingerprint()`` and a
-byte-identical trace in *every* process — across interpreter restarts
-and across ``--jobs`` values — while different seeds must produce
-distinct family members.
+byte-identical trace in *every* process — across interpreter restarts —
+while different seeds must produce distinct family members.
 """
 
 import hashlib
@@ -16,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.flow.nsflow import NSFlow
 from repro.graph.build import build_dataflow_graph
 from repro.trace.opnode import ExecutionUnit
 from repro.trace.serialize import trace_to_json
@@ -77,17 +75,6 @@ class TestSeedDeterminism:
         assert outs[0] == outs[1]
         assert outs[0]["fp"] == here.fingerprint()
         assert outs[0]["sha"] == trace_sha(here)
-
-    def test_compile_identical_across_jobs(self):
-        """The full toolchain result is jobs-invariant for synth traces."""
-        wl = SynthWorkload(SynthConfig(seed=3, **SMALL))
-        serial = NSFlow(max_pes=256).compile(wl)
-        pooled = NSFlow(max_pes=256, jobs=2).compile(wl)
-        assert serial.config == pooled.config
-        assert serial.dse.phase1 == pooled.dse.phase1
-        assert serial.dse.phase2 == pooled.dse.phase2
-        assert serial.dse.pareto == pooled.dse.pareto
-        assert serial.latency_ms == pooled.latency_ms
 
 
 class TestGeneratedStructure:

@@ -7,10 +7,9 @@ framework in the loop (CI's ``chaos-smoke`` job):
 1. serial golden — one fault-free in-process sweep over a synth seed
    grid;
 2. four concurrent worker *processes* sharing ONE ledger + artifact
-   store via the claim protocol, each armed with a different seeded
-   fault schedule (``REPRO_FAULTS``): a SIGKILLed DSE pool worker
-   (supervised rebuild), an injected fsync failure (absorbed by the
-   retry policy), and an injected compile stall that blows the
+   store via the claim protocol, armed with seeded fault schedules
+   (``REPRO_FAULTS``): an injected fsync failure (absorbed by the retry
+   policy) and an injected compile stall that blows the
    ``--scenario-timeout`` budget (recorded as a retryable error row);
 3. a cleanup ``--resume`` pass with a corrupt-read fault armed: one
    cached artifact entry fails the read-time audit, is quarantined to
@@ -56,12 +55,11 @@ SYNTH_OVR = (("n_ops", 8), ("vector_dim", 64), ("blocks", 2),
              ("gemm_scale", 16))
 
 #: Per-worker fault schedules. Every kind the chaos contract demands:
-#: a pool-worker SIGKILL, an fsync failure, a compile stall that blows
-#: the scenario timeout (the ``!once`` rules are global one-shots via
-#: the shared state dir, so supervision rebuilds cannot re-trigger
-#: them), and — in the cleanup pass — a corrupted artifact read.
+#: an fsync failure, a compile stall that blows the scenario timeout
+#: (a ``!once`` rule is a global one-shot via the shared state dir),
+#: and — in the cleanup pass — a corrupted artifact read. A SIGKILLed
+#: sweep process is CI's ``distributed-smoke`` job.
 WAVE_FAULTS = {
-    1: "dse.worker:kill@1!once",
     2: "ledger.append.fsync:raise@2",
     3: "sweep.compile:delay=2.5@3!once",
     4: "",
@@ -70,7 +68,6 @@ CLEANUP_FAULTS = "artifacts.load.read:corrupt@2"
 
 #: Fault kinds that must appear in the shared fires.log audit trail.
 REQUIRED_FIRES = (
-    "dse.worker:kill",
     "ledger.append.fsync:raise",
     "sweep.compile:delay",
     "artifacts.load.read:corrupt",
@@ -93,7 +90,6 @@ def _worker_main(args: argparse.Namespace) -> int:
         synth_grid(args.seeds),
         store=ArtifactStore(args.cache / "store"),
         ledger=args.cache / "ledger.jsonl",
-        jobs=args.jobs,
         worker=args.worker_id or None,
         lease_timeout_s=args.lease,
         scenario_timeout_s=args.scenario_timeout or None,
@@ -118,7 +114,7 @@ def _worker_main(args: argparse.Namespace) -> int:
 
 
 def _spawn(workdir: pathlib.Path, args: argparse.Namespace, *,
-           worker_id: str = "", faults: str = "", jobs: int = 1,
+           worker_id: str = "", faults: str = "",
            scenario_timeout: float = 0.0,
            resume: bool = False) -> subprocess.Popen:
     env = dict(os.environ)
@@ -129,7 +125,7 @@ def _spawn(workdir: pathlib.Path, args: argparse.Namespace, *,
     cmd = [
         sys.executable, os.path.abspath(__file__), "--role", "worker",
         "--cache", str(workdir / "shared"), "--seeds", args.seeds,
-        "--worker-id", worker_id, "--jobs", str(jobs),
+        "--worker-id", worker_id,
         "--scenario-timeout", str(scenario_timeout),
     ]
     if resume:
@@ -184,7 +180,6 @@ def _driver_main(args: argparse.Namespace) -> int:
         _spawn(
             workdir, args, worker_id=f"chaos-w{i}",
             faults=WAVE_FAULTS.get(i, ""),
-            jobs=(2 if "dse.worker" in WAVE_FAULTS.get(i, "") else 1),
             scenario_timeout=(
                 0.8 if "sweep.compile" in WAVE_FAULTS.get(i, "") else 0.0
             ),
@@ -269,8 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     # worker-role plumbing
     parser.add_argument("--cache", type=pathlib.Path, help=argparse.SUPPRESS)
     parser.add_argument("--worker-id", dest="worker_id", default="",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--jobs", type=int, default=1,
                         help=argparse.SUPPRESS)
     parser.add_argument("--scenario-timeout", dest="scenario_timeout",
                         type=float, default=0.0, help=argparse.SUPPRESS)
