@@ -21,8 +21,14 @@ A sixth leg splits a warm hit: one fresh client makes 200 sequential
 hits over synth keys stored before the server started, and the same
 keys go through the in-process ``scenario_key`` and
 ``ArtifactStore.load``. It records the three medians under
-``warm_server.hit_split``; the contract is that the 200 hits open
-exactly **one** connection (keep-alive).
+``warm_server.hit_split``, with the client's own share of a hit:
+``client_cpu_us``, the median ``time.thread_time()`` of the calling
+thread per hit (the server runs on other threads, so this is client
+CPU only), and ``writes_per_request``, the socket writes the calling
+thread made per hit, counted by wrapping ``socket.socket.sendall`` and
+``send`` around the hits. The contracts are that the 200 hits open
+exactly **one** connection (keep-alive) and make exactly **one** write
+each.
 
 Results land in ``BENCH_serve.json`` (repo root). The headline number
 is ``speedup_warm_hit_vs_cold_cli_hit`` — the ISSUE's acceptance bar is
@@ -35,24 +41,28 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serve.py --check-only
 
 ``--check-only`` (CI's perf-smoke job) runs one small scenario through
-both paths and asserts the three deterministic contracts — coalescing
+both paths and asserts the four deterministic contracts — coalescing
 (1 pricing, N−1 coalesced), the >= 10x warm-hit bar, which has two
-orders of magnitude of headroom, and one connection for the split's
-200 hits — without writing the JSON. The split's medians are printed,
-never gated.
+orders of magnitude of headroom, and one connection and one write per
+request for the split's 200 hits — without writing the JSON. The
+split's medians are printed, never gated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import platform
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from statistics import median
 
@@ -96,22 +106,46 @@ def _split_specs() -> list[ScenarioSpec]:
             for i in range(SPLIT_KEYS)]
 
 
+@contextlib.contextmanager
+def _counted_writes() -> Iterator[list[int]]:
+    """Count the socket writes this thread makes inside the block."""
+    count = [0]
+    caller = threading.get_ident()
+    originals = {name: getattr(socket.socket, name) for name in ("sendall", "send")}
+
+    def counting(original):
+        def write(sock, *args):
+            if threading.get_ident() == caller:
+                count[0] += 1
+            return original(sock, *args)
+        return write
+
+    for name, original in originals.items():
+        setattr(socket.socket, name, counting(original))
+    try:
+        yield count
+    finally:
+        for name, original in originals.items():
+            setattr(socket.socket, name, original)
+
+
 def bench_hit_split(url: str, cache: pathlib.Path) -> dict:
     """Sequential warm hits from one fresh client, and their in-process
     key and store-load medians on the same keys."""
     specs = _split_specs()
-    observer = ServeClient(url)
-    before = observer.stats()["connections"]
-    client = ServeClient(url)
-    round_trips = []
-    for i in range(SPLIT_HITS):
-        spec = specs[i % SPLIT_KEYS]
-        doc = {"workload": spec.workload, "overrides": dict(spec.overrides)}
-        t0 = time.perf_counter()
-        reply = client.compile_scenario(doc)
-        round_trips.append(time.perf_counter() - t0)
-        assert reply["cached"], reply
-    connections = observer.stats()["connections"] - before
+    with ServeClient(url) as observer, ServeClient(url) as client:
+        before = observer.stats()["connections"]
+        round_trips, client_cpu = [], []
+        with _counted_writes() as writes:
+            for i in range(SPLIT_HITS):
+                spec = specs[i % SPLIT_KEYS]
+                doc = {"workload": spec.workload, "overrides": dict(spec.overrides)}
+                c0, t0 = time.thread_time(), time.perf_counter()
+                reply = client.compile_scenario(doc)
+                round_trips.append(time.perf_counter() - t0)
+                client_cpu.append(time.thread_time() - c0)
+                assert reply["cached"], reply
+        connections = observer.stats()["connections"] - before
     store = ArtifactStore(cache)
     keys, loads = [], []
     for i in range(SPLIT_HITS):
@@ -126,7 +160,9 @@ def bench_hit_split(url: str, cache: pathlib.Path) -> dict:
         "hits": SPLIT_HITS,
         "keys": SPLIT_KEYS,
         "connections": connections,
+        "writes_per_request": writes[0] / SPLIT_HITS,
         "round_trip_ms": median(round_trips) * 1e3,
+        "client_cpu_us": median(client_cpu) * 1e6,
         "scenario_key_ms": median(keys) * 1e3,
         "store_load_ms": median(loads) * 1e3,
     }
@@ -213,6 +249,11 @@ def run_bench(workload: str) -> tuple[dict, list[str]]:
             f"keep-alive contract: {split['hits']} sequential hits from one "
             f"client opened {split['connections']} connections; expected 1"
         )
+    if split["writes_per_request"] != 1:
+        failures.append(
+            f"one-write contract: {split['hits']} sequential hits made "
+            f"{split['writes_per_request']:g} socket writes per request; expected 1"
+        )
     if speedup_hit < 10.0:
         failures.append(
             f"warm cache-hit speedup {speedup_hit:.1f}x below the 10x bar "
@@ -231,8 +272,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="result JSON path "
                              "(default: repo-root BENCH_serve.json)")
     parser.add_argument("--check-only", action="store_true",
-                        help="assert the coalescing + 10x contracts on a "
-                             "small scenario and exit; skip the JSON write")
+                        help="assert the coalescing, 10x, keep-alive and "
+                             "one-write contracts on a small scenario and "
+                             "exit; skip the JSON write")
     args = parser.parse_args(argv)
 
     workload = "synth" if args.check_only else args.workload
@@ -250,17 +292,19 @@ def main(argv: list[str] | None = None) -> int:
           f"pricing, {co['coalesced']} coalesced")
     split = serve["hit_split"]
     print(f"hit split (median of {split['hits']}): round trip "
-          f"{split['round_trip_ms']:.3f} ms, scenario_key "
+          f"{split['round_trip_ms']:.3f} ms (client CPU "
+          f"{split['client_cpu_us']:.0f} us), scenario_key "
           f"{split['scenario_key_ms']:.3f} ms, store load "
-          f"{split['store_load_ms']:.3f} ms; {split['connections']} connection(s)")
+          f"{split['store_load_ms']:.3f} ms; {split['connections']} connection(s), "
+          f"{split['writes_per_request']:g} write(s) per request")
 
     if failures:
         for failure in failures:
             print(f"CONTRACT FAILURE: {failure}", file=sys.stderr)
         return 1
     if args.check_only:
-        print("check-only: coalescing, 10x warm-hit and keep-alive "
-              "contracts hold")
+        print("check-only: coalescing, 10x warm-hit, keep-alive and "
+              "one-write contracts hold")
         return 0
 
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -20,7 +20,7 @@ The probabilistic rule semantics over a row of PMFs (p, q, r):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +55,32 @@ class PraeConfig:
         default_factory=lambda: MIXED_PRECISION_PRESETS["FP32"]
     )
     seed: int = 0
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _progression_indices(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(k, k + d, k + 2d)`` for every ``k`` that keeps all three in ``range(n)``."""
+    ks = np.arange(n)
+    valid = (ks + 2 * d >= 0) & (ks + 2 * d < n) & (ks + d >= 0) & (ks + d < n)
+    ks = ks[valid]
+    return _read_only(ks, ks + d, ks + 2 * d)
+
+
+@lru_cache(maxsize=None)
+def _arithmetic_indices(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n mask of pairs ``(i, j)`` with ``k = i + sign * j`` in
+    ``range(n)``, and those ``k`` in the mask's row-major order."""
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    k = i + sign * j
+    mask = (k >= 0) & (k < n)
+    return _read_only(mask, k[mask])
 
 
 class PraeWorkload(NSAIWorkload):
@@ -116,18 +142,12 @@ class PraeWorkload(NSAIWorkload):
         if kind == "constant":
             return float(np.sum(p * q * r))
         if kind == "progression":
-            d = param
-            ks = np.arange(n)
-            valid = (ks + 2 * d >= 0) & (ks + 2 * d < n) & (ks + d >= 0) & (ks + d < n)
-            ks = ks[valid]
-            return float(np.sum(p[ks] * q[ks + d] * r[ks + 2 * d]))
+            ks, ks_d, ks_2d = _progression_indices(n, param)
+            return float(np.sum(p[ks] * q[ks_d] * r[ks_2d]))
         if kind == "arithmetic":
-            i = np.arange(n)[:, None]
-            j = np.arange(n)[None, :]
-            k = i + param * j
-            mask = (k >= 0) & (k < n)
+            mask, k = _arithmetic_indices(n, param)
             joint = p[:, None] * q[None, :]
-            return float(np.sum(joint[mask] * r[np.clip(k, 0, n - 1)[mask]]))
+            return float(np.sum(joint[mask] * r[k]))
         if kind == "distribute_three":
             # Handled at the solver level (needs both complete rows).
             raise ConfigError("distribute_three has no single-row probability")
@@ -146,21 +166,14 @@ class PraeWorkload(NSAIWorkload):
         if kind == "constant":
             pred = a * b
         elif kind == "progression":
-            d = param
             pred = np.zeros(n)
-            ks = np.arange(n)
-            src = ks - 2 * d
-            mid = ks - d
-            valid = (src >= 0) & (src < n) & (mid >= 0) & (mid < n)
-            pred[valid] = a[src[valid]] * b[mid[valid]]
+            src, mid, ks = _progression_indices(n, param)
+            pred[ks] = a[src] * b[mid]
         elif kind == "arithmetic":
             pred = np.zeros(n)
-            i = np.arange(n)[:, None]
-            j = np.arange(n)[None, :]
-            k = i + param * j
-            mask = (k >= 0) & (k < n)
+            mask, k = _arithmetic_indices(n, param)
             joint = a[:, None] * b[None, :]
-            np.add.at(pred, k[mask], joint[mask])
+            np.add.at(pred, k, joint[mask])
         elif kind == "distribute_three":
             pred = np.maximum(mass_ref - (a + b) / 3.0, 0.0)
         else:

@@ -47,3 +47,9 @@ def test_no_module_imports_a_process_pool(loaded_modules):
         if m.split(".")[0] == "multiprocessing"
         or m == "concurrent.futures.process"
     ] == []
+
+
+def test_no_module_imports_http_client(loaded_modules):
+    """``ServeClient`` frames HTTP/1.1 itself: nothing loads
+    :mod:`http.client` or the :mod:`email` header parser behind it."""
+    assert [m for m in loaded_modules if m in ("http.client", "email.parser")] == []
