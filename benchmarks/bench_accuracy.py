@@ -12,22 +12,32 @@ problems, and records per workload:
 * the median wall time of ``REPEATS`` passes;
 * a per-stage split from one instrumented pass: perception PMFs, PMF
   encoding, FFTs (every ``np.fft.rfft``/``irfft``), similarity, PrAE's
-  rule algebra, the CNN forward, and the rest. A stage called inside
-  another counts toward the outer one; the wrappers' own overhead is in
-  the split, not in the median;
+  rule algebra, the CNN weight draw, the CNN forward's conv gather
+  (every ``im2col``, padding included), its conv GEMMs (the rest of
+  ``Conv2d.forward``: the weights×columns product, bias and NCHW view),
+  the rest of the CNN forward (BatchNorm, ReLU, pooling, the FC head),
+  and the rest. A stage called inside another counts toward the outer
+  one, except that the weight draw, conv gather and GEMM are taken out
+  of the stages that hold them; the wrappers' own overhead is in the
+  split, not in the median;
 * call counts of FFTs, ``quantize_array``, ``quantize_rows`` and
   ``np.tensordot`` in that pass;
 * a digest of the candidate scores (for mimonet, of the CNN features its
-  prototype scores are computed from), and for the RPM workloads whether
+  prototype scores are computed from); for the RPM workloads whether
   every score equals the pair-by-pair oracle of
-  ``tests/workloads/reasoner_oracle.py`` bit for bit.
+  ``tests/workloads/reasoner_oracle.py`` bit for bit; for mimonet whether
+  every feature equals the row-major conv oracle of
+  ``tests/nn/conv_oracle.py`` bit for bit, whether each is within
+  ``atol = rtol = 1e-12`` of it, and whether the accuracy equals the
+  oracle pass's.
 
 It also records the call counts of the same pass on small configs, which
 ``--check-only`` (CI's perf-smoke job) gates: it runs the small configs
-and fails when any nvsa, lvrf or prae score differs from the oracle's or
-any call count exceeds the recorded one. It prints the pass times but
-never gates on them. Results land in ``BENCH_accuracy.json`` (repo
-root). Usage::
+and fails when any nvsa, lvrf or prae score differs from the oracle's,
+any mimonet feature leaves the conv oracle's tolerance, mimonet's
+accuracy differs from the oracle pass's, or any call count exceeds the
+recorded one. It prints the pass times but never gates on them. Results
+land in ``BENCH_accuracy.json`` (repo root). Usage::
 
     PYTHONPATH=src python benchmarks/bench_accuracy.py
     PYTHONPATH=src python benchmarks/bench_accuracy.py --check-only
@@ -53,14 +63,17 @@ from collections import Counter, defaultdict
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests" / "workloads"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "nn"))
 # One BLAS thread, as perfbench's compile-cold children run: mimonet's
 # conv GEMMs would otherwise time whatever cores the host has free.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import conv_oracle  # noqa: E402
 import numpy as np  # noqa: E402
 import reasoner_oracle  # noqa: E402
 
+import repro.nn.layers as layers_module  # noqa: E402
 import repro.quant.schemes as schemes  # noqa: E402
 import repro.workloads.nvsa as nvsa_module  # noqa: E402
 from repro.dse.accuracy import (  # noqa: E402
@@ -68,6 +81,7 @@ from repro.dse.accuracy import (  # noqa: E402
     deployed_workload,
     evaluate_accuracy,
 )
+from repro.nn.layers import Conv2d, WeightSource  # noqa: E402
 from repro.nn.resnet import ResNet  # noqa: E402
 from repro.quant import MIXED_PRECISION_PRESETS  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
@@ -92,7 +106,8 @@ SMALL = {
     "mimonet": dict(image_size=32, cnn_width=8, cnn_depth=3, superposition=3, seed=8),
 }
 
-STAGES = ("perception", "encode", "fft", "similarity", "rule_algebra", "cnn_forward")
+STAGES = ("perception", "encode", "fft", "similarity", "rule_algebra",
+          "weight_draw", "conv_gather", "conv_gemm", "cnn_other")
 COUNTED = ("fft", "quantize_array", "quantize_rows", "tensordot")
 
 
@@ -109,6 +124,7 @@ class Probe:
         self.calls: Counter[str] = Counter()
         self.scores: list[np.ndarray] = []
         self._depth = 0
+        self._split_ms = 0.0
         self._undo: list[tuple[object, str, object]] = []
 
     def _install(self, owner, attr: str, make) -> None:
@@ -118,19 +134,28 @@ class Probe:
         setattr(owner, attr, make(raw))
         self._undo.append((owner, attr, raw))
 
-    def stage(self, owner, attr: str, stage: str, counter: str | None = None) -> None:
+    def stage(self, owner, attr: str, stage: str, counter: str | None = None,
+              split: bool = False) -> None:
+        """Time calls of ``owner.attr`` as ``stage``. A call inside another
+        stage counts toward the outer one, unless ``split``: then it is
+        timed as its own stage and taken out of the outer one's time."""
         def make(func):
             def timed(*args, **kwargs):
                 if counter:
                     self.calls[counter] += 1
-                if self._depth:
+                if self._depth and not split:
                     return func(*args, **kwargs)
                 self._depth += 1
+                split_before = self._split_ms
                 t0 = time.perf_counter()
                 try:
                     return func(*args, **kwargs)
                 finally:
-                    self.stage_ms[stage] += (time.perf_counter() - t0) * 1e3
+                    ms = (time.perf_counter() - t0) * 1e3
+                    inner = self._split_ms - split_before
+                    self.stage_ms[stage] += ms - inner
+                    if split:
+                        self._split_ms += ms - inner
                     self._depth -= 1
             return timed
         self._install(owner, attr, make)
@@ -176,7 +201,10 @@ class Probe:
         self.stage(nvsa_module, "_sim", "similarity")
         self.stage(PraeWorkload, "_row_prob", "rule_algebra")
         self.stage(PraeWorkload, "_predict_pmf", "rule_algebra")
-        self.stage(ResNet, "forward", "cnn_forward")
+        self.stage(ResNet, "forward", "cnn_other")
+        self.stage(Conv2d, "forward", "conv_gemm", split=True)
+        self.stage(layers_module, "im2col", "conv_gather", split=True)
+        self.stage(WeightSource, "materialize", "weight_draw", split=True)
         self.capture(NvsaReasoner, "solve", lambda out: out[1])
         self.capture(PraeWorkload, "candidate_scores", lambda out: out)
         self.capture(MimoNetWorkload, "_features", lambda out: out)
@@ -224,22 +252,54 @@ def measure(name: str, overrides: dict, repeats: int) -> dict:
         "calls": {c: probe.calls[c] for c in COUNTED},
         "scores_digest": scores_digest(probe.scores),
     }
+    twin = deployed_workload(wl, MIXED_PRECISION_PRESETS[PRESET])
     if name in RPM:
-        twin = deployed_workload(wl, MIXED_PRECISION_PRESETS[PRESET])
         want = [s for s, _ in reasoner_oracle.score_problems(twin, SEED, N_PROBLEMS)]
-        row["scores_match_oracle"] = len(want) == len(probe.scores) and all(
-            g.tobytes() == w.tobytes() for g, w in zip(probe.scores, want)
+        row["scores_match_oracle"] = same_arrays(probe.scores, want)
+    else:
+        want_value, want = conv_oracle.accuracy_pass(twin, N_PROBLEMS, SEED)
+        row["features_match_oracle"] = same_arrays(probe.scores, want)
+        row["features_within_tolerance"] = len(want) == len(probe.scores) and all(
+            np.allclose(g, w, **conv_oracle.TOLERANCE) for g, w in zip(probe.scores, want)
         )
+        row["accuracy_matches_oracle"] = value == want_value
     return row
 
 
+def same_arrays(got: list[np.ndarray], want: list[np.ndarray]) -> bool:
+    return len(got) == len(want) and all(
+        g.tobytes() == w.tobytes() for g, w in zip(got, want)
+    )
+
+
+def oracle_failures(name: str, row: dict) -> list[str]:
+    """The row's oracle-contract breaches (never its bit-exact mimonet flag)."""
+    failures = []
+    if row.get("scores_match_oracle") is False:
+        failures.append(f"{name}: candidate scores differ from the oracle")
+    if row.get("features_within_tolerance") is False:
+        failures.append(f"{name}: CNN features leave the conv oracle's tolerance "
+                        f"{conv_oracle.TOLERANCE}")
+    if row.get("accuracy_matches_oracle") is False:
+        failures.append(f"{name}: accuracy differs from the conv oracle pass's")
+    return failures
+
+
+def oracle_verdict(row: dict) -> str:
+    if oracle_failures("", row):
+        return "DIFFERS"
+    if row.get("scores_match_oracle") or row.get("features_match_oracle"):
+        return "equal"
+    return "within tol"
+
+
 def print_table(rows: dict[str, dict]) -> None:
-    cols = ("perception", "encode", "fft", "similarity", "rule_algebra", "cnn_forward", "other")
+    cols = STAGES + ("other",)
     print(f"{'workload':>8} | {'pass ms':>8} | " + " | ".join(f"{c:>12}" for c in cols)
           + " | fft calls | quantize_array | quantize_rows | tensordot | oracle")
     for name, r in rows.items():
         ms = r["pass_ms"]["median"] if r["pass_ms"] else r["instrumented_pass_ms"]
-        oracle = {True: "equal", False: "DIFFERS", None: "-"}[r.get("scores_match_oracle")]
+        oracle = oracle_verdict(r)
         print(f"{name:>8} | {ms:8.1f} | "
               + " | ".join(f"{r['stages_ms'].get(c, 0.0):12.1f}" for c in cols)
               + f" | {r['calls']['fft']:9d} | {r['calls']['quantize_array']:14d}"
@@ -253,8 +313,7 @@ def run_check(recorded: dict | None) -> list[str]:
     print("small configs, one instrumented pass each (times not gated):")
     print_table(rows)
     for name, row in rows.items():
-        if row.get("scores_match_oracle") is False:
-            failures.append(f"{name}: candidate scores differ from the oracle")
+        failures += oracle_failures(name, row)
         want = (recorded or {}).get("check", {}).get(name, {}).get("calls")
         if want is None:
             failures.append(f"{name}: no recorded call counts (run the bench without --check-only)")
@@ -282,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"CONTRACT FAILURE: {failure}", file=sys.stderr)
         if failures:
             return 1
-        print("check-only: every nvsa/lvrf/prae score equals the oracle's; "
-              "no call count above the recorded one")
+        print("check-only: every nvsa/lvrf/prae score equals the oracle's; mimonet's "
+              "features and accuracy agree with the conv oracle; no call count above "
+              "the recorded one")
         return 0
 
     rows = {name: measure(name, {}, REPEATS) for name in WORKLOADS}
@@ -306,8 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": rows,
         "check": check,
     }
-    failures = [f"{n}: candidate scores differ from the oracle"
-                for n, r in rows.items() if r.get("scores_match_oracle") is False]
+    failures = [f for name, row in rows.items() for f in oracle_failures(name, row)]
     for failure in failures:
         print(f"CONTRACT FAILURE: {failure}", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

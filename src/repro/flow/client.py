@@ -166,7 +166,8 @@ class ServeClient:
         self.port = split.port or 80
         self.timeout_s = timeout_s
         host = f"[{self.host}]" if ":" in self.host else self.host   # IPv6
-        self._headers = f"Host: {host}:{self.port}\r\nAccept: application/json\r\n"
+        self._authority = f"{host}:{self.port}"
+        self._headers = f"Host: {self._authority}\r\nAccept: application/json\r\n"
         self._local = threading.local()
         # Every connection this client opened, with the thread it serves,
         # so close() reaches all of them; a finished thread's connection
@@ -176,7 +177,7 @@ class ServeClient:
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return f"http://{self._authority}"
 
     def close(self) -> None:
         """Close every keep-alive connection this client opened.

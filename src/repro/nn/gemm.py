@@ -8,8 +8,10 @@ dimensions ``d1, d2, d3 = m, n, k``:
 * ``n`` — output columns (output channels / features),
 * ``k`` — reduction depth (C·kh·kw for conv; input features for linear).
 
-``im2col`` is the standard lowering: each convolution window becomes one row
-of an ``(m, k)`` matrix so the convolution is ``im2col(x) @ W.reshape(k, n)``.
+``im2col`` is the column-buffer lowering (Chellapilla et al., 2006; Caffe):
+each convolution window becomes one *column* of a K-major ``(k, m)`` matrix,
+so the convolution is ``W.reshape(n, k) @ im2col(x)``. The weights-first
+product comes out channel-major, which at batch 1 is already NCHW.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ def linear_gemm_dims(batch: int, in_features: int, out_features: int) -> GemmDim
 def im2col(
     x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Lower NCHW input windows into a ``(N·OH·OW, C·kh·kw)`` matrix.
+    """Lower NCHW input windows into a K-major ``(C·kh·kw, N·OH·OW)`` matrix.
 
-    Column ordering is ``(c, kh, kw)``-major, matching
-    ``weight.reshape(out_channels, -1).T`` for NCHW weights.
+    Row ``(c, i, j)`` holds input channel ``c`` at kernel offset ``(i, j)``
+    for every output position in ``(n, oh, ow)`` order, so the rows match
+    ``weight.reshape(out_channels, -1)``'s columns for NCHW weights. The
+    copy's innermost run is a whole output row.
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects NCHW input, got shape {x.shape}")
@@ -101,7 +105,7 @@ def im2col(
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # Gather windows via stride tricks, then reorder to (N, OH, OW, C, KH, KW).
+    # Gather windows via stride tricks, then reorder to (C, KH, KW, N, OH, OW).
     s = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -109,5 +113,5 @@ def im2col(
         strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
         writeable=False,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel * kernel)
-    return np.ascontiguousarray(cols)
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kernel * kernel, n * oh * ow)

@@ -220,11 +220,11 @@ class Conv2d(_WeightedLayer):
         n = x.shape[0]
         oh, ow = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
         cols = im2col(x, self.kernel, self.stride, self.padding)
-        w = self.weight.reshape(self.out_channels, -1).T
-        out = cols @ w
+        out = self.weight.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
-            out += self.bias
-        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+            out += self.bias[:, None]
+        # (Cout, N·OH·OW) → NCHW; at batch 1 this view is C-contiguous.
+        return out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, _, h, w = input_shape
@@ -385,14 +385,25 @@ class MaxPool2d(Layer):
 
 
 class AvgPool2d(Layer):
-    """Global average pooling: NCHW → (N, C)."""
+    """Global average pooling: NCHW → (N, C).
+
+    Each channel's ``h·w`` positions are added one by one, in row-major
+    order, onto zeros, whatever the input's memory layout: ``mean`` sums a
+    C-contiguous input pairwise and a channels-last one in sequence, so
+    its bits depend on the layout.
+    """
 
     kind = "avgpool"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        return x.mean(axis=(2, 3))
+        n, c, h, w = x.shape
+        positions = np.ascontiguousarray(x.transpose(2, 3, 0, 1)).reshape(h * w, n, c)
+        total = np.zeros((n, c))
+        for plane in positions:
+            total += plane
+        return total / (h * w)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (input_shape[0], input_shape[1])

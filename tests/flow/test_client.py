@@ -11,6 +11,7 @@ failures that are final, protocol errors and the read timeout.
 
 from __future__ import annotations
 
+import errno
 import json
 import re
 import socket
@@ -242,3 +243,31 @@ def test_request_line_rejects_spaces_and_control_characters():
             with pytest.raises(ServeError, match="holds a space, control or non-ASCII"):
                 client.request("GET", path)
     assert peer.accepted == 0
+
+
+def test_ipv6_host_keeps_its_brackets(monkeypatch):
+    """The base URL round-trips through the constructor, and the Host
+    header and every transport error name the bracketed host."""
+    client = ServeClient("http://[::1]:8177")
+    assert (client.host, client.port) == ("::1", 8177)
+    assert client.base_url == "http://[::1]:8177"
+    assert ServeClient(client.base_url).base_url == client.base_url
+    create_connection = socket.create_connection
+    with Peer([READ, reply({"ok": True}), READ]) as peer, client:
+        # Reach the IPv4 loopback peer whatever the host's IPv6 setup.
+        monkeypatch.setattr(
+            socket, "create_connection",
+            lambda address, *a, **kw: create_connection(("127.0.0.1", peer.port), *a, **kw),
+        )
+        assert client.health() == {"ok": True}
+    assert peer.requests[0].startswith(
+        b"GET /healthz HTTP/1.1\r\nHost: [::1]:8177\r\n"
+    )
+
+    def refuse(address, *args, **kwargs):
+        raise ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    with pytest.raises(ServeError,
+                       match=re.escape("cannot reach server at http://[::1]:8177: ")):
+        client.health()

@@ -77,16 +77,29 @@ class TestIm2col:
         x = rng.standard_normal((n, c, hw, hw))
         weight = rng.standard_normal((4, c, kernel, kernel))
         cols = im2col(x, kernel, stride, padding)
-        out = cols @ weight.reshape(4, -1).T
+        out = weight.reshape(4, -1) @ cols
         oh, ow = conv_output_hw(hw, hw, kernel, stride, padding)
-        out = out.reshape(n, oh, ow, 4).transpose(0, 3, 1, 2)
+        out = out.reshape(4, n, oh, ow).transpose(1, 0, 2, 3)
         ref = _direct_conv(x, weight, stride, padding)
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_shape(self):
         x = np.zeros((2, 3, 8, 8))
         cols = im2col(x, 3, 1, 1)
-        assert cols.shape == (2 * 8 * 8, 3 * 9)
+        assert cols.shape == (3 * 9, 2 * 8 * 8)
+        assert cols.flags.c_contiguous
+
+    def test_row_order_is_channel_then_kernel_offset(self):
+        # Row (c, i, j) holds channel c at kernel offset (i, j) for every
+        # output position in (n, oh, ow) order.
+        x = np.arange(2 * 3 * 5 * 5, dtype=float).reshape(2, 3, 5, 5)
+        cols = im2col(x, 3, stride=2, padding=0)
+        assert cols.shape == (3 * 9, 2 * 2 * 2)
+        for c in range(3):
+            for i in range(3):
+                for j in range(3):
+                    want = x[:, c, i : i + 3 : 2, j : j + 3 : 2].reshape(-1)
+                    np.testing.assert_array_equal(cols[(c * 3 + i) * 3 + j], want)
 
     def test_rejects_non_nchw(self):
         with pytest.raises(ShapeError):
