@@ -46,7 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests" / "dse"))
 from phase1_oracle import OracleEngine  # noqa: E402
 
 from repro.dse.engine import DseEngine  # noqa: E402
-from repro.dse.timing import clear_stage_timings, stage_timings  # noqa: E402
+from repro.dse.timing import stage_timings_since, timings_snapshot  # noqa: E402
 from repro.graph import build_dataflow_graph  # noqa: E402
 from repro.model.cache import clear_model_caches  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
@@ -61,13 +61,13 @@ MAX_PROBE_RATIO_VS_ANALYTIC = 2.0
 def _explore_once(engine, graph):
     """One cold exploration; returns (report, seconds, stage stats)."""
     clear_model_caches()
-    clear_stage_timings()
+    snap = timings_snapshot()
     t0 = time.perf_counter()
     report = engine.explore(graph)
     elapsed = time.perf_counter() - t0
     stages = {
         name: {"seconds": s.seconds, "items": s.items}
-        for name, s in stage_timings().items()
+        for name, s in stage_timings_since(snap).items()
     }
     return report, elapsed, stages
 

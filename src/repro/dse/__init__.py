@@ -6,10 +6,12 @@ runtime, falling back to sequential mode when that wins. Phase II
 fine-tunes the per-node partition vectors around the Phase I point by
 shifting sub-arrays between each layer and the VSA nodes that overlap it.
 
-:class:`DseEngine` is the batched, cached implementation of the sweep: a
-lazy candidate stream screened in-process, memoized model
-sub-evaluations, and a full Pareto frontier (latency × area × energy
-proxy) on ``DseReport.pareto``.
+:class:`DseEngine` is the batched implementation of the sweep: a lazy
+candidate stream screened in-process, the memory and SIMD sizing rules
+applied once to the winning design, and a full Pareto frontier
+(latency × area × energy proxy) on ``DseReport.pareto``. Stage timings
+(:mod:`.timing`) only grow; a caller diffs two ``timings_snapshot()``
+calls with ``stage_timings_since()``.
 """
 
 from .accuracy import (
@@ -39,13 +41,7 @@ from .multifidelity import (
     PrunedCandidate,
     multifidelity_evaluate,
 )
-from .timing import (
-    StageStat,
-    clear_stage_timings,
-    stage_timings,
-    stage_timings_since,
-    timings_snapshot,
-)
+from .timing import StageStat, stage_timings_since, timings_snapshot
 
 __all__ = [
     "DEFAULT_ACCURACY_PROBLEMS",
@@ -74,8 +70,6 @@ __all__ = [
     "PrunedCandidate",
     "multifidelity_evaluate",
     "StageStat",
-    "stage_timings",
     "stage_timings_since",
     "timings_snapshot",
-    "clear_stage_timings",
 ]

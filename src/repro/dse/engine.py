@@ -1,4 +1,4 @@
-"""Batched, cached Pareto exploration engine.
+"""Batched Pareto exploration engine.
 
 This is the scalable successor to the serial Phase I sweep: the same
 two-phase co-exploration of paper Algorithm 1, restructured as
@@ -18,9 +18,10 @@ two-phase co-exploration of paper Algorithm 1, restructured as
    memory-aware end-to-end time) prices only the candidates the
    analytic lower bound cannot prune (:mod:`repro.dse.multifidelity`),
    with a report byte-identical to pricing them all;
-4. **memoized sub-models** — memory plan and SIMD width go through the
-   keyed caches in :mod:`repro.model.cache`; layer/VSA latencies hit the
-   ``lru_cache``-backed models of :mod:`repro.model.runtime`;
+4. **direct sub-models** — the memory plan and SIMD width are computed
+   once per exploration, straight from :mod:`repro.model.memory`; the
+   SIMD rule's per-node latencies hit the ``lru_cache``-backed models of
+   :mod:`repro.model.runtime`;
 5. a **full Pareto frontier** — instead of a single winner, every
    geometry contributes a (latency, area, energy-proxy) point and the
    report carries the non-dominated set (:class:`ParetoFrontier`) with
@@ -46,17 +47,13 @@ from ..model.backend import (
     GeometryScore,
     make_backend,
 )
-from ..model.cache import (
-    cached_layer_runtime,
-    cached_plan_memory,
-    cached_simd_width,
-    cached_vsa_node_runtime,
-)
 from ..model.designspace import (
     DesignSpaceSize,
     design_space_size,
     hw_config_candidates,
 )
+from ..model.memory import plan_memory, simd_width
+from ..model.runtime import layer_runtime, vsa_node_runtime
 from ..nn.gemm import GemmDims
 from ..quant import MIXED_PRECISION_PRESETS, MixedPrecisionConfig
 from ..trace.opnode import VsaDims
@@ -613,8 +610,8 @@ class DseEngine:
             geometry = (phase1.h, phase1.w, phase1.n_sub)
             nl, nv = phase2.nl, phase2.nv
 
-        memory = cached_plan_memory(graph, self.precision)
-        simd = cached_simd_width(
+        memory = plan_memory(graph, self.precision)
+        simd = simd_width(
             graph,
             max(best_cycles, 1),
             self._array_node_cycles(graph, geometry, mode, nl, nv),
@@ -676,11 +673,9 @@ class DseEngine:
         for i, node in enumerate(graph.layer_nodes):
             alloc = n_sub if mode is ExecutionMode.SEQUENTIAL else nl[i]
             assert node.gemm is not None
-            cycles[node.name] = cached_layer_runtime(h, w, alloc, node.gemm)
+            cycles[node.name] = layer_runtime(h, w, alloc, node.gemm)
         for j, node in enumerate(graph.vsa_nodes):
             alloc = n_sub if mode is ExecutionMode.SEQUENTIAL else nv[j]
             assert node.vsa is not None
-            cycles[node.name] = cached_vsa_node_runtime(
-                h, w, alloc, node.vsa, "best"
-            )
+            cycles[node.name] = vsa_node_runtime(h, w, alloc, node.vsa, "best")
         return cycles

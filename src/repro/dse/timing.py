@@ -11,9 +11,9 @@ surface.
 
 Deliberately **not** part of :class:`~repro.dse.engine.DseReport`:
 reports are required to be byte-identical from run to run, and
-wall-clock never is. Timings follow the same snapshot/delta pattern as
-the model-cache counters (:func:`repro.model.cache.cumulative_snapshot`),
-so a sweep can report exactly the work it performed:
+wall-clock never is. The accumulators only grow — nothing clears them —
+so a sweep (or a bench) reports exactly the work it performed by
+diffing two snapshots:
 
 >>> snap = timings_snapshot()
 >>> # ... run explorations ...
@@ -33,10 +33,8 @@ __all__ = [
     "StageStat",
     "record_stage",
     "time_stage",
-    "stage_timings",
     "timings_snapshot",
     "stage_timings_since",
-    "clear_stage_timings",
 ]
 
 
@@ -80,14 +78,6 @@ def time_stage(name: str, items: int = 0):
         record_stage(name, time.perf_counter() - t0, items)
 
 
-def stage_timings() -> dict[str, StageStat]:
-    """Copies of every stage accumulator, keyed by stage name."""
-    return {
-        name: StageStat(name, s.seconds, s.calls, s.items)
-        for name, s in _STAGES.items()
-    }
-
-
 def timings_snapshot() -> dict[str, tuple[float, int, int]]:
     """Point-in-time ``(seconds, calls, items)`` per stage."""
     return {n: (s.seconds, s.calls, s.items) for n, s in _STAGES.items()}
@@ -98,26 +88,15 @@ def stage_timings_since(
 ) -> dict[str, StageStat]:
     """Per-stage deltas accumulated after ``snapshot`` was taken.
 
-    Stages with no new activity are omitted; stages cleared after the
-    snapshot count from zero.
+    Stages with no new activity are omitted; stages first recorded after
+    the snapshot count from zero.
     """
     deltas: dict[str, StageStat] = {}
     for name, stat in _STAGES.items():
         sec0, calls0, items0 = snapshot.get(name, (0.0, 0, 0))
-        # Accumulators only grow; any counter running backwards means
-        # the stage was cleared after the snapshot, so the current
-        # totals *are* the post-snapshot activity.
-        if stat.calls < calls0 or stat.seconds < sec0 or stat.items < items0:
-            seconds, calls, items = stat.seconds, stat.calls, stat.items
-        else:
-            seconds = stat.seconds - sec0
-            calls = stat.calls - calls0
-            items = stat.items - items0
-        if calls > 0 or items > 0 or seconds > 0:
-            deltas[name] = StageStat(name, seconds, calls, items)
+        if stat.calls > calls0:
+            deltas[name] = StageStat(
+                name, stat.seconds - sec0, stat.calls - calls0,
+                stat.items - items0,
+            )
     return deltas
-
-
-def clear_stage_timings() -> None:
-    """Reset every stage accumulator (benches call this between runs)."""
-    _STAGES.clear()

@@ -339,6 +339,11 @@ def sweep_comparison_table(result: "SweepResult", title: str | None = None) -> s
     )
 
 
+def _fresh_evaluations_line(evaluations: int) -> str:
+    """The DSE-work line a local sweep and ``repro submit`` both end with."""
+    return f"Fresh DSE evaluations: {evaluations:,} candidate models"
+
+
 def sweep_summary(result: "SweepResult") -> str:
     """The audit lines every sweep ends with: counts and cache counters.
 
@@ -400,10 +405,7 @@ def sweep_summary(result: "SweepResult") -> str:
             "WARNING: claim heartbeat lost mid-sweep — this worker "
             "stopped claiming new scenarios"
         )
-    lines.append(
-        f"Fresh DSE evaluations: {result.total_evaluations:,} candidate "
-        f"models ({result.fresh_model_evaluations:,} model-cache misses)"
-    )
+    lines.append(_fresh_evaluations_line(result.total_evaluations))
     acc_results = [
         o.artifacts.report.accuracy
         for o in result.ok_outcomes()
@@ -628,10 +630,7 @@ def job_summary(job_doc: dict) -> str:
             f"({summary.get('resumed', 0)} resumed via ledger), "
             f"{summary.get('errors', 0)} errors"
         )
-        parts.append(
-            f"Fresh model evaluations: "
-            f"{summary.get('fresh_model_evaluations', 0):,}"
-        )
+        parts.append(_fresh_evaluations_line(summary.get("evaluations", 0)))
     if job_doc.get("error"):
         parts.append(f"Error: {job_doc['error']}")
     return "\n".join(parts)

@@ -675,7 +675,7 @@ class DseServer:
                 "cached": result.n_cached,
                 "resumed": result.n_resumed,
                 "errors": result.n_errors,
-                "fresh_model_evaluations": result.fresh_model_evaluations,
+                "evaluations": result.total_evaluations,
                 "elapsed_s": result.elapsed_s,
             }
             if result.stopped:

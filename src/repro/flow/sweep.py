@@ -64,7 +64,6 @@ from ..faults import (
     retry_count,
 )
 from ..model.backend import EVALUATION_BACKENDS
-from ..model.cache import cumulative_snapshot, delta_since
 from ..quant import MIXED_PRECISION_PRESETS, MixedPrecisionConfig
 from ..utils import jsonable, stable_digest
 from ..workloads import available_workloads, build_workload, workload_config
@@ -513,7 +512,6 @@ class SweepResult:
 
     outcomes: list[ScenarioOutcome] = field(default_factory=list)
     store_stats: StoreStats | None = None
-    fresh_model_evaluations: int = 0
     elapsed_s: float = 0.0
     stage_timings: dict[str, StageStat] = field(default_factory=dict)
     shard: str | None = None
@@ -843,7 +841,6 @@ def run_sweep(
     if shard_label is not None:
         specs = shard_filter(specs, (index, count))
     result = SweepResult(shard=shard_label, worker=worker)
-    snapshot = cumulative_snapshot()
     timing_snapshot = timings_snapshot()
     retries_before = retry_count()
     fires_before = fire_counts()
@@ -984,12 +981,6 @@ def run_sweep(
             ))
         if progress is not None:
             progress(outcome)
-    # Keyed-cache misses only: a probe the ``lru.*`` layers served is
-    # never counted against its keyed twin.
-    result.fresh_model_evaluations = sum(
-        stats.misses for name, stats in delta_since(snapshot).items()
-        if not name.startswith("lru.")
-    )
     result.elapsed_s = time.perf_counter() - t_start
     result.stage_timings = stage_timings_since(timing_snapshot)
     result.store_stats = store.stats if store is not None else None

@@ -39,17 +39,7 @@ from .backend import (
     backend_version,
     make_backend,
 )
-from .cache import (
-    CacheStats,
-    EvalCache,
-    cache_stats,
-    cached_layer_runtime,
-    cached_plan_memory,
-    cached_simd_width,
-    cached_vsa_node_runtime,
-    clear_model_caches,
-    graph_cache_key,
-)
+from .cache import clear_model_caches, cumulative_snapshot
 
 __all__ = [
     "layer_runtime",
@@ -79,13 +69,6 @@ __all__ = [
     "ScheduleBackend",
     "backend_version",
     "make_backend",
-    "CacheStats",
-    "EvalCache",
-    "cache_stats",
-    "cached_layer_runtime",
-    "cached_vsa_node_runtime",
-    "cached_plan_memory",
-    "cached_simd_width",
     "clear_model_caches",
-    "graph_cache_key",
+    "cumulative_snapshot",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..graph.dataflow import DataflowGraph
 from ..quant import MixedPrecisionConfig
-from ..utils import MB, ceil_div
+from ..utils import ceil_div
 from .runtime import simd_runtime
 
 __all__ = ["MemoryPlan", "plan_memory", "simd_width"]
@@ -166,14 +166,3 @@ def simd_width(
         required = max(required, fitted if fitted is not None else max(candidates))
     return required
 
-
-def footprint_report(graph: DataflowGraph, precision: MixedPrecisionConfig) -> dict[str, float]:
-    """Convenience rollup (MB) used by benches and docs."""
-    plan = plan_memory(graph, precision)
-    return {
-        "MemA1_MB": plan.mem_a1_bytes / MB,
-        "MemA2_MB": plan.mem_a2_bytes / MB,
-        "MemB_MB": plan.mem_b_bytes / MB,
-        "MemC_MB": plan.mem_c_bytes / MB,
-        "Cache_MB": plan.cache_bytes / MB,
-    }

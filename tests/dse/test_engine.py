@@ -1,4 +1,4 @@
-"""Unit tests for the batched, cached Pareto DSE engine."""
+"""Unit tests for the batched Pareto DSE engine."""
 
 import pickle
 
@@ -8,16 +8,9 @@ from phase1_oracle import OracleEngine, run_phase1
 from repro.dse import DseEngine, ExecutionMode, pareto_filter
 from repro.dse.engine import ParetoPoint, area_pe_equiv
 from repro.errors import DSEError
-from repro.model.cache import (
-    LAYER_RUNTIME_CACHE,
-    MEMORY_PLAN_CACHE,
-    cached_layer_runtime,
-    cached_plan_memory,
-    clear_model_caches,
-)
-from repro.model.runtime import parallel_runtime, sequential_runtime
+from repro.model.cache import clear_model_caches
+from repro.model.runtime import layer_runtime, parallel_runtime, sequential_runtime
 from repro.nn.gemm import GemmDims
-from repro.quant import MIXED_PRECISION_PRESETS
 from repro.trace import ExecutionUnit, OpDomain, Tracer, VsaDims
 from repro.graph import build_dataflow_graph
 
@@ -160,33 +153,14 @@ class TestParallelEquality:
 
 
 class TestCaching:
-    def test_memory_plan_cache_hits(self, tiny_graph):
-        clear_model_caches()
-        precision = MIXED_PRECISION_PRESETS["MP"]
-        first = cached_plan_memory(tiny_graph, precision)
-        assert MEMORY_PLAN_CACHE.stats.misses == 1
-        second = cached_plan_memory(tiny_graph, precision)
-        assert second is first
-        assert MEMORY_PLAN_CACHE.stats.hits == 1
-
     def test_layer_runtime_cache_hits(self):
         clear_model_caches()
         dims = GemmDims(16, 8, 9)
-        a = cached_layer_runtime(4, 4, 2, dims)
-        b = cached_layer_runtime(4, 4, 2, dims)
+        a = layer_runtime(4, 4, 2, dims)
+        b = layer_runtime(4, 4, 2, dims)
         assert a == b
-        assert LAYER_RUNTIME_CACHE.stats.hits == 1
-        assert LAYER_RUNTIME_CACHE.stats.misses == 1
-        assert LAYER_RUNTIME_CACHE.stats.hit_rate == pytest.approx(0.5)
-
-    def test_reexploration_hits_graph_caches(self, tiny_graph):
-        clear_model_caches()
-        engine = _tiny_engine()
-        engine.explore(tiny_graph)
-        misses_after_first = MEMORY_PLAN_CACHE.stats.misses
-        engine.explore(tiny_graph)
-        assert MEMORY_PLAN_CACHE.stats.misses == misses_after_first
-        assert MEMORY_PLAN_CACHE.stats.hits >= 1
+        info = layer_runtime.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("backend", ["analytic", "schedule"])
     def test_cost_dims_extracted_once_per_explore(

@@ -19,20 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from phase1_oracle import OracleEngine, scalar_score
 from repro.dse.engine import DseEngine
-from repro.dse.timing import (
-    clear_stage_timings,
-    stage_timings,
-    stage_timings_since,
-    timings_snapshot,
-)
+from repro.dse.timing import stage_timings_since, timings_snapshot
 from repro.flow.cli import main
 from repro.flow.sweep import ScenarioGrid, run_sweep
 from repro.model.backend import AnalyticBackend
-from repro.model.cache import (
-    cache_stats,
-    clear_model_caches,
-    cumulative_snapshot,
-)
+from repro.model.cache import clear_model_caches, cumulative_snapshot
 from repro.model.runtime import layer_runtime
 from repro.nn.gemm import GemmDims
 from repro.trace.opnode import VsaDims
@@ -118,11 +109,11 @@ class TestCacheCounters:
         clear_model_caches()
         before = cumulative_snapshot()["lru.layer_runtime"]
         layer_runtime(4, 4, 2, GemmDims(16, 8, 9))
-        stats = cache_stats()["lru.layer_runtime"]
-        assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
+        info = layer_runtime.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
         layer_runtime(4, 4, 2, GemmDims(16, 8, 9))
-        stats = cache_stats()["lru.layer_runtime"]
-        assert (stats.hits, stats.entries) == (1, 1)
+        info = layer_runtime.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
         # The cumulative view carries the same two lookups on top of
         # whatever the layer counted before the clear.
         assert cumulative_snapshot()["lru.layer_runtime"] == (
@@ -132,9 +123,9 @@ class TestCacheCounters:
 
 class TestStageTimings:
     def test_explore_records_stages(self, small_nvsa_graph):
-        clear_stage_timings()
+        snap = timings_snapshot()
         DseEngine(max_pes=256).explore(small_nvsa_graph)
-        stages = stage_timings()
+        stages = stage_timings_since(snap)
         for name in ("phase1.sweep", "phase1.model_probes", "phase2.refine",
                      "pareto.filter"):
             assert name in stages, name
@@ -142,7 +133,6 @@ class TestStageTimings:
         assert stages["phase1.model_probes"].items > 0
 
     def test_snapshot_delta_isolates_new_work(self, small_nvsa_graph):
-        clear_stage_timings()
         DseEngine(max_pes=256).explore(small_nvsa_graph)
         snap = timings_snapshot()
         assert stage_timings_since(snap) == {}
@@ -150,21 +140,27 @@ class TestStageTimings:
         delta = stage_timings_since(snap)
         assert delta["phase1.sweep"].calls == 1
 
-    def test_delta_after_clear_never_goes_negative(self):
-        from repro.dse.timing import record_stage
+    @pytest.mark.parametrize("backend", ["analytic", "schedule"])
+    def test_explore_routes_counters_through_engine_record_stage(
+        self, small_nvsa_graph, monkeypatch, backend,
+    ):
+        """Tracers swap ``repro.dse.engine.record_stage`` to see Phase I's
+        work counters; every counter must go through that attribute."""
+        import repro.dse.engine as engine_module
 
-        clear_stage_timings()
-        record_stage("phase1.sweep", 10.0, items=100)
-        for _ in range(4):
-            record_stage("phase1.sweep", 0.0)
-        snap = timings_snapshot()          # (10.0 s, 5 calls, 100 items)
-        clear_stage_timings()
-        for _ in range(6):                 # more calls than the snapshot saw
-            record_stage("phase1.sweep", 0.1, items=1)
-        delta = stage_timings_since(snap)["phase1.sweep"]
-        assert delta.seconds == pytest.approx(0.6)
-        assert delta.calls == 6
-        assert delta.items == 6
+        routed: list[str] = []
+        original = engine_module.record_stage
+
+        def recorder(name, seconds=0.0, items=0):
+            routed.append(name)
+            original(name, seconds, items)
+
+        monkeypatch.setattr(engine_module, "record_stage", recorder)
+        DseEngine(max_pes=256, backend=backend).explore(small_nvsa_graph)
+        want = {"phase1.sweep", "phase1.model_probes"}
+        if backend == "schedule":
+            want |= {"phase1.mf_screened", "phase1.mf_priced"}
+        assert want <= set(routed)
 
 
 class TestCli:

@@ -37,6 +37,7 @@ from repro.faults import injected_faults
 from repro.flow.artifacts import ArtifactStore
 from repro.flow.client import ServeClient
 from repro.flow.ledger import LedgerRecord, RunLedger, merge_ledgers
+from repro.flow.report import job_summary
 from repro.flow.server import MAX_BODY_BYTES, running_server, sweep_job_id
 from repro.flow.sweep import ScenarioGrid, ScenarioSpec, run_sweep, scenario_key
 
@@ -270,6 +271,27 @@ def test_sweep_job_streams_rows_and_coalesces(tmp_path):
                            / f"{job['job_id']}.jsonl")
         assert len(ledger.records()) == 4
         assert ledger.open_claims() == {}
+
+
+def test_resumed_job_reports_zero_dse_work(tmp_path):
+    """A fully resumed job ends with the zero-work line a warm local
+    sweep prints, and ``/stats`` keeps ``model_cache`` and ``pricings``."""
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
+        grid_doc = {"workloads": ["synth:0-1"]}
+        cold = client.wait_job(client.submit_sweep(grid_doc)["job_id"],
+                               timeout_s=60)
+        assert cold["status"] == "done" and cold["summary"]["evaluations"] > 0
+        warm = client.wait_job(client.submit_sweep(grid_doc)["job_id"],
+                               timeout_s=60)
+        assert warm["status"] == "done" and warm["summary"]["resumed"] == 2
+        assert ("Fresh DSE evaluations: 0 candidate models"
+                in job_summary(warm).splitlines())
+        stats = client.stats()
+        assert "pricings" in stats
+        assert set(stats["model_cache"]) == {
+            "lru.layer_runtime", "lru.vsa_node_runtime",
+        }
 
 
 def test_drain_finishes_inflight_and_rejects_new_work(tmp_path):

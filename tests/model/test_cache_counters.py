@@ -1,26 +1,18 @@
-"""Counter views of the model caches: current and cumulative.
+"""The cumulative counter view of the runtime models' ``lru_cache`` memo.
 
-``cache_stats()`` reports each cache's current counters and size, which
-zero with ``clear()``. The cumulative view (``cumulative_snapshot``/
-``delta_since``) must stay monotonic across ``clear_model_caches()`` so a
-sweep or a long-lived server can account its hits/misses without clearing
-caches — and without a clear that *does* happen (a benchmark timing a
-cold run) making a delta go negative or vanish.
+``cumulative_snapshot()`` reports process-lifetime ``(hits, misses)``
+for the ``lru.layer_runtime`` and ``lru.vsa_node_runtime`` layers. It
+must stay monotonic across ``clear_model_caches()``, so a long-lived
+server (``/stats`` ``model_cache``) or a benchmark can diff two
+snapshots without a clear in between making a count go backwards or
+vanish.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.model.cache import (
-    CacheStats,
-    EvalCache,
-    cache_stats,
-    cached_layer_runtime,
-    clear_model_caches,
-    cumulative_snapshot,
-    delta_since,
-)
+from repro.model.cache import clear_model_caches, cumulative_snapshot
 from repro.model.runtime import layer_runtime
 from repro.nn.gemm import GemmDims
 
@@ -32,82 +24,33 @@ def _fresh_caches():
     clear_model_caches()
 
 
-def test_resettable_counters_zero_on_clear():
-    cache = EvalCache("test_resettable")
-    cache.get_or_compute("k", lambda: 1)
-    cache.get_or_compute("k", lambda: 1)
-    assert cache_stats()["test_resettable"] == CacheStats(
-        name="test_resettable", hits=1, misses=1, entries=1,
-    )
-    cache.clear()
-    assert cache_stats()["test_resettable"] == CacheStats(
-        name="test_resettable", hits=0, misses=0, entries=0,
-    )
-    assert len(cache) == 0
+def _grown(before: dict, after: dict, name: str) -> tuple[int, int]:
+    return after[name][0] - before[name][0], after[name][1] - before[name][1]
 
 
 def test_cumulative_counters_survive_clear():
-    cache = EvalCache("test_cumulative")
-    cache.get_or_compute("k", lambda: 1)
-    cache.get_or_compute("k", lambda: 1)
-    cache.clear()
-    cache.get_or_compute("k", lambda: 1)   # recomputed: a fresh miss
-    assert (cache.hits, cache.misses) == (0, 1)
-    assert (cache.cumulative_hits, cache.cumulative_misses) == (1, 2)
-
-
-def test_delta_since_counts_keyed_hits_and_misses():
-    snap = cumulative_snapshot()
-    dims = GemmDims(8, 8, 8)
-    cached_layer_runtime(4, 4, 1, dims)
-    cached_layer_runtime(4, 4, 1, dims)
-    delta = delta_since(snap)
-    assert delta["layer_runtime"].misses == 1
-    assert delta["layer_runtime"].hits == 1
-    assert delta["layer_runtime"].entries == 1
-
-
-def test_delta_since_skips_unmoved_caches():
-    snap = cumulative_snapshot()
-    delta = delta_since(snap)
-    assert delta == {}
-
-
-def test_delta_since_is_monotonic_across_clear():
-    """The long-lived-process property: a clear cannot lose counts."""
-    snap = cumulative_snapshot()
-    dims = GemmDims(8, 8, 8)
-    cached_layer_runtime(4, 4, 1, dims)        # miss before the clear
-    clear_model_caches()
-    cached_layer_runtime(4, 4, 1, dims)        # recomputed after: miss again
-    cached_layer_runtime(4, 4, 1, dims)        # hit
-    delta = delta_since(snap)
-    assert delta["layer_runtime"].misses == 2
-    assert delta["layer_runtime"].hits == 1
-
-
-def test_delta_since_covers_lru_layers_across_clear():
     """``lru_cache`` counters reset with ``cache_clear``; the cumulative
     view must carry the pre-clear totals itself."""
-    snap = cumulative_snapshot()
+    before = cumulative_snapshot()
     dims = GemmDims(16, 16, 16)
-    layer_runtime(4, 4, 1, dims)               # lru miss
-    layer_runtime(4, 4, 1, dims)               # lru hit
+    layer_runtime(4, 4, 1, dims)               # miss
+    layer_runtime(4, 4, 1, dims)               # hit
     clear_model_caches()
-    layer_runtime(4, 4, 1, dims)               # lru miss again
-    delta = delta_since(snap)
-    assert delta["lru.layer_runtime"].misses == 2
-    assert delta["lru.layer_runtime"].hits == 1
+    assert layer_runtime.cache_info().currsize == 0
+    layer_runtime(4, 4, 1, dims)               # recomputed: a fresh miss
+    after = cumulative_snapshot()
+    assert _grown(before, after, "lru.layer_runtime") == (1, 2)
+    assert _grown(before, after, "lru.vsa_node_runtime") == (0, 0)
 
 
 def test_cumulative_snapshot_monotonic_under_interleaved_clears():
     before = cumulative_snapshot()
     dims = GemmDims(8, 8, 8)
     for _ in range(3):
-        cached_layer_runtime(4, 4, 1, dims)
+        layer_runtime(4, 4, 1, dims)
         clear_model_caches()
     after = cumulative_snapshot()
     for name, (hits, misses) in after.items():
-        h0, m0 = before.get(name, (0, 0))
+        h0, m0 = before[name]
         assert hits >= h0 and misses >= m0
-    assert after["layer_runtime"][1] - before["layer_runtime"][1] == 3
+    assert _grown(before, after, "lru.layer_runtime") == (0, 3)
