@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.model.cache import clear_model_caches, cumulative_snapshot
-from repro.model.runtime import layer_runtime
+from repro.model.runtime import layer_runtime, vsa_node_runtime
 from repro.nn.gemm import GemmDims
+from repro.trace.opnode import VsaDims
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +42,22 @@ def test_cumulative_counters_survive_clear():
     after = cumulative_snapshot()
     assert _grown(before, after, "lru.layer_runtime") == (1, 2)
     assert _grown(before, after, "lru.vsa_node_runtime") == (0, 0)
+
+
+def test_delta_since_covers_lru_layers_across_clear():
+    """The diff of two snapshots counts the work on both ``lru`` layers,
+    each on its own, whatever was cleared in between."""
+    before = cumulative_snapshot()
+    gemm, vsa = GemmDims(16, 16, 16), VsaDims(4, 64)
+    layer_runtime(4, 4, 1, gemm)               # miss
+    vsa_node_runtime(4, 4, 1, vsa)             # miss
+    vsa_node_runtime(4, 4, 1, vsa)             # hit
+    clear_model_caches()
+    vsa_node_runtime(4, 4, 1, vsa)             # miss again
+    vsa_node_runtime(4, 4, 1, vsa)             # hit
+    after = cumulative_snapshot()
+    assert _grown(before, after, "lru.layer_runtime") == (0, 1)
+    assert _grown(before, after, "lru.vsa_node_runtime") == (2, 2)
 
 
 def test_cumulative_snapshot_monotonic_under_interleaved_clears():
