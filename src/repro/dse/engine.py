@@ -37,7 +37,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ..errors import DSEError
-from ..faults import faultpoint
 from ..graph.dataflow import DataflowGraph
 from ..model.backend import (
     EVALUATION_BACKENDS,
@@ -347,7 +346,6 @@ def _evaluate_candidates(
     each geometry then prices its sequential schedule and bisects for
     its split over the groups.
     """
-    faultpoint("dse.evaluate")
     scores = _ANALYTIC_BACKEND.score_geometries(
         [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes
     )

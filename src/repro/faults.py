@@ -1,13 +1,14 @@
 """Deterministic fault injection: named failpoints and retry policies.
 
 Robust systems need their failure paths exercised as routinely as their
-happy paths, and process-kill smoke tests (``tools/distributed_smoke.py``)
-only reach the coarsest failure mode. This module makes faults a
-first-class, *deterministic* input to the stack:
+happy paths, and killing a sweep process (the crash-injection harness in
+``tests/flow/test_distributed.py``) only reaches the coarsest failure
+mode. This module makes faults a first-class, *deterministic* input to
+the stack:
 
 * **failpoints** — every interesting I/O or compute boundary calls
   :func:`faultpoint` with a stable dotted name (``ledger.append.fsync``,
-  ``artifacts.load.read``, ``dse.evaluate`` …). When no plan is armed the
+  ``artifacts.load.read``, ``sweep.compile`` …). When no plan is armed the
   call is a dict lookup and a ``None`` check — effectively free — and
   the site behaves exactly as if the line were absent.
 * **fault plans** — a plan is a list of rules, each binding a failpoint

@@ -14,7 +14,6 @@ from .artifacts import (
     FoldStats,
     ScenarioArtifacts,
     fold_stores,
-    scenario_cache_key,
 )
 from .report import (
     format_table,
@@ -63,7 +62,6 @@ __all__ = [
     "merge_summary_table",
     "ArtifactStore",
     "ScenarioArtifacts",
-    "scenario_cache_key",
     "FoldStats",
     "fold_stores",
     "ScenarioSpec",

@@ -10,7 +10,8 @@ plus a full design-space sweep.
 
 Cache key
 ---------
-:func:`scenario_cache_key` hashes the canonical JSON of
+Entries are filed under :func:`repro.flow.sweep.scenario_key`, the hash
+of the canonical JSON of
 
 * the fully-resolved workload config (defaults + overrides — changing a
   default in code invalidates correctly),
@@ -57,7 +58,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..arch.resources import FpgaDevice, ResourceEstimate
+from ..arch.resources import ResourceEstimate
 from ..errors import MergeConflictError, NSFlowError
 from ..faults import RetryPolicy, faultpoint
 from ..dse.config import (
@@ -67,22 +68,14 @@ from ..dse.config import (
     design_config_to_json,
 )
 from ..dse.accuracy import AccuracyResult
-from ..dse.engine import (
-    DEFAULT_CLOCK_MHZ,
-    DEFAULT_RANGE_H,
-    DEFAULT_RANGE_W,
-    DseReport,
-    ParetoFrontier,
-    ParetoPoint,
-)
-from ..model.backend import BackendInfo, backend_version
+from ..dse.engine import DseReport, ParetoFrontier, ParetoPoint
+from ..model.backend import BackendInfo
 from ..dse.phase1 import Phase1Result
 from ..dse.phase2 import Phase2Result
 from ..model.designspace import DesignSpaceSize
-from ..quant import MixedPrecisionConfig
 from ..trace.opnode import Trace
 from ..trace.serialize import trace_fingerprint, trace_from_json, trace_to_json
-from ..utils import jsonable, stable_digest
+from ..utils import jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .nsflow import CompiledDesign
@@ -95,7 +88,6 @@ __all__ = [
     "ArtifactStore",
     "FoldStats",
     "fold_stores",
-    "scenario_cache_key",
 ]
 
 #: On-disk schema version; bump when the artifact file layout changes.
@@ -117,82 +109,6 @@ ARTIFACT_FORMAT_VERSION = 3
 #: the key document, so pre-seam entries (which never recorded one)
 #: must all miss.
 ENGINE_CACHE_EPOCH = 2
-
-
-def scenario_cache_key(
-    *,
-    workload: str,
-    workload_config: dict,
-    device: FpgaDevice,
-    precision: MixedPrecisionConfig,
-    iter_max: int,
-    loops: int,
-    max_pes: int,
-    clock_mhz: float = DEFAULT_CLOCK_MHZ,
-    range_h: tuple[int, int] = DEFAULT_RANGE_H,
-    range_w: tuple[int, int] = DEFAULT_RANGE_W,
-    backend: str = "analytic",
-    accuracy: dict | None = None,
-) -> str:
-    """Content hash of everything that determines a scenario's artifacts."""
-    return stable_digest(_key_doc(
-        workload=workload,
-        workload_config=workload_config,
-        device=device,
-        precision=precision,
-        iter_max=iter_max,
-        loops=loops,
-        max_pes=max_pes,
-        clock_mhz=clock_mhz,
-        range_h=range_h,
-        range_w=range_w,
-        backend=backend,
-        accuracy=accuracy,
-    ), length=32)
-
-
-def _key_doc(
-    *,
-    workload: str,
-    workload_config: dict,
-    device: FpgaDevice,
-    precision: MixedPrecisionConfig,
-    iter_max: int,
-    loops: int,
-    max_pes: int,
-    clock_mhz: float,
-    range_h: tuple[int, int],
-    range_w: tuple[int, int],
-    backend: str = "analytic",
-    accuracy: dict | None = None,
-) -> dict:
-    return {
-        "format": ARTIFACT_FORMAT_VERSION,
-        "epoch": ENGINE_CACHE_EPOCH,
-        "workload": {"name": workload, "config": workload_config},
-        "device": jsonable(device),
-        "precision": {
-            "neural": precision.neural.value,
-            "symbolic": precision.symbolic.value,
-        },
-        "engine": {
-            "iter_max": iter_max,
-            "loops": loops,
-            "max_pes": max_pes,
-            "clock_mhz": clock_mhz,
-            "range_h": list(range_h),
-            "range_w": list(range_w),
-            # Result-affecting: backends price designs differently, so
-            # their entries must never collide — and keying on the
-            # version tag too means a backend whose pricing changes
-            # invalidates exactly its own cached scenarios.
-            "backend": {"name": backend, "version": backend_version(backend)},
-        },
-        # The accuracy *request* ({n_problems, seed} or None), never the
-        # resulting value: entries with and without functional accuracy
-        # must not collide, but the value itself is an output.
-        "accuracy": accuracy,
-    }
 
 
 @dataclass(frozen=True)

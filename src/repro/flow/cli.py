@@ -103,6 +103,7 @@ from .report import (
     latency_breakdown_table,
     merge_summary_table,
     pareto_frontier_table,
+    provenance,
     shard_progress_table,
     stage_timings_table,
     sweep_comparison_table,
@@ -260,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "corrupt/short/kill (equivalent to REPRO_FAULTS; "
                           "see repro.faults). Testing aid — injected "
                           "faults exercise the recovery paths for real")
-    swp.add_argument("--server", default=None, metavar="URL",
-                     help="submit the grid to a running 'repro serve' "
-                          "instance instead of compiling locally "
-                          "(equivalent to 'repro submit'; local-execution "
-                          "flags like --cache-dir are ignored)")
 
     srv = sub.add_parser(
         "serve",
@@ -478,9 +474,9 @@ def _split_csv(text: str) -> tuple[str, ...]:
 
 
 def _grid_doc_from_args(args: argparse.Namespace) -> dict | None:
-    """The sweep-grid request document shared by submit and --server.
+    """The sweep-grid request document ``submit`` sends.
 
-    Built from the CSV grid flags common to ``sweep`` and ``submit``;
+    Built from the CSV grid flags ``submit`` shares with ``sweep``;
     returns ``None`` (after printing the error) on a malformed --loops.
     The server re-validates everything through the same
     :class:`~repro.flow.sweep.ScenarioGrid` the local path uses.
@@ -506,48 +502,46 @@ def _grid_doc_from_args(args: argparse.Namespace) -> dict | None:
     }
 
 
-def _submit_grid(
-    server: str,
-    grid_doc: dict,
-    *,
-    poll_s: float = DEFAULT_POLL_S,
-    timeout_s: float | None = None,
-    wait: bool = True,
-) -> int:
-    client = ServeClient(server)
-    job = client.submit_sweep(grid_doc)
-    job_id = job["job_id"]
-    total = job.get("scenarios", 0)
-    coalesced = " (coalesced onto the running job)" if job.get("coalesced") \
-        else ""
-    print(f"Submitted job {job_id} ({total} scenarios) "
-          f"to {client.base_url}{coalesced}")
-    if not wait:
-        print(f"Poll with: repro submit --server {client.base_url} ... "
-              "(same grid resumes/coalesces) or GET /jobs/" + job_id)
-        return 0
+def _cmd_submit(args: argparse.Namespace) -> int:
+    grid_doc = _grid_doc_from_args(args)
+    if grid_doc is None:
+        return 1
+    with ServeClient(args.server) as client:
+        job = client.submit_sweep(grid_doc)
+        job_id = job["job_id"]
+        total = job.get("scenarios", 0)
+        coalesced = " (coalesced onto the running job)" \
+            if job.get("coalesced") else ""
+        print(f"Submitted job {job_id} ({total} scenarios) "
+              f"to {client.base_url}{coalesced}")
+        if args.no_wait:
+            print(f"Poll with: repro submit --server {client.base_url} ... "
+                  "(same grid resumes/coalesces) or GET /jobs/" + job_id)
+            return 0
 
-    printed = {"n": 0}
+        printed = {"n": 0}
 
-    def on_rows(rows: list[dict]) -> None:
-        for row in rows:
-            printed["n"] += 1
-            if row.get("status") == "ok":
-                tail = (f"{row['latency_ms']:10.3f} ms"
-                        if row.get("latency_ms") is not None else "")
-                status = "resumed" if row.get("resumed") else (
-                    "cached" if row.get("cached") else "compiled")
-            else:
-                status = "ERROR"
-                tail = row.get("error", "")
-            print(f"[{printed['n']:>{len(str(total))}}/{total}] "
-                  f"{row.get('scenario_id', '-'):<32} {status:<9} "
-                  f"{row.get('elapsed_s', 0.0):6.2f}s  {tail}")
+        def on_rows(rows: list[dict]) -> None:
+            for row in rows:
+                printed["n"] += 1
+                if row.get("status") == "ok":
+                    tail = (f"{row['latency_ms']:10.3f} ms"
+                            if row.get("latency_ms") is not None else "")
+                    status = provenance(
+                        row.get("resumed"), row.get("cached"),
+                        row.get("reissued"), row.get("recovered"),
+                    )
+                else:
+                    status = "ERROR"
+                    tail = row.get("error", "")
+                print(f"[{printed['n']:>{len(str(total))}}/{total}] "
+                      f"{row.get('scenario_id', '-'):<32} {status:<9} "
+                      f"{row.get('elapsed_s', 0.0):6.2f}s  {tail}")
 
-    final = client.wait_job(
-        job_id, poll_s=poll_s, timeout_s=timeout_s, on_rows=on_rows
-    )
-    rows = client.job(job_id).get("rows", [])
+        final = client.wait_job(
+            job_id, poll_s=args.poll, timeout_s=args.timeout, on_rows=on_rows
+        )
+        rows = client.job(job_id).get("rows", [])
     if rows:
         print()
         print(job_results_table(rows, title=f"Job results ({job_id})"))
@@ -557,16 +551,6 @@ def _submit_grid(
         print("note: the server drained mid-job; resubmit the same grid "
               "to resume from its ledger", file=sys.stderr)
     return 0 if final.get("status") == "done" else 1
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    grid_doc = _grid_doc_from_args(args)
-    if grid_doc is None:
-        return 1
-    return _submit_grid(
-        args.server, grid_doc, poll_s=args.poll, timeout_s=args.timeout,
-        wait=not args.no_wait,
-    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -594,8 +578,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     def on_ready(srv: DseServer) -> None:
-        # The ready line is machine-read (tests, tools/serve_smoke.py):
-        # with --port 0 it is the only place the real port appears.
+        # The ready line is machine-read (tests, perfbench): with
+        # --port 0 it is the only place the real port appears.
         print(f"Serving on http://{srv.host}:{srv.port} "
               f"(cache: {srv.cache_dir}, worker id: {srv.worker_id})",
               flush=True)
@@ -610,11 +594,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.server is not None:
-        grid_doc = _grid_doc_from_args(args)
-        if grid_doc is None:
-            return 1
-        return _submit_grid(args.server, grid_doc)
     try:
         loops = tuple(int(v) for v in _split_csv(args.loops))
     except ValueError:
@@ -672,16 +651,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             status = "deferred"
         elif not outcome.ok:
             status = "ERROR"
-        elif outcome.resumed:
-            status = "resumed"
-        elif outcome.cached:
-            status = "cached"
-        elif outcome.reissued:
-            status = "reissued"
-        elif outcome.recovered:
-            status = "recovered"
         else:
-            status = "compiled"
+            status = provenance(outcome.resumed, outcome.cached,
+                                outcome.reissued, outcome.recovered)
         if outcome.ok:
             tail = f"{outcome.latency_ms:10.3f} ms"
         elif outcome.deferred:

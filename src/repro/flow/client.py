@@ -26,11 +26,10 @@ server's decoded JSON document; non-2xx responses and transport
 failures raise :class:`~repro.errors.ServeError` carrying the server's
 ``error`` message, so CLI callers surface exactly what the server said.
 
-``repro submit`` and ``repro sweep --server URL`` are built on this
-module; :meth:`ServeClient.wait_job` is the polling loop behind both —
-it streams each newly appended ledger row to a callback (the CLI's
-per-scenario progress lines) until the job leaves the ``running``
-state.
+``repro submit`` is built on this module; :meth:`ServeClient.wait_job`
+is its polling loop — it streams each newly appended ledger row to a
+callback (the CLI's per-scenario progress lines) until the job leaves
+the ``running`` state.
 """
 
 from __future__ import annotations

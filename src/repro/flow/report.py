@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "format_table",
+    "provenance",
     "speedup_table",
     "pareto_frontier_table",
     "latency_breakdown_table",
@@ -184,20 +185,40 @@ def stage_timings_table(
     )
 
 
+def provenance(resumed: bool, cached: bool, reissued: bool,
+               recovered: bool) -> str:
+    """How an ok scenario got its result, from its ledger-row flags.
+
+    The first set flag of ``resumed`` → ``cached`` → ``reissued`` →
+    ``recovered`` names it; with none set it was ``compiled`` fresh.
+    The sweep and submit progress lines and both results tables print
+    this word.
+    """
+    if resumed:
+        return "resumed"
+    if cached:
+        return "cached"
+    if reissued:
+        return "reissued"
+    if recovered:
+        return "recovered"
+    return "compiled"
+
+
 def sweep_results_table(result: "SweepResult", title: str | None = None) -> str:
     """One row per sweep scenario: design point, latency, provenance.
 
-    ``Source`` distinguishes fresh compilations from artifact-cache hits;
-    ``Backend`` names the cost model (and version) the scenario's
-    report was priced with; ``Evals`` counts the Phase-I model
-    evaluations the scenario actually paid for (always 0 on a hit);
-    ``vs best`` is the latency delta against the same workload's
-    fastest scenario, so device/precision penalties read directly off
-    the table. Error rows keep their slot — failure isolation means a
-    sweep report always accounts for every scenario it was asked to
-    run. An ``Accuracy`` column is appended when any scenario was
-    compiled with the functional-accuracy objective; accuracy-free
-    sweeps render exactly as before.
+    ``Source`` is the scenario's :func:`provenance` (``compiled`` fresh,
+    ``cached`` from the artifact store, ...); ``Backend`` names the cost
+    model (and version) the scenario's report was priced with;
+    ``Evals`` counts the Phase-I model evaluations the scenario actually
+    paid for (always 0 on a hit); ``vs best`` is the latency delta
+    against the same workload's fastest scenario, so device/precision
+    penalties read directly off the table. Error rows keep their slot —
+    failure isolation means a sweep report always accounts for every
+    scenario it was asked to run. An ``Accuracy`` column is appended
+    when any scenario was compiled with the functional-accuracy
+    objective; accuracy-free sweeps render exactly as before.
     """
     with_accuracy = any(
         o.artifacts is not None and o.artifacts.report.accuracy is not None
@@ -230,20 +251,10 @@ def sweep_results_table(result: "SweepResult", title: str | None = None) -> str:
                 else f"+{100 * (o.latency_ms / best - 1):.1f}%"
             )
             backend = o.artifacts.report.backend
-            if o.resumed:
-                source = "resume"
-            elif o.cached:
-                source = "cache"
-            elif o.reissued:
-                source = "reissue"
-            elif o.recovered:
-                source = "recover"
-            else:
-                source = "fresh"
             rows.append([
                 o.scenario_id,
                 "ok",
-                source,
+                provenance(o.resumed, o.cached, o.reissued, o.recovered),
                 str(backend) if backend is not None else "-",
                 str(c.geometry),
                 c.mode.value,
@@ -566,28 +577,18 @@ def job_results_table(
 
     ``repro submit`` builds this from the ``rows`` of ``GET
     /jobs/<id>`` — :class:`~repro.flow.ledger.LedgerRecord` documents,
-    the same serialization the ledger file itself uses. ``Source``
-    mirrors the local sweep table: ``resume``/``cache``/``fresh`` (or
-    ``reissue``/``recover`` for the distributed-recovery provenance).
+    the same serialization the ledger file itself uses. ``Source`` is
+    the row's :func:`provenance`, as in the local sweep table.
     """
     out = []
     for row in rows:
         if row.get("status") == "ok":
-            if row.get("resumed"):
-                source = "resume"
-            elif row.get("cached"):
-                source = "cache"
-            elif row.get("reissued"):
-                source = "reissue"
-            elif row.get("recovered"):
-                source = "recover"
-            else:
-                source = "fresh"
             latency = row.get("latency_ms")
             out.append([
                 row.get("scenario_id", "-"),
                 "ok",
-                source,
+                provenance(row.get("resumed"), row.get("cached"),
+                           row.get("reissued"), row.get("recovered")),
                 f"{latency:.3f}" if latency is not None else "-",
                 f"{row.get('evaluations', 0):,}",
                 f"{row.get('elapsed_s', 0.0):.2f}",

@@ -63,15 +63,16 @@ from ..faults import (
     fire_counts,
     retry_count,
 )
-from ..model.backend import EVALUATION_BACKENDS
+from ..model.backend import EVALUATION_BACKENDS, backend_version
 from ..quant import MIXED_PRECISION_PRESETS, MixedPrecisionConfig
 from ..utils import jsonable, stable_digest
 from ..workloads import available_workloads, build_workload, workload_config
 from .artifacts import (
+    ARTIFACT_FORMAT_VERSION,
+    ENGINE_CACHE_EPOCH,
     ArtifactStore,
     ScenarioArtifacts,
     StoreStats,
-    _key_doc,
 )
 from .ledger import ClaimRecord, LedgerRecord, RunLedger
 from .nsflow import NSFlow
@@ -305,26 +306,46 @@ def scenario_key_doc(spec: ScenarioSpec) -> dict:
     compile with, so a changed default invalidates the cache rather
     than serving stale hits.
     """
-    return _key_doc(
-        workload=spec.workload,
-        workload_config=jsonable(
-            workload_config(spec.workload, **dict(spec.overrides))
-        ),
-        device=spec.device_obj,
-        precision=spec.precision_obj,
-        iter_max=spec.iter_max,
-        loops=spec.loops,
-        max_pes=spec.resolved_max_pes(),
-        clock_mhz=DEFAULT_CLOCK_MHZ,
-        range_h=DEFAULT_RANGE_H,
-        range_w=DEFAULT_RANGE_W,
-        backend=spec.backend,
-        accuracy=(
+    precision = spec.precision_obj
+    return {
+        "format": ARTIFACT_FORMAT_VERSION,
+        "epoch": ENGINE_CACHE_EPOCH,
+        "workload": {
+            "name": spec.workload,
+            "config": jsonable(
+                workload_config(spec.workload, **dict(spec.overrides))
+            ),
+        },
+        "device": jsonable(spec.device_obj),
+        "precision": {
+            "neural": precision.neural.value,
+            "symbolic": precision.symbolic.value,
+        },
+        "engine": {
+            "iter_max": spec.iter_max,
+            "loops": spec.loops,
+            "max_pes": spec.resolved_max_pes(),
+            "clock_mhz": DEFAULT_CLOCK_MHZ,
+            "range_h": list(DEFAULT_RANGE_H),
+            "range_w": list(DEFAULT_RANGE_W),
+            # Result-affecting: backends price designs differently, so
+            # their entries must never collide — and keying on the
+            # version tag too means a backend whose pricing changes
+            # invalidates exactly its own cached scenarios.
+            "backend": {
+                "name": spec.backend,
+                "version": backend_version(spec.backend),
+            },
+        },
+        # The accuracy *request* ({n_problems, seed} or None), never the
+        # resulting value: entries with and without functional accuracy
+        # must not collide, but the value itself is an output.
+        "accuracy": (
             {"n_problems": spec.accuracy_problems, "seed": spec.accuracy_seed}
             if spec.accuracy
             else None
         ),
-    )
+    }
 
 
 def scenario_key(spec: ScenarioSpec) -> str:

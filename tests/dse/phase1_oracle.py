@@ -9,7 +9,7 @@ scan. This module holds the two references the tests compare against:
 
 * :func:`run_phase1` — the historical serial Phase I sweep over the
   scalar models of :mod:`repro.model.runtime`, independent of the
-  backend seam;
+  backend seam, one :func:`scan_geometry` per candidate geometry;
 * :class:`OracleEngine` — a :class:`~repro.dse.engine.DseEngine` whose
   ``evaluate`` prices every candidate through the base-class scalar scan
   :meth:`repro.model.backend.EvaluationBackend.score_geometry` and prunes
@@ -29,6 +29,28 @@ from repro.model.backend import EvaluationBackend
 from repro.model.designspace import hw_config_candidates
 from repro.model.runtime import parallel_runtime, sequential_runtime
 from repro.utils import log2_int
+
+
+def scan_geometry(h, w, n_sub, layers, vsa_nodes) -> tuple[int, int, int, int]:
+    """One geometry's scalar scan: ``(t_sequential, t_parallel, N̄l, N̄v)``.
+
+    Every static split ``N̄l + N̄v = n_sub`` is priced with the scalar
+    models; the first fastest wins. Without VSA nodes, "parallel"
+    degenerates to the whole array running the NN layers.
+    """
+    t_seq = int(sequential_runtime(h, w, n_sub, layers, vsa_nodes))
+    if not vsa_nodes:
+        return t_seq, t_seq, n_sub, 0
+    best = None
+    for nl_bar in range(1, n_sub):
+        nv_bar = n_sub - nl_bar
+        t_para = int(parallel_runtime(
+            h, w, [nl_bar] * len(layers), [nv_bar] * len(vsa_nodes),
+            layers, vsa_nodes,
+        ))
+        if best is None or t_para < best[0]:
+            best = (t_para, nl_bar, nv_bar)
+    return (t_seq, *best)
 
 
 def run_phase1(
@@ -53,27 +75,14 @@ def run_phase1(
         if n_sub < 2:
             continue
 
-        t_seq = sequential_runtime(h, w, n_sub, layers, vsa_nodes)
-        evaluated += 1
+        t_seq, t_para, nl_bar, nv_bar = scan_geometry(
+            h, w, n_sub, layers, vsa_nodes
+        )
+        evaluated += n_sub if vsa_nodes else 1
         if best_seq is None or t_seq < best_seq[0]:
-            best_seq = (int(t_seq), h, w, n_sub)
-
-        if vsa_nodes:
-            for nl_bar in range(1, n_sub):
-                nv_bar = n_sub - nl_bar
-                t_para = parallel_runtime(
-                    h, w,
-                    [nl_bar] * len(layers),
-                    [nv_bar] * len(vsa_nodes),
-                    layers, vsa_nodes,
-                )
-                evaluated += 1
-                if best_para is None or t_para < best_para[0]:
-                    best_para = (int(t_para), h, w, n_sub, nl_bar, nv_bar)
-        else:
-            # No VSA nodes: "parallel" degenerates to whole-array NN.
-            if best_para is None or t_seq < best_para[0]:
-                best_para = (int(t_seq), h, w, n_sub, n_sub, 0)
+            best_seq = (t_seq, h, w, n_sub)
+        if best_para is None or t_para < best_para[0]:
+            best_para = (t_para, h, w, n_sub, nl_bar, nv_bar)
 
     if best_para is None or best_seq is None:
         raise DSEError(

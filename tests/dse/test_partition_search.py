@@ -12,20 +12,23 @@ tests are the contract; CI's perf-smoke job re-checks it at a tiny
 budget via ``benchmarks/bench_dse_hotpath.py --check-only``.
 """
 
+import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from phase1_oracle import OracleEngine, scalar_score
+from phase1_oracle import OracleEngine, scalar_score, scan_geometry
+from repro.arch.dram import DramModel
 from repro.dse.engine import DseEngine
 from repro.dse.timing import stage_timings_since, timings_snapshot
 from repro.flow.cli import main
 from repro.flow.sweep import ScenarioGrid, run_sweep
-from repro.model.backend import AnalyticBackend
+from repro.model.backend import AnalyticBackend, ScheduleBackend
 from repro.model.cache import clear_model_caches, cumulative_snapshot
 from repro.model.runtime import layer_runtime
 from repro.nn.gemm import GemmDims
+from repro.quant import MIXED_PRECISION_PRESETS
 from repro.trace.opnode import VsaDims
 
 gemm = st.builds(
@@ -37,6 +40,15 @@ gemm = st.builds(
 vsa = st.builds(VsaDims, n=st.integers(1, 48), d=st.integers(1, 1024))
 
 _ANALYTIC = AnalyticBackend()
+
+#: Every pricing path: the analytic models, two schedule byte widths,
+#: and a DRAM pipe narrow enough that transfers often set the makespan.
+BACKENDS = (
+    _ANALYTIC,
+    ScheduleBackend.from_precision(MIXED_PRECISION_PRESETS["MP"]),
+    ScheduleBackend.from_precision(MIXED_PRECISION_PRESETS["INT4"]),
+    ScheduleBackend(dram=DramModel(bandwidth_gb_s=0.05)),  # 1 byte/cycle
+)
 
 
 class TestGeometryEquivalence:
@@ -83,6 +95,37 @@ class TestGeometryEquivalence:
         assert ref.probes == 512             # 1 sequential + 511 splits
         assert fast.probes < ref.probes // 10
         assert fast.evaluated == ref.evaluated  # logical count is shared
+
+
+@given(
+    st.tuples(st.sampled_from([4, 8, 16, 32]),
+              st.sampled_from([4, 8, 16, 32]),
+              st.sampled_from([2, 3, 4, 8, 16])),
+    st.lists(gemm, min_size=1, max_size=4),
+    st.lists(vsa, min_size=0, max_size=3),
+)
+# Eq. 5's spatial and temporal sums tie (57 + 19 == 38 + 38) while the
+# per-node cycles differ, so the schedule depends on the tie rule.
+@example((4, 4, 2), [GemmDims(4, 4, 4)], [VsaDims(1, 8), VsaDims(3, 8)])
+@settings(max_examples=40, deadline=None)
+def test_score_geometry_matches_reference_all_strategies(g, layers, vsa_nodes):
+    h, w, n = g
+    layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
+    for backend in BACKENDS:
+        # The base-class scalar scan is every backend's reference.
+        scan = scalar_score(backend, h, w, n, layers, vsa_nodes)
+        fast = backend.score_geometry(h, w, n, layers, vsa_nodes)
+        if backend is _ANALYTIC:
+            # ... and the scalar models' own scan is the analytic one's.
+            assert (
+                scan.t_sequential, scan.t_parallel,
+                scan.nl_bar, scan.nv_bar,
+            ) == scan_geometry(h, w, n, layers, vsa_nodes)
+            # The batched search prices fewer points than the scan.
+            fast = dataclasses.replace(fast, probes=scan.probes)
+        assert fast == scan
+        # The logical design-point accounting is search-invariant.
+        assert scan.evaluated == (n if vsa_nodes else 1)
 
 
 @pytest.mark.parametrize("backend", ["analytic", "schedule"])

@@ -7,31 +7,17 @@ import pytest
 
 import repro.flow.artifacts as artifacts_module
 from repro import NSFlow, build_workload
-from repro.arch.resources import U250, ZCU104
-from repro.flow.artifacts import (
-    ARTIFACT_FORMAT_VERSION,
-    ArtifactStore,
-    scenario_cache_key,
-)
-from repro.flow.sweep import ScenarioGrid, run_sweep
-from repro.quant import MIXED_PRECISION_PRESETS
+from repro.arch.resources import U250
+from repro.errors import InjectedFault
+from repro.faults import RetryPolicy, injected_faults, retry_count
+from repro.flow.artifacts import ARTIFACT_FORMAT_VERSION, ArtifactStore
+from repro.flow.sweep import ScenarioGrid, ScenarioSpec, run_sweep, scenario_key
 from repro.trace.serialize import trace_fingerprint
-from repro.utils import jsonable
-from repro.workloads import available_workloads, workload_config
+from repro.workloads import available_workloads
 
 
-def _key(**overrides):
-    kwargs = dict(
-        workload="mimonet",
-        workload_config=jsonable(workload_config("mimonet")),
-        device=U250,
-        precision=MIXED_PRECISION_PRESETS["MP"],
-        iter_max=8,
-        loops=1,
-        max_pes=8192,
-    )
-    kwargs.update(overrides)
-    return scenario_cache_key(**kwargs)
+def _key(**fields) -> str:
+    return scenario_key(ScenarioSpec(workload="mimonet", **fields))
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +28,6 @@ def compiled():
 class TestCacheKey:
     def test_deterministic(self):
         assert _key() == _key()
-
-    def test_sensitive_to_every_input(self):
-        base = _key()
-        assert _key(workload="nvsa",
-                    workload_config=jsonable(workload_config("nvsa"))) != base
-        assert _key(device=ZCU104) != base
-        assert _key(precision=MIXED_PRECISION_PRESETS["INT8"]) != base
-        assert _key(iter_max=4) != base
-        assert _key(loops=2) != base
-        assert _key(max_pes=1024) != base
-
-    def test_config_override_changes_key(self):
-        cfg = jsonable(workload_config("mimonet", superposition=4))
-        assert _key(workload_config=cfg) != _key()
 
     def test_key_is_hex(self):
         key = _key()
@@ -135,6 +107,31 @@ class TestArtifactStore:
         store.store(key, compiled, {})
         assert store.has(key)
         assert store.stats.lookups == 0
+
+
+class TestStoreWriteFaults:
+    """Each write attempt fills a fresh temp dir, removed if it fails."""
+
+    NO_WAIT = RetryPolicy(max_attempts=2, base_delay_s=0, max_delay_s=0)
+
+    def test_failed_write_is_retried(self, tmp_path, compiled):
+        clean = ArtifactStore(tmp_path / "clean").store(_key(), compiled, {})
+        store = ArtifactStore(tmp_path / "faulty", retry=self.NO_WAIT)
+        before = retry_count()
+        with injected_faults("artifacts.store.write:raise@1"):
+            digest = store.store(_key(), compiled, {})
+        assert digest == clean
+        assert retry_count() - before == 1
+        assert store.load(_key()) is not None
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_exhausted_write_leaves_nothing(self, tmp_path, compiled):
+        store = ArtifactStore(tmp_path, retry=self.NO_WAIT)
+        with injected_faults("artifacts.store.write:raise@1x*"):
+            with pytest.raises(InjectedFault):
+                store.store(_key(), compiled, {})
+        assert store.keys() == []
+        assert list(tmp_path.rglob(".tmp-*")) == []
 
 
 class TestBackendKeying:

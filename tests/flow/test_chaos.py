@@ -2,16 +2,19 @@
 
 Every test here runs real failure modes — injected fsync/short-write
 faults, corrupted artifact entries, lost heartbeats, wall-clock
-timeouts — through the production code paths and
-asserts the sweep's exactly-once accounting survives them. The
-multi-process end-to-end version of this suite is
-``tools/chaos_smoke.py`` (CI's ``chaos-smoke`` job).
+timeouts — through the production code paths and asserts the sweep's
+exactly-once accounting survives them. The last one runs them all at
+once: four worker processes share one ledger and store under seeded
+fault schedules, and the merge must equal a fault-free serial sweep.
 """
 
+import json
 import signal
 import threading
 
 import pytest
+import sweep_worker
+from sweep_worker import synth_grid
 
 from repro.errors import ConfigError, LedgerWriteError
 from repro.faults import RetryPolicy, injected_faults, retry_count
@@ -19,22 +22,12 @@ from repro.flow import (
     ArtifactStore,
     LedgerRecord,
     RunLedger,
-    ScenarioGrid,
     merge_ledgers,
     run_sweep,
 )
 
-#: A tiny synth family: compiles in milliseconds per scenario.
-SYNTH_OVR = (("n_ops", 8), ("vector_dim", 64), ("blocks", 2),
-             ("gemm_scale", 16))
-
 #: Zero-sleep policy so retry-path tests don't wait out real backoffs.
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0, max_delay_s=0.0)
-
-
-def synth_grid(seeds: str, **kwargs) -> ScenarioGrid:
-    return ScenarioGrid(workloads=(f"synth:{seeds}",), max_pes=(256,),
-                        overrides=SYNTH_OVR, **kwargs)
 
 
 def _record(scenario_id="s@u250/MP", key="k" * 32) -> LedgerRecord:
@@ -207,3 +200,68 @@ class TestSweepFaultTolerance:
         # Deterministic recompile: the recovered entry is byte-identical,
         # so distributed merges cannot see a digest conflict.
         assert store.entry_digest(priced.key) == digest_before
+
+
+#: The chaos wave's per-worker fault schedules: an fsync failure the
+#: retry policy absorbs, and a stall at worker 3's first compile that
+#: blows its scenario timeout (``!once``: one firing across every
+#: process sharing the fault state).
+WAVE_FAULTS = ("", "ledger.append.fsync:raise@2",
+               "sweep.compile:delay=2.5@1!once", "")
+#: The cleanup pass corrupts its 2nd artifact read (the first load's
+#: trace), so that entry fails its audit and is quarantined.
+CLEANUP_FAULTS = "artifacts.load.read:corrupt@2"
+
+
+def test_four_workers_under_fault_schedules_merge_matches_serial(tmp_path):
+    """Four processes share one ledger + store under fault schedules and
+    a resume pass cleans up: every fault fired and was survived, and
+    the merge is byte-identical to a fault-free serial sweep."""
+    seeds = "0-79"
+    golden_ledger = RunLedger(tmp_path / "golden" / "ledger.jsonl")
+    run_sweep(synth_grid(seeds),
+              store=ArtifactStore(tmp_path / "golden" / "store"),
+              ledger=golden_ledger)
+    golden = merge_ledgers([golden_ledger])
+
+    shared, state = tmp_path / "shared", tmp_path / "fault-state"
+    procs = [
+        sweep_worker.spawn(
+            {"cache": str(shared), "seeds": seeds, "worker": f"chaos-w{i}",
+             "scenario_timeout": 0.8 if "sweep.compile" in faults else None},
+            faults=faults, fault_state=state,
+        )
+        for i, faults in enumerate(WAVE_FAULTS, start=1)
+    ]
+    outs = [p.communicate(timeout=600) for p in procs]
+    # The cleanup pass re-prices the timed-out scenario's error row.
+    cleanup = sweep_worker.spawn(
+        {"cache": str(shared), "seeds": seeds, "resume": True},
+        faults=CLEANUP_FAULTS, fault_state=state,
+    )
+    outs.append(cleanup.communicate(timeout=600))
+    for proc, (_, err) in zip([*procs, cleanup], outs):
+        assert proc.returncode == 0, err
+    counters = [json.loads(out) for out, _ in outs]
+
+    fired = {line.rsplit(":", 1)[0] for line in
+             (state / "fires.log").read_text().splitlines()}
+    assert fired == {"ledger.append.fsync:raise", "sweep.compile:delay",
+                     "artifacts.load.read:corrupt"}
+    # The stall became a retryable timeout error row, and the fsync
+    # failure was retried.
+    assert sum(c["n_timeouts"] for c in counters) >= 1
+    assert sum(c["n_errors"] for c in counters) >= 1
+    assert any(c["io_retries"] >= 1 for c in counters)
+    # The corrupt entry was quarantined, kept as evidence and recompiled.
+    assert counters[-1]["n_recovered"] >= 1
+    assert counters[-1]["quarantined"] >= 1
+    assert ArtifactStore(shared / "store").quarantined_keys()
+
+    merged = merge_ledgers([RunLedger(shared / "ledger.jsonl")])
+    assert merged.double_priced == []
+    assert merged.open_claims == []
+    assert len(merged.rows) == 80
+    assert all(r.status == "ok" for r in merged.rows)
+    assert merged.canonical_ledger_text() == golden.canonical_ledger_text()
+    assert merged.report_text() == golden.report_text()

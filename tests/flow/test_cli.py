@@ -52,11 +52,15 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["compile", "mimonet", "--jobs", "2"],
         ["sweep", "--jobs", "2"],
+        # Remote grids go through `repro submit`.
+        ["sweep", "--server", "http://127.0.0.1:1"],
     ])
     def test_compile_and_sweep_have_no_jobs_flag(self, argv, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv[-2:])}"
+                in capsys.readouterr().err)
 
 
 class TestCommands:

@@ -15,13 +15,11 @@ surface.
 """
 
 import json
-import pathlib
 import signal
-import subprocess
-import sys
 import time
 
 import pytest
+import sweep_worker
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, MergeConflictError
@@ -29,7 +27,6 @@ from repro.flow import (
     ArtifactStore,
     LedgerRecord,
     RunLedger,
-    ScenarioGrid,
     fold_stores,
     merge_ledgers,
     parse_shard,
@@ -38,16 +35,7 @@ from repro.flow import (
     shard_index,
 )
 from repro.flow.cli import main
-
-#: A tiny synth family: compiles in milliseconds per scenario.
-SYNTH_OVR = (("n_ops", 8), ("vector_dim", 64), ("blocks", 2),
-             ("gemm_scale", 16))
-SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-
-
-def synth_grid(seeds: str, **kwargs) -> ScenarioGrid:
-    return ScenarioGrid(workloads=(f"synth:{seeds}",), max_pes=(256,),
-                        overrides=SYNTH_OVR, **kwargs)
+from sweep_worker import synth_grid
 
 
 # ---------------------------------------------------------------------------
@@ -203,56 +191,22 @@ class TestSweepClaims:
 # The crash-injection harness
 # ---------------------------------------------------------------------------
 
-#: Worker subprocess: one sharded run_sweep over its own ledger+store.
-#: ``kill_after >= 0`` arms the fault: SIGKILL self immediately after
-#: durably appending the Nth *claim* record — the precise window where
-#: a scenario is claimed but will never be priced.
-_WORKER_SCRIPT = """\
-import os, signal, sys
-sys.path.insert(0, sys.argv[1])
-from repro.flow import ArtifactStore, RunLedger, ScenarioGrid, run_sweep
-
-src, cache, shard, seeds, lease, kill_after, worker_id = sys.argv[1:8]
-ledger = RunLedger(cache + "/ledger.jsonl")
-if int(kill_after) >= 0:
-    seen = [0]
-    orig = RunLedger._append_doc
-    def kill_after_nth_claim(self, doc):
-        orig(self, doc)
-        if doc.get("kind") == "claim":
-            seen[0] += 1
-            if seen[0] >= int(kill_after):
-                os.kill(os.getpid(), signal.SIGKILL)
-    RunLedger._append_doc = kill_after_nth_claim
-grid = ScenarioGrid(
-    workloads=("synth:" + seeds,), max_pes=(256,),
-    overrides=(("n_ops", 8), ("vector_dim", 64), ("blocks", 2),
-               ("gemm_scale", 16)),
-)
-result = run_sweep(grid, store=ArtifactStore(cache + "/store"),
-                   ledger=ledger, shard=shard, worker=worker_id,
-                   lease_timeout_s=float(lease))
-sys.exit(0 if result.n_errors == 0 else 1)
-"""
-
-
-def _spawn_worker(script, cache, shard, seeds, worker_id, *,
-                  lease=300.0, kill_after=-1):
-    return subprocess.Popen(
-        [sys.executable, str(script), SRC, str(cache), shard, seeds,
-         str(lease), str(kill_after), worker_id],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-    )
+def _spawn_worker(cache, shard, seeds, worker_id, *, lease=300.0,
+                  kill_after=None):
+    """One sharded sweep process over its own ledger + store."""
+    return sweep_worker.spawn({
+        "cache": str(cache), "seeds": seeds, "shard": shard,
+        "worker": worker_id, "lease": lease, "kill_after": kill_after,
+    })
 
 
 def _distributed_vs_serial(tmp_path, *, seeds, n_workers, kill_after):
     """Serial golden vs N concurrent sharded workers (+ crash injection).
 
-    Returns the merged :class:`LedgerMergeResult` for extra assertions.
+    With ``kill_after`` set, worker 1 SIGKILLs itself right after its
+    ``kill_after``-th claim record hits the disk. Returns the merged
+    :class:`LedgerMergeResult` for extra assertions.
     """
-    script = tmp_path / "worker.py"
-    script.write_text(_WORKER_SCRIPT)
-
     # --- serial golden ------------------------------------------------------
     serial_ledger = RunLedger(tmp_path / "serial" / "ledger.jsonl")
     serial = run_sweep(
@@ -266,25 +220,27 @@ def _distributed_vs_serial(tmp_path, *, seeds, n_workers, kill_after):
     # The victim's shard must be big enough to survive the injected
     # kill and still have work left to re-issue.
     victim_slice = shard_filter(synth_grid(seeds).expand(), (1, n_workers))
-    if kill_after >= 0:
+    if kill_after is not None:
         assert len(victim_slice) > kill_after
 
     # --- N concurrent sharded workers ---------------------------------------
     procs = [
         _spawn_worker(
-            script, tmp_path / f"shard{i}", f"{i}/{n_workers}", seeds,
-            f"worker-{i}", kill_after=(kill_after if i == 1 else -1),
+            tmp_path / f"shard{i}", f"{i}/{n_workers}", seeds,
+            f"worker-{i}", kill_after=(kill_after if i == 1 else None),
         )
         for i in range(1, n_workers + 1)
     ]
-    errs = [p.communicate(timeout=600)[1] for p in procs]
-    if kill_after >= 0:
+    outs = [p.communicate(timeout=600) for p in procs]
+    survivors = list(zip(procs, outs))
+    if kill_after is not None:
         assert procs[0].returncode == -signal.SIGKILL
-    else:
-        assert procs[0].returncode == 0, errs[0]
-    assert all(p.returncode == 0 for p in procs[1:]), errs[1:]
+        survivors = survivors[1:]
+    for proc, (out, err) in survivors:
+        assert proc.returncode == 0, err
+        assert json.loads(out)["n_errors"] == 0
 
-    if kill_after >= 0:
+    if kill_after is not None:
         victim = RunLedger(tmp_path / "shard1" / "ledger.jsonl")
         # The fault landed in the claimed-but-never-priced window.
         assert victim.open_claims()
@@ -292,11 +248,11 @@ def _distributed_vs_serial(tmp_path, *, seeds, n_workers, kill_after):
         # Re-run the victim's shard: a fresh worker id + short lease
         # treats the dead worker's claims as stale and re-issues them.
         time.sleep(0.6)
-        rerun = _spawn_worker(script, tmp_path / "shard1",
-                              f"1/{n_workers}", seeds, "worker-1b",
-                              lease=0.5)
-        _, err = rerun.communicate(timeout=600)
+        rerun = _spawn_worker(tmp_path / "shard1", f"1/{n_workers}", seeds,
+                              "worker-1b", lease=0.5)
+        out, err = rerun.communicate(timeout=600)
         assert rerun.returncode == 0, err
+        assert json.loads(out)["n_errors"] == 0
         assert any(r.reissued for r in victim.records())
         assert victim.open_claims() == {}
 
@@ -337,7 +293,7 @@ class TestCrashInjectionHarness:
 
     def test_clean_run_no_crash(self, tmp_path):
         merged = _distributed_vs_serial(
-            tmp_path, seeds="0-29", n_workers=3, kill_after=-1,
+            tmp_path, seeds="0-29", n_workers=3, kill_after=None,
         )
         assert len(merged.rows) == 30
         # Shards were disjoint, so nothing was priced twice and no

@@ -8,7 +8,8 @@ through the server-side ledger, and graceful drain — both the
 ``POST /drain`` path in-process and SIGTERM against a real server
 subprocess with an in-flight sweep (stalled via an injected
 ``sweep.compile`` delay), including resume-after-restart byte-identity
-against a local sweep.
+against a local sweep. A SIGKILLed server gets the same check, with
+the job submitted and resumed through ``repro submit``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import repro.flow.server as server_module
 from repro.errors import ServeError
 from repro.faults import injected_faults
 from repro.flow.artifacts import ArtifactStore
+from repro.flow.cli import main as cli_main
 from repro.flow.client import ServeClient
 from repro.flow.ledger import LedgerRecord, RunLedger, merge_ledgers
 from repro.flow.report import job_summary
@@ -391,6 +393,67 @@ def test_sigterm_drains_inflight_sweep_and_resume_matches_local(tmp_path):
     local = merge_ledgers([local_ledger])
     assert served.canonical_ledger_text() == local.canonical_ledger_text()
     assert served.report_text() == local.report_text()
+
+
+def test_sigkill_restart_resubmit_matches_local(tmp_path, capsys):
+    """SIGKILL mid-sweep: a restarted server re-owns its stale claims,
+    and ``repro submit`` of the same grid resumes the job to a result
+    byte-identical to a local sweep."""
+    server_args = ("--worker-id", "sigkill-test", "--lease-timeout", "1")
+    submit = ["submit", "--workloads", "synth:0-5"]
+    with _spawned_server(
+        tmp_path, *server_args, "--faults", "sweep.compile:delay=0.5x*",
+    ) as (proc, client):
+        assert cli_main([*submit, "--server", client.base_url,
+                         "--no-wait"]) == 0
+        m = re.search(r"Submitted job (\w+) \((\d+) scenarios\)",
+                      capsys.readouterr().out)
+        assert m is not None
+        job_id, total = m.group(1), int(m.group(2))
+        deadline = time.monotonic() + 30
+        while not client.job(job_id)["rows"]:
+            assert time.monotonic() < deadline, "no scenario finished"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    ledger_path = tmp_path / "cache" / "jobs" / f"{job_id}.jsonl"
+    assert 1 <= len(RunLedger(ledger_path).records()) < total
+
+    with _spawned_server(tmp_path, *server_args) as (proc, client):
+        assert cli_main([*submit, "--server", client.base_url]) == 0
+        out = capsys.readouterr().out
+        assert f"Submitted job {job_id} " in out
+        assert re.search(r"^\[\s*\d+/\d+\] \S+\s+resumed ", out, re.M)
+        client.drain()
+        assert proc.wait(timeout=60) == 0, "server did not drain cleanly"
+
+    local_ledger = tmp_path / "local-ledger.jsonl"
+    assert run_sweep(ScenarioGrid(workloads=("synth:0-5",)),
+                     store=ArtifactStore(tmp_path / "local-cache"),
+                     ledger=local_ledger).n_errors == 0
+    served = merge_ledgers([ledger_path])
+    local = merge_ledgers([local_ledger])
+    assert served.double_priced == []
+    assert served.open_claims == []
+    assert served.canonical_ledger_text() == local.canonical_ledger_text()
+    assert served.report_text() == local.report_text()
+
+
+def test_submit_labels_a_recovered_row_recovered(tmp_path, capsys):
+    """A stored entry that fails its audit is recompiled; the submit
+    progress line and the job table both call the row ``recovered``."""
+    store = ArtifactStore(tmp_path / "cache")
+    (outcome,) = run_sweep(ScenarioGrid(workloads=("synth:3",)),
+                           store=store).outcomes
+    report = store.path_for(outcome.key) / "report.json"
+    report.write_text(report.read_text().replace('"', "'", 1))
+    with running_server(tmp_path / "cache") as server:
+        assert cli_main(["submit", "--server", f"http://127.0.0.1:{server.port}",
+                         "--workloads", "synth:3"]) == 0
+    out = capsys.readouterr().out
+    sid = re.escape(outcome.scenario_id)
+    assert re.search(rf"^\[1/1\] {sid}\s+recovered ", out, re.M)
+    assert re.search(rf"^{sid}\s+\| ok\s+\| recovered ", out, re.M)
 
 
 def test_job_rows_are_ledger_records(tmp_path):

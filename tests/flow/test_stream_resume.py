@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from sweep_worker import SYNTH_OVR, synth_grid
 
 from repro.errors import ConfigError
 from repro.flow import (
@@ -15,15 +16,6 @@ from repro.flow import (
     run_sweep,
 )
 from repro.flow.cli import main
-
-#: A tiny synth family: compiles in milliseconds per scenario.
-SYNTH_OVR = (("n_ops", 8), ("vector_dim", 64), ("blocks", 2),
-             ("gemm_scale", 16))
-
-
-def synth_grid(seeds: str, **kwargs) -> ScenarioGrid:
-    return ScenarioGrid(workloads=(f"synth:{seeds}",), max_pes=(256,),
-                        overrides=SYNTH_OVR, **kwargs)
 
 
 class TestSeedRangeAxis:

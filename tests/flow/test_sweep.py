@@ -208,7 +208,7 @@ class TestSweepReports:
         text = sweep_results_table(result)
         for outcome in result.outcomes:
             assert outcome.scenario_id in text
-        assert "fresh" in text
+        assert "compiled" in text
         assert "vs best" in text
 
     def test_comparison_table_has_one_row_per_workload(self, result):

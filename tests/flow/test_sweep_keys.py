@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flow.artifacts import ArtifactStore, scenario_cache_key
+from repro.flow.artifacts import ArtifactStore
 from repro.flow.sweep import (
     ScenarioSpec,
     run_sweep,
@@ -20,7 +20,6 @@ from repro.flow.sweep import (
     scenario_key_doc,
 )
 from repro.utils import jsonable, stable_digest
-from repro.workloads import workload_config
 
 
 def test_scenario_key_matches_spec_method():
@@ -36,19 +35,16 @@ def test_scenario_key_is_digest_of_key_doc():
     )
 
 
-def test_scenario_key_matches_store_helper():
-    """The sweep helper and the store's kwargs helper assemble one key."""
-    spec = ScenarioSpec(workload="prae", iter_max=4, loops=2)
-    assert scenario_key(spec) == scenario_cache_key(
-        workload=spec.workload,
-        workload_config=jsonable(workload_config(spec.workload)),
-        device=spec.device_obj,
-        precision=spec.precision_obj,
-        iter_max=spec.iter_max,
-        loops=spec.loops,
-        max_pes=spec.resolved_max_pes(),
-        backend=spec.backend,
-    )
+@pytest.mark.parametrize("spec, key", [
+    (ScenarioSpec(workload="prae"), "0e2ca339ad9891fa340a00f7389c6d46"),
+    # perfbench/reference.json's first sweep key.
+    (ScenarioSpec(workload="synth", overrides=(("seed", 0),)),
+     "acaff210d12a37d849e5d53163a1f17f"),
+])
+def test_keys_are_pinned(spec, key):
+    """A change to the key document re-keys every store; it must be
+    deliberate (an ``ENGINE_CACHE_EPOCH`` or format bump), never silent."""
+    assert scenario_key(spec) == key
 
 
 def test_scenario_key_deterministic_across_constructions():
@@ -72,6 +68,9 @@ def test_scenario_key_deterministic_across_constructions():
         ("max_pes", 1024),
         ("backend", "schedule"),
         ("overrides", (("seed", 7),)),
+        ("overrides", (("n_ops", 12),)),
+        ("accuracy", True),
+        ("workload", "prae"),
     ],
 )
 def test_result_affecting_fields_change_the_key(field, value):

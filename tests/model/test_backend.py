@@ -6,9 +6,10 @@ Three cross-validation contracts:
   pre-refactor scalar models of :mod:`repro.model.runtime` **bit for
   bit** on randomized workloads/geometries — the seam may never perturb
   the default cost model;
-* every backend's fast paths (``partition_pricer``, ``score_geometry``)
-  equal its reference pricing (``parallel_cycles``, ``evaluate_design``
-  and the base-class scan);
+* every backend's ``partition_pricer`` equals its reference pricing
+  (``parallel_cycles`` and ``evaluate_design``; ``score_geometry``
+  against the base-class scan is held in
+  ``tests/dse/test_partition_search.py``);
 * :class:`~repro.model.backend.ScheduleBackend` totals must be >= the
   analytic compute cycles for the same design point (memory traffic can
   only add time), with the breakdown identity
@@ -16,11 +17,10 @@ Three cross-validation contracts:
   bounded by what the DRAM model could have hidden.
 """
 
-import dataclasses
 import pickle
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.dram import DramModel
 from repro.errors import ConfigError
@@ -30,7 +30,6 @@ from repro.model.backend import (
     BackendInfo,
     CycleBreakdown,
     DesignEvaluation,
-    EvaluationBackend,
     GeometryScore,
     ScheduleBackend,
     make_backend,
@@ -76,22 +75,6 @@ def partitions(n_sub: int, count: int):
     )
 
 
-def reference_score(h, w, n_sub, layers, vsa_nodes):
-    """The pre-refactor Phase I semantics, reimplemented from scratch."""
-    t_seq = int(sequential_runtime(h, w, n_sub, layers, vsa_nodes))
-    if not vsa_nodes:
-        return t_seq, t_seq, n_sub, 0
-    best = None
-    for nl in range(1, n_sub):
-        t = parallel_runtime(
-            h, w, [nl] * len(layers), [n_sub - nl] * len(vsa_nodes),
-            layers, vsa_nodes,
-        )
-        if best is None or t < best[0]:
-            best = (int(t), nl, n_sub - nl)
-    return t_seq, best[0], best[1], best[2]
-
-
 class TestAnalyticEqualsPreRefactorModels:
     @given(geom, layer_sets, vsa_sets)
     @settings(max_examples=60, deadline=None)
@@ -106,33 +89,6 @@ class TestAnalyticEqualsPreRefactorModels:
         assert backend.parallel_cycles(h, w, nl, nv, layers, vsa_nodes) == (
             parallel_runtime(h, w, nl, nv, layers, vsa_nodes)
         )
-
-    @given(geom, layer_sets, vsa_sets)
-    # Eq. 5's spatial and temporal sums tie (57 + 19 == 38 + 38) while the
-    # per-node cycles differ, so the schedule depends on the tie rule.
-    @example((4, 4, 2), [GemmDims(4, 4, 4)], [VsaDims(1, 8), VsaDims(3, 8)])
-    @settings(max_examples=40, deadline=None)
-    def test_score_geometry_matches_reference_all_strategies(
-        self, g, layers, vsa_nodes
-    ):
-        h, w, n = g
-        layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
-        for backend in BACKENDS:
-            # The base-class scalar scan is every backend's reference.
-            scan = EvaluationBackend.score_geometry(
-                backend, h, w, n, layers, vsa_nodes
-            )
-            fast = backend.score_geometry(h, w, n, layers, vsa_nodes)
-            if isinstance(backend, AnalyticBackend):
-                assert (
-                    scan.t_sequential, scan.t_parallel,
-                    scan.nl_bar, scan.nv_bar,
-                ) == reference_score(h, w, n, layers, vsa_nodes)
-                # The batched search prices fewer points than the scan.
-                fast = dataclasses.replace(fast, probes=scan.probes)
-            assert fast == scan
-            # The logical design-point accounting is search-invariant.
-            assert scan.evaluated == (n if vsa_nodes else 1)
 
     @given(geom, layer_sets, vsa_sets, st.data())
     @settings(max_examples=30, deadline=None)
