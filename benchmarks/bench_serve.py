@@ -20,15 +20,21 @@ contract is exactly **one** pricing and **N − 1** coalesced waiters.
 A sixth leg splits a warm hit: one fresh client makes 200 sequential
 hits over synth keys stored before the server started, and the same
 keys go through the in-process ``scenario_key`` and
-``ArtifactStore.load``. It records the three medians under
-``warm_server.hit_split``, with the client's own share of a hit:
-``client_cpu_us``, the median ``time.thread_time()`` of the calling
-thread per hit (the server runs on other threads, so this is client
-CPU only), and ``writes_per_request``, the socket writes the calling
-thread made per hit, counted by wrapping ``socket.socket.sendall`` and
-``send`` around the hits. The contracts are that the 200 hits open
-exactly **one** connection (keep-alive) and make exactly **one** write
-each.
+``ArtifactStore.load``. It records the medians under
+``warm_server.hit_split``: the round trip, ``scenario_key_ms``,
+``store_load_ms`` (the load a warm ``/compile`` pays) and
+``store_load_and_build_ms`` (a load plus the first read of ``config``
+and ``report``, which a hit builds only when read), with the client's
+own share of a hit: ``client_cpu_us``, the median
+``time.thread_time()`` of the calling thread per hit (the server runs
+on other threads, so this is client CPU only), and
+``writes_per_request``, the socket writes the calling thread made per
+hit, counted by wrapping ``socket.socket.sendall`` and ``send`` around
+the hits. ``builds_per_hit`` counts the config/report builds the
+server made over those hits. The contracts are that the 200 hits open
+exactly **one** connection (keep-alive), make exactly **one** write
+each, and build **no** config or report (the reply reads only the
+schedule's two numbers).
 
 Results land in ``BENCH_serve.json`` (repo root). The headline number
 is ``speedup_warm_hit_vs_cold_cli_hit`` — the ISSUE's acceptance bar is
@@ -41,11 +47,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serve.py --check-only
 
 ``--check-only`` (CI's perf-smoke job) runs one small scenario through
-both paths and asserts the four deterministic contracts — coalescing
+both paths and asserts the five deterministic contracts — coalescing
 (1 pricing, N−1 coalesced), the >= 10x warm-hit bar, which has two
-orders of magnitude of headroom, and one connection and one write per
-request for the split's 200 hits — without writing the JSON. The
-split's medians are printed, never gated.
+orders of magnitude of headroom, and one connection, one write and no
+config/report build per request for the split's 200 hits — without
+writing the JSON. The split's medians are printed, never gated.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from statistics import median
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.flow.artifacts as artifacts_module  # noqa: E402
 from repro.flow.artifacts import ArtifactStore  # noqa: E402
 from repro.flow.client import ServeClient  # noqa: E402
 from repro.flow.server import running_server  # noqa: E402
@@ -129,14 +136,31 @@ def _counted_writes() -> Iterator[list[int]]:
             setattr(socket.socket, name, original)
 
 
+@contextlib.contextmanager
+def _counted_builds() -> Iterator[list[int]]:
+    """Count the config/report builds of loaded entries inside the block."""
+    count = [0]
+    build = artifacts_module._design_fields
+
+    def counting(*args):
+        count[0] += 1
+        return build(*args)
+
+    artifacts_module._design_fields = counting
+    try:
+        yield count
+    finally:
+        artifacts_module._design_fields = build
+
+
 def bench_hit_split(url: str, cache: pathlib.Path) -> dict:
     """Sequential warm hits from one fresh client, and their in-process
-    key and store-load medians on the same keys."""
+    key, store-load and load-plus-build medians on the same keys."""
     specs = _split_specs()
     with ServeClient(url) as observer, ServeClient(url) as client:
         before = observer.stats()["connections"]
         round_trips, client_cpu = [], []
-        with _counted_writes() as writes:
+        with _counted_writes() as writes, _counted_builds() as builds:
             for i in range(SPLIT_HITS):
                 spec = specs[i % SPLIT_KEYS]
                 doc = {"workload": spec.workload, "overrides": dict(spec.overrides)}
@@ -147,24 +171,29 @@ def bench_hit_split(url: str, cache: pathlib.Path) -> dict:
                 assert reply["cached"], reply
         connections = observer.stats()["connections"] - before
     store = ArtifactStore(cache)
-    keys, loads = [], []
+    keys, loads, loads_and_builds = [], [], []
     for i in range(SPLIT_HITS):
         spec = specs[i % SPLIT_KEYS]
         t0 = time.perf_counter()
         key = scenario_key(spec)
         t1 = time.perf_counter()
-        assert store.load(key) is not None
+        hit = store.load(key)
+        t2 = time.perf_counter()
+        assert hit.config is not None and hit.report is not None
         keys.append(t1 - t0)
-        loads.append(time.perf_counter() - t1)
+        loads.append(t2 - t1)
+        loads_and_builds.append(time.perf_counter() - t1)
     return {
         "hits": SPLIT_HITS,
         "keys": SPLIT_KEYS,
         "connections": connections,
         "writes_per_request": writes[0] / SPLIT_HITS,
+        "builds_per_hit": builds[0] / SPLIT_HITS,
         "round_trip_ms": median(round_trips) * 1e3,
         "client_cpu_us": median(client_cpu) * 1e6,
         "scenario_key_ms": median(keys) * 1e3,
         "store_load_ms": median(loads) * 1e3,
+        "store_load_and_build_ms": median(loads_and_builds) * 1e3,
     }
 
 
@@ -254,6 +283,11 @@ def run_bench(workload: str) -> tuple[dict, list[str]]:
             f"one-write contract: {split['hits']} sequential hits made "
             f"{split['writes_per_request']:g} socket writes per request; expected 1"
         )
+    if split["builds_per_hit"] != 0:
+        failures.append(
+            f"lazy-build contract: {split['hits']} warm hits built "
+            f"{split['builds_per_hit']:g} configs/reports per hit; expected 0"
+        )
     if speedup_hit < 10.0:
         failures.append(
             f"warm cache-hit speedup {speedup_hit:.1f}x below the 10x bar "
@@ -272,9 +306,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="result JSON path "
                              "(default: repo-root BENCH_serve.json)")
     parser.add_argument("--check-only", action="store_true",
-                        help="assert the coalescing, 10x, keep-alive and "
-                             "one-write contracts on a small scenario and "
-                             "exit; skip the JSON write")
+                        help="assert the coalescing, 10x, keep-alive, "
+                             "one-write and no-build contracts on a small "
+                             "scenario and exit; skip the JSON write")
     args = parser.parse_args(argv)
 
     workload = "synth" if args.check_only else args.workload
@@ -295,16 +329,19 @@ def main(argv: list[str] | None = None) -> int:
           f"{split['round_trip_ms']:.3f} ms (client CPU "
           f"{split['client_cpu_us']:.0f} us), scenario_key "
           f"{split['scenario_key_ms']:.3f} ms, store load "
-          f"{split['store_load_ms']:.3f} ms; {split['connections']} connection(s), "
-          f"{split['writes_per_request']:g} write(s) per request")
+          f"{split['store_load_ms']:.3f} ms (with config+report build "
+          f"{split['store_load_and_build_ms']:.3f} ms); "
+          f"{split['connections']} connection(s), "
+          f"{split['writes_per_request']:g} write(s) and "
+          f"{split['builds_per_hit']:g} build(s) per request")
 
     if failures:
         for failure in failures:
             print(f"CONTRACT FAILURE: {failure}", file=sys.stderr)
         return 1
     if args.check_only:
-        print("check-only: coalescing, 10x warm-hit, keep-alive and "
-              "one-write contracts hold")
+        print("check-only: coalescing, 10x warm-hit, keep-alive, "
+              "one-write and no-build contracts hold")
         return 0
 
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -55,11 +55,11 @@ import pathlib
 import shutil
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import TYPE_CHECKING
 
 from ..arch.resources import ResourceEstimate
-from ..errors import MergeConflictError, NSFlowError
+from ..errors import MergeConflictError
 from ..faults import RetryPolicy, faultpoint
 from ..dse.config import (
     DesignConfig,
@@ -133,27 +133,47 @@ class StoreStats:
         return self.hits + self.misses
 
 
-class _LazyTrace:
-    """The ``trace`` field: a :class:`Trace`, or audited JSON parsed on read.
+class _Unbuilt:
+    """A loaded field's pending build: ``build(*args)`` maps field names
+    to the values it builds (one build may fill several fields)."""
 
-    A loaded entry passes its ``trace.json`` text, which matched the
-    fingerprint recorded at store time and so is exactly what
-    :func:`trace_to_json` wrote: the deferred parse cannot fail.
+    __slots__ = ("build", "args")
+
+    def __init__(self, build, *args):
+        self.build = build
+        self.args = args
+
+
+class _Lazy:
+    """A field holding its value, or an :class:`_Unbuilt` run on first read.
+
+    The first read runs the build and stores every value it returns in
+    place of the pending build, so each build runs once and the bytes it
+    held go with it. A field with a default passes it as ``default``:
+    ``@dataclass`` makes the descriptor itself the ``__init__`` default,
+    which ``__set__`` stores as ``default``.
     """
+
+    def __init__(self, default=MISSING):
+        self.default = default
 
     def __set_name__(self, owner, name: str) -> None:
         self.slot = f"_{name}"
 
     def __get__(self, obj, owner=None):
-        if obj is None:     # class access: tells @dataclass "no default"
-            raise AttributeError(self.slot)
+        if obj is None:     # class access: tells @dataclass the default
+            if self.default is MISSING:
+                raise AttributeError(self.slot)
+            return self.default
         value = obj.__dict__[self.slot]
-        if isinstance(value, str):
-            value = obj.__dict__[self.slot] = trace_from_json(value)
+        if type(value) is _Unbuilt:
+            for name, built in value.build(*value.args).items():
+                obj.__dict__[f"_{name}"] = built
+            value = obj.__dict__[self.slot]
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
+        obj.__dict__[self.slot] = self.default if value is self else value
 
 
 @dataclass(frozen=True)
@@ -167,19 +187,23 @@ class ScenarioArtifacts:
     pure functions of ``config`` and the graph, which itself rebuilds
     deterministically from ``trace``.
 
-    A loaded entry parses its trace on the first ``.trace`` read (no
-    hit-path consumer reads it) and carries ``entry_digest``, the
-    content digest of the bytes it was loaded from; a fresh compile's
-    is ``None``, and ``==`` ignores it.
+    A fresh compile's artifacts hold real values and ``entry_digest``
+    ``None``. A loaded entry holds ``total_cycles`` and ``latency_ms``
+    and the audited bytes it was read from; it builds the rest on first
+    read (:meth:`ArtifactStore.load`): ``trace`` from ``trace.json``;
+    ``config``, ``report`` and ``resources`` together, from
+    ``design_config.json`` and ``report.json``; and ``entry_digest``,
+    the content digest of those bytes. ``==`` builds what it compares
+    and ignores ``entry_digest``.
     """
 
-    trace: Trace = _LazyTrace()
-    config: DesignConfig
-    report: DseReport
-    resources: ResourceEstimate
+    trace: Trace = _Lazy()
+    config: DesignConfig = _Lazy()
+    report: DseReport = _Lazy()
+    resources: ResourceEstimate = _Lazy()
     total_cycles: int
     latency_ms: float
-    entry_digest: str | None = field(default=None, compare=False)
+    entry_digest: str | None = field(default=_Lazy(None), compare=False)
 
 
 def _report_doc(design: "CompiledDesign") -> dict:
@@ -229,14 +253,14 @@ def _frontier_from_doc(doc: dict | None) -> ParetoFrontier | None:
     )
 
 
-def _artifacts_from_docs(
-    trace_text: str, config_text: str, report: dict, entry_digest: str
-) -> ScenarioArtifacts:
-    if report.get("format_version") != ARTIFACT_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported report format {report.get('format_version')!r}"
-        )
-    config = design_config_from_json(config_text)
+def _trace_field(data: bytes) -> dict:
+    return {"trace": trace_from_json(data.decode("utf-8"))}
+
+
+def _design_fields(config_data: bytes, report_data: bytes) -> dict:
+    """``config``, ``report`` and ``resources`` from their audited bytes."""
+    config = design_config_from_json(config_data.decode("utf-8"))
+    report = json.loads(report_data)
     p2 = report["phase2"]
     dse_report = DseReport(
         config=config,
@@ -259,15 +283,21 @@ def _artifacts_from_docs(
             else AccuracyResult(**report["accuracy"])
         ),
     )
-    return ScenarioArtifacts(
-        trace=trace_text,
-        config=config,
-        report=dse_report,
-        resources=ResourceEstimate(**report["resources"]),
-        total_cycles=report["schedule"]["total_cycles"],
-        latency_ms=report["schedule"]["latency_ms"],
-        entry_digest=entry_digest,
-    )
+    return {
+        "config": config,
+        "report": dse_report,
+        "resources": ResourceEstimate(**report["resources"]),
+    }
+
+
+def _digest_field(files: dict[str, bytes]) -> dict:
+    return {"entry_digest": _files_digest(files)}
+
+
+def _read_file(path: str) -> bytes:
+    """A file's bytes, in one unbuffered read."""
+    with open(path, "rb", buffering=0) as f:
+        return f.read()
 
 
 def _fingerprint(data: bytes) -> str:
@@ -368,33 +398,41 @@ class ArtifactStore:
 
     # -- read ------------------------------------------------------------------
 
-    def _read(self, path: pathlib.Path, name: str) -> bytes:
-        """One file's bytes, routed through the read failpoint."""
-        return faultpoint("artifacts.load.read", (path / name).read_bytes())
-
     def load(self, key: str) -> ScenarioArtifacts | None:
         """Return the cached artifacts for ``key``, or ``None`` on a miss.
 
         Three distinct miss shapes, deliberately kept apart:
 
-        * *absent* (no ``meta.json``) — the ordinary cold-cache miss;
+        * *absent* (no readable ``meta.json`` file: no entry directory,
+          no file, or a directory in its place) — the ordinary
+          cold-cache miss;
         * *version-skewed* (older format/epoch, or no per-file
           fingerprints) — a valid entry from older code, silently
           superseded by the next store;
         * *corrupt* (present but unreadable, failing the fingerprint
-          audit, or schema-invalid) — counted, quarantined to
-          ``<root>/quarantine/<key>``, and then treated as a miss so the
-          caller recompiles.
+          audit, or a ``report.json`` that does not parse or lacks its
+          format version or ``schedule`` block) — counted, quarantined
+          to ``<root>/quarantine/<key>``, and then treated as a miss so
+          the caller recompiles.
 
-        Each file is read once; the hit's ``entry_digest`` comes from
-        the same audited bytes, and its trace is parsed on first read.
+        Each file is read once, and every check above runs before a hit
+        is returned. A hit holds ``total_cycles`` and ``latency_ms``
+        from the schedule block and builds nothing else until it is
+        read: ``trace``, then ``config``/``report``/``resources``
+        (together) and ``entry_digest`` are built from the audited bytes
+        on first read (see :class:`ScenarioArtifacts`). Those bytes match
+        the fingerprints ``store()`` recorded when it wrote them, so a
+        deferred build parses exactly what ``store()`` serialized and
+        cannot fail.
         """
-        path = self.path_for(key)
-        if not (path / self._META).is_file():
-            self.misses += 1
-            return None
+        path = os.path.join(self.root, key[:2], key, "")
         try:
-            meta = json.loads(self._read(path, self._META))
+            try:
+                data = _read_file(path + self._META)
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                self.misses += 1
+                return None
+            meta = json.loads(faultpoint("artifacts.load.read", data))
             if not isinstance(meta, dict):
                 raise ValueError("meta.json is not an object")
             if (meta.get("format") != ARTIFACT_FORMAT_VERSION
@@ -409,28 +447,35 @@ class ArtifactStore:
             # which the content key cannot see).
             files = {}
             for name in self._FILES:
-                data = self._read(path, name)
+                data = faultpoint("artifacts.load.read", _read_file(path + name))
                 if _fingerprint(data) != meta["files"][name]:
                     raise ValueError(f"{name} fingerprint mismatch")
                 files[name] = data
-            artifacts = _artifacts_from_docs(
-                files[self._TRACE].decode("utf-8"),
-                files[self._CONFIG].decode("utf-8"),
-                json.loads(files[self._REPORT]),
-                _files_digest(files),
-            )
-        except (OSError, ValueError, TypeError, KeyError,
-                NSFlowError) as exc:
-            # NSFlowError covers the deserializers' own wrap types
-            # (TraceError, ConfigError): a stored entry whose payload no
-            # longer parses is corruption, whatever layer noticed first.
+            report = json.loads(files[self._REPORT])
+            if report.get("format_version") != ARTIFACT_FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported report format {report.get('format_version')!r}"
+                )
+            schedule = report["schedule"]
+            total_cycles = schedule["total_cycles"]
+            latency_ms = schedule["latency_ms"]
+        except (OSError, ValueError, TypeError, KeyError) as exc:
             # Present but unreadable: corruption, never a silent miss.
             self.misses += 1
             self.corrupt += 1
             self._quarantine(key, reason=f"{type(exc).__name__}: {exc}")
             return None
         self.hits += 1
-        return artifacts
+        design = _Unbuilt(_design_fields, files[self._CONFIG], files[self._REPORT])
+        return ScenarioArtifacts(
+            trace=_Unbuilt(_trace_field, files[self._TRACE]),
+            config=design,
+            report=design,
+            resources=design,
+            total_cycles=total_cycles,
+            latency_ms=latency_ms,
+            entry_digest=_Unbuilt(_digest_field, files),
+        )
 
     def _quarantine(self, key: str, reason: str = "") -> None:
         """Move a corrupt entry aside (best-effort) for post-mortem."""

@@ -538,10 +538,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                       f"{row.get('scenario_id', '-'):<32} {status:<9} "
                       f"{row.get('elapsed_s', 0.0):6.2f}s  {tail}")
 
+        # This run's rows only: a resubmitted job's ledger also holds
+        # every earlier run's.
+        first_row = job.get("first_row", 0)
         final = client.wait_job(
-            job_id, poll_s=args.poll, timeout_s=args.timeout, on_rows=on_rows
+            job_id, since=first_row, poll_s=args.poll,
+            timeout_s=args.timeout, on_rows=on_rows,
         )
-        rows = client.job(job_id).get("rows", [])
+        rows = client.job(job_id, since=first_row).get("rows", [])
     if rows:
         print()
         print(job_results_table(rows, title=f"Job results ({job_id})"))

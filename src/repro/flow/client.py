@@ -284,19 +284,20 @@ class ServeClient:
         self,
         job_id: str,
         *,
+        since: int = 0,
         poll_s: float = DEFAULT_POLL_S,
         timeout_s: float | None = None,
         on_rows: Callable[[list[dict]], None] | None = None,
     ) -> dict:
         """Poll a job until it leaves ``running``; stream rows as they land.
 
-        ``on_rows`` receives each batch of newly appended ledger-row
-        documents exactly once (the ``since`` cursor advances by the
-        server's ``next`` index). Raises :class:`ServeError` when
+        ``on_rows`` receives each batch of ledger-row documents from
+        index ``since`` on exactly once (the cursor advances by the
+        server's ``next`` index); a job document's ``first_row`` limits
+        it to that run's rows. Raises :class:`ServeError` when
         ``timeout_s`` elapses first.
         """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        since = 0
         while True:
             doc = self.job(job_id, since=since)
             rows = doc.get("rows", [])

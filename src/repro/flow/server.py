@@ -148,13 +148,16 @@ class SweepJob:
     after a restart resumes from the job's ledger (same id, same
     ledger path). The sweep and every ``GET /jobs`` poll share the one
     ``ledger`` instance, so a poll parses only the rows appended since
-    the previous read.
+    the previous read. ``first_row`` is how many result rows the ledger
+    held when this run started: the run's own rows are the ones from
+    that index on (``GET /jobs/<id>?since=<first_row>``).
     """
 
     job_id: str
     grid: ScenarioGrid
     ledger: RunLedger
     scenarios: int
+    first_row: int = 0
     status: str = "running"          # running | done | error | stopped
     error: str | None = None
     summary: dict | None = None
@@ -169,6 +172,7 @@ class SweepJob:
             "status": self.status,
             "scenarios": self.scenarios,
             "ledger": str(self.ledger_path),
+            "first_row": self.first_row,
         }
         if self.error is not None:
             out["error"] = self.error
@@ -631,22 +635,37 @@ class DseServer:
         if not specs:
             raise _HttpError(400, "grid is empty after include/exclude")
         job_id = sweep_job_id(grid)
-        job = self._jobs.get(job_id)
-        if job is not None and job.status == "running":
-            # Job-level single flight: identical grids share one run.
-            self.stats.jobs_coalesced += 1
-            out = job.doc()
-            out["coalesced"] = True
-            return 202, out
+        loop = asyncio.get_running_loop()
+        while True:
+            job = self._jobs.get(job_id)
+            if job is not None and job.status == "running":
+                # Job-level single flight: identical grids share one run.
+                self.stats.jobs_coalesced += 1
+                out = job.doc()
+                out["coalesced"] = True
+                return 202, out
+            ledger = job.ledger if job is not None else RunLedger(
+                self.cache_dir / "jobs" / f"{job_id}.jsonl", retry=self.retry
+            )
+            # The new run's rows follow every result row already in the
+            # ledger (an earlier run's, or one from before a restart).
+            # Counted off the loop: if a racing submit started a run
+            # meanwhile, look again.
+            first_row = await loop.run_in_executor(self._readers, len, ledger)
+            if self._draining:
+                self.stats.rejected += 1
+                raise _HttpError(503, "server is draining; not accepting work")
+            if self._jobs.get(job_id) is job:
+                break
         job = SweepJob(
             job_id=job_id,
             grid=grid,
-            ledger=RunLedger(self.cache_dir / "jobs" / f"{job_id}.jsonl",
-                             retry=self.retry),
+            ledger=ledger,
             scenarios=len(specs),
+            first_row=first_row,
         )
         self._jobs[job_id] = job
-        task = asyncio.get_running_loop().run_in_executor(
+        task = loop.run_in_executor(
             self._pricer, self._run_job, job
         )
         self._job_tasks[job_id] = task

@@ -37,6 +37,8 @@ results are a pure function of its grid.
 from __future__ import annotations
 
 import fnmatch
+import hashlib
+import json
 import math
 import os
 import re
@@ -359,8 +361,14 @@ def scenario_key(spec: ScenarioSpec) -> str:
     however they were constructed — hash to the same key, so a request
     coalesced on this key is provably the same work the sweep path
     would have cached.
+
+    The document is plain JSON already, so its canonical form (sorted
+    keys, fixed separators) is hashed directly: the same digest as
+    ``stable_digest(scenario_key_doc(spec), 32)``, without re-walking
+    the document through ``jsonable``.
     """
-    return stable_digest(scenario_key_doc(spec), length=32)
+    doc = json.dumps(scenario_key_doc(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:32]
 
 
 def _as_tuple(value) -> tuple:

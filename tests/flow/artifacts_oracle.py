@@ -3,10 +3,10 @@
 ``ArtifactStore.load`` once answered every hit this way: it parsed each
 trace op into a ``TraceOp``, then re-serialized the trace to check it
 against ``meta.json``'s ``trace_fingerprint``. It now audits the bytes
-it reads against per-file fingerprints and parses the trace only when
-something reads it. This module keeps the eager version as the
-reference the lazy load is checked against (``test_artifacts.py``) and
-is used nowhere else.
+it reads against per-file fingerprints and builds the trace, config,
+report and resources only when something reads them. This module keeps
+the eager version as the reference the lazy load is checked against
+(``test_artifacts.py``) and is used nowhere else.
 
 :func:`load` is a pure read: it counts nothing and quarantines nothing,
 and answers ``None`` wherever the eager load missed.

@@ -1,6 +1,10 @@
 """Unit tests for the content-addressed artifact store."""
 
+import dataclasses
 import json
+import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import artifacts_oracle
 import pytest
@@ -10,7 +14,11 @@ from repro import NSFlow, build_workload
 from repro.arch.resources import U250
 from repro.errors import InjectedFault
 from repro.faults import RetryPolicy, injected_faults, retry_count
-from repro.flow.artifacts import ARTIFACT_FORMAT_VERSION, ArtifactStore
+from repro.flow.artifacts import (
+    ARTIFACT_FORMAT_VERSION,
+    ArtifactStore,
+    ScenarioArtifacts,
+)
 from repro.flow.sweep import ScenarioGrid, ScenarioSpec, run_sweep, scenario_key
 from repro.trace.serialize import trace_fingerprint
 from repro.workloads import available_workloads
@@ -319,18 +327,117 @@ class TestStoreAudit:
     def test_hit_parses_its_trace_on_first_read(
         self, tmp_path, compiled, monkeypatch
     ):
-        parses = []
-        parse = artifacts_module.trace_from_json
-        monkeypatch.setattr(artifacts_module, "trace_from_json",
-                            lambda text: parses.append(text) or parse(text))
+        """A hit builds nothing until read, then each lazy field once:
+        ``config``, ``report`` and ``resources`` share one build."""
+        builds = dict.fromkeys((
+            "trace_from_json", "design_config_from_json", "DseReport",
+            "ResourceEstimate", "_files_digest",
+        ), 0)
+        for name in builds:
+            monkeypatch.setattr(artifacts_module, name,
+                                _counting(builds, name, getattr(artifacts_module, name)))
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        digest = store.store(key, compiled, {})
+        builds["_files_digest"] = 0
+        art = store.load(key)
+        assert art.latency_ms == compiled.latency_ms
+        assert art.total_cycles == compiled.schedule.total_cycles
+        assert set(builds.values()) == {0}
+        assert art.trace == compiled.trace and art.trace is art.trace
+        assert builds["trace_from_json"] == 1
+        assert builds["design_config_from_json"] == builds["DseReport"] == 0
+        assert art.config == compiled.config
+        assert art.report == compiled.dse and art.resources == compiled.resources
+        assert art.report.config is art.config
+        assert art.config is art.config and art.report is art.report
+        assert builds["design_config_from_json"] == builds["DseReport"] == 1
+        assert builds["ResourceEstimate"] == 1 and builds["_files_digest"] == 0
+        assert art.entry_digest == digest and art.entry_digest is art.entry_digest
+        assert set(builds.values()) == {1}
+        assert art.entry_digest == store.entry_digest(key)
+
+    def test_concurrent_first_reads_agree(self, tmp_path, compiled):
+        """Threads racing on a hit's first reads may each build a field,
+        but every thread reads values equal to the compiled design's."""
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        digest = store.store(key, compiled, {})
+        expected = (compiled.trace, compiled.config, compiled.dse,
+                    compiled.resources, digest)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                art = store.load(key)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(lambda a=art: (
+                        a.trace, a.config, a.report, a.resources,
+                        a.entry_digest)) for _ in range(16)]
+                    seen = [f.result(timeout=60) for f in futures]
+                assert seen == [expected] * 16
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fresh_compile_artifacts_hold_values(self, compiled):
+        art = ScenarioArtifacts(
+            trace=compiled.trace, config=compiled.config, report=compiled.dse,
+            resources=compiled.resources,
+            total_cycles=compiled.schedule.total_cycles,
+            latency_ms=compiled.latency_ms,
+        )
+        assert art.entry_digest is None
+        assert art.trace is compiled.trace and art.report is compiled.dse
+        assert art == dataclasses.replace(art, entry_digest="0" * 32)
+
+    @pytest.mark.parametrize("shape", [
+        "no key directory", "no meta.json", "meta.json a directory",
+        "key path a file",
+    ])
+    def test_absent_shapes_are_plain_misses(
+        self, tmp_path, compiled, monkeypatch, shape
+    ):
+        store = ArtifactStore(tmp_path)
+        key = _key()
+        path = store.path_for(key)
+        if shape != "no key directory":
+            store.store(key, compiled, {})
+        if shape == "no meta.json":
+            (path / "meta.json").unlink()
+        elif shape == "meta.json a directory":
+            (path / "meta.json").unlink()
+            (path / "meta.json").mkdir()
+        elif shape == "key path a file":
+            shutil.rmtree(path)
+            path.write_text("not an entry")
+        reads = {"artifacts.load.read": 0}
+        monkeypatch.setattr(
+            artifacts_module, "faultpoint",
+            lambda name, data=None: reads.__setitem__(name, reads[name] + 1) or data,
+        )
+        assert store.load(key) is None
+        stats = store.stats
+        assert (stats.misses, stats.corrupt, stats.quarantined) == (1, 0, 0)
+        assert store.quarantined_keys() == []
+        assert reads["artifacts.load.read"] == 0
+
+    def test_hit_reads_each_file_once(self, tmp_path, compiled, monkeypatch):
         store = ArtifactStore(tmp_path)
         key = _key()
         store.store(key, compiled, {})
+        reads = []
+        monkeypatch.setattr(artifacts_module, "faultpoint",
+                            lambda name, data=None: reads.append(name) or data)
         art = store.load(key)
-        assert parses == []
-        assert art.trace == compiled.trace and len(parses) == 1
-        assert art.trace is art.trace and len(parses) == 1
-        assert art.entry_digest == store.entry_digest(key)
+        assert art is not None and art.report == compiled.dse
+        assert reads == ["artifacts.load.read"] * 4
+
+
+def _counting(counts: dict, name: str, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
 
 
 def test_lazy_load_matches_the_eager_oracle(tmp_path):

@@ -20,6 +20,7 @@ import http.client
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -454,6 +455,45 @@ def test_submit_labels_a_recovered_row_recovered(tmp_path, capsys):
     sid = re.escape(outcome.scenario_id)
     assert re.search(rf"^\[1/1\] {sid}\s+recovered ", out, re.M)
     assert re.search(rf"^{sid}\s+\| ok\s+\| recovered ", out, re.M)
+
+
+def test_resubmit_prints_only_this_runs_rows(tmp_path, capsys):
+    """Resubmitting a finished job resumes every scenario, and ``repro
+    submit`` streams and tabulates only that run's three rows, not the
+    first run's as well."""
+    submit = ["submit", "--workloads", "synth:0-2"]
+    with running_server(tmp_path / "cache") as server:
+        url = f"http://127.0.0.1:{server.port}"
+        assert cli_main([*submit, "--server", url]) == 0
+        capsys.readouterr()
+        assert cli_main([*submit, "--server", url]) == 0
+    out = capsys.readouterr().out
+    progress = re.findall(r"^\[(\d+)/(\d+)\] \S+\s+(\S+) ", out, re.M)
+    assert progress == [(str(n), "3", "resumed") for n in (1, 2, 3)]
+    table = re.findall(r"^\S+\s+\| (\S+)\s+\| (\S+)\s+\|", out, re.M)
+    assert table == [("Status", "Source")] + [("ok", "resumed")] * 3
+
+
+def test_concurrent_resubmits_share_one_run_and_its_first_row(tmp_path):
+    """Submits racing to start a job's second run start exactly one; all
+    get that run's ``first_row``, past the first run's rows."""
+    with running_server(tmp_path / "cache") as server, \
+            _client(server) as client:
+        grid_doc = {"workloads": ["synth:0-1"]}
+        job = client.submit_sweep(grid_doc)
+        assert job["first_row"] == 0
+        assert client.wait_job(job["job_id"], timeout_s=60)["status"] == "done"
+        for key in server.store.keys():       # the second run recompiles
+            shutil.rmtree(server.store.path_for(key))
+        with injected_faults("sweep.compile:delay=0.3"):
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                docs = list(pool.map(lambda _i: client.submit_sweep(grid_doc),
+                                     range(6)))
+            final = client.wait_job(job["job_id"], since=2, timeout_s=60)
+        assert [d.get("coalesced", False) for d in docs].count(False) == 1
+        assert [d["first_row"] for d in docs] == [2] * 6
+        assert final["status"] == "done" and final["next"] == 4
+        assert len(client.job(job["job_id"], since=2)["rows"]) == 2
 
 
 def test_job_rows_are_ledger_records(tmp_path):

@@ -10,6 +10,8 @@ through.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.flow.artifacts import ArtifactStore
@@ -33,6 +35,29 @@ def test_scenario_key_is_digest_of_key_doc():
     assert scenario_key(spec) == stable_digest(
         scenario_key_doc(spec), length=32
     )
+
+
+def test_scenario_key_hashes_the_canonical_key_doc_over_a_grid():
+    """The one-walk hash equals ``stable_digest`` of the key document on
+    every registry workload and a synth seed, x 2 devices x 3 precisions
+    x 2 backends x accuracy off/on (144 specs)."""
+    workloads = ("nvsa", "mimonet", "lvrf", "prae", "scalable_nsai", "synth")
+    specs = [
+        ScenarioSpec(
+            workload=workload,
+            overrides=(("seed", 5),) if workload == "synth" else (),
+            device=device, precision=precision, backend=backend,
+            accuracy=accuracy,
+        )
+        for workload, device, precision, backend, accuracy in itertools.product(
+            workloads, ("u250", "zcu104"), ("FP16", "INT8", "MP"),
+            ("analytic", "schedule"), (False, True),
+        )
+    ]
+    assert len(specs) == 144
+    keys = [scenario_key(spec) for spec in specs]
+    assert keys == [stable_digest(scenario_key_doc(s), 32) for s in specs]
+    assert len(set(keys)) == 144
 
 
 @pytest.mark.parametrize("spec, key", [
