@@ -16,6 +16,10 @@ Prices the same scenario four ways and times each request end to end:
 A fifth leg fires N identical concurrent requests at a scenario nobody
 has priced yet and reads the server's single-flight counters back: the
 contract is exactly **one** pricing and **N − 1** coalesced waiters.
+That pricing first sleeps ``COALESCE_HOLD_S`` (a one-shot
+``sweep.compile`` delay armed around the burst only, so the miss and
+hit timings above never see it), so every request arrives while it is
+in flight instead of after it, as a warm hit.
 
 A sixth leg splits a warm hit: one fresh client makes 200 sequential
 hits over synth keys stored before the server started, and the same
@@ -76,6 +80,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.flow.artifacts as artifacts_module  # noqa: E402
+from repro.faults import injected_faults  # noqa: E402
 from repro.flow.artifacts import ArtifactStore  # noqa: E402
 from repro.flow.client import ServeClient  # noqa: E402
 from repro.flow.server import running_server  # noqa: E402
@@ -83,6 +88,10 @@ from repro.flow.sweep import ScenarioSpec, run_sweep, scenario_key  # noqa: E402
 
 BENCH_WORKLOAD = "prae"
 COALESCE_N = 8
+#: The burst's one pricing sleeps this long first (a one-shot
+#: ``sweep.compile`` delay), so all N requests arrive while it is in
+#: flight: one that came after it finished would be a warm hit.
+COALESCE_HOLD_S = 1.0
 #: The hit split: sequential warm hits, cycling over this many synth keys.
 SPLIT_HITS = 200
 SPLIT_KEYS = 20
@@ -218,7 +227,8 @@ def bench_warm_server(tmp: pathlib.Path, workload: str) -> dict:
 
         before = client.stats()
         fresh_doc = {"workload": "synth", "overrides": {"seed": 97}}
-        with ThreadPoolExecutor(max_workers=COALESCE_N) as pool:
+        with injected_faults(f"sweep.compile:delay={COALESCE_HOLD_S}"), \
+                ThreadPoolExecutor(max_workers=COALESCE_N) as pool:
             burst = list(pool.map(
                 lambda _i: client.compile_scenario(fresh_doc),
                 range(COALESCE_N),

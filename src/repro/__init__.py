@@ -15,6 +15,12 @@ Subpackages: :mod:`repro.vsa` (vector-symbolic algebra), :mod:`repro.nn`
 :mod:`repro.arch` (the backend simulator), :mod:`repro.baselines` and
 :mod:`repro.characterize` (comparison devices), :mod:`repro.flow` (the
 end-to-end framework).
+
+``import repro`` loads the compile pipeline (the API below) and the
+workload registry, nothing else: every sub-package but
+:mod:`repro.workloads` imports a submodule on the first read of one of
+its names (:mod:`repro._lazy`), so ``from repro.flow import run_sweep``
+loads the sweep layer only when a caller asks for it.
 """
 
 from .errors import NSFlowError

@@ -16,25 +16,17 @@ The mechanism, not a lookup table, produces the paper's trends:
   to circulant-matrix GEMMs with a ``d×`` data blow-up;
 * the DPU-like engine cannot run symbolic kernels at all and falls back
   to its host CPU.
+
+Names resolve on first use (:mod:`repro._lazy`); a compile loads none
+of these models.
 """
 
-from .device import DeviceResult, DeviceSpec, RooflineDevice
-from .cpu_gpu import JETSON_TX2, RTX_2080TI, XAVIER_NX, XEON_CPU, CORAL_TPU
-from .tpu import TpuLikeArray
-from .dpu import DpuLikeEngine
-from .zoo import baseline_devices, fig5_devices
+from .._lazy import attach
 
-__all__ = [
-    "DeviceSpec",
-    "DeviceResult",
-    "RooflineDevice",
-    "JETSON_TX2",
-    "XAVIER_NX",
-    "XEON_CPU",
-    "RTX_2080TI",
-    "CORAL_TPU",
-    "TpuLikeArray",
-    "DpuLikeEngine",
-    "baseline_devices",
-    "fig5_devices",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "device": ["DeviceSpec", "DeviceResult", "RooflineDevice"],
+    "cpu_gpu": ["JETSON_TX2", "XAVIER_NX", "XEON_CPU", "RTX_2080TI", "CORAL_TPU"],
+    "tpu": ["TpuLikeArray"],
+    "dpu": ["DpuLikeEngine"],
+    "zoo": ["baseline_devices", "fig5_devices"],
+})

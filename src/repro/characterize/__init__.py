@@ -5,15 +5,14 @@
   latencies);
 * :mod:`~repro.characterize.roofline` — arithmetic-intensity /
   performance points under a device roofline (Fig. 1c).
+
+Names resolve on first use (:mod:`repro._lazy`); a compile loads
+neither module.
 """
 
-from .profiler import WorkloadCharacterization, characterize_workload
-from .roofline import RooflinePoint, roofline_points, roofline_curve
+from .._lazy import attach
 
-__all__ = [
-    "WorkloadCharacterization",
-    "characterize_workload",
-    "RooflinePoint",
-    "roofline_points",
-    "roofline_curve",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "profiler": ["WorkloadCharacterization", "characterize_workload"],
+    "roofline": ["RooflinePoint", "roofline_points", "roofline_curve"],
+})

@@ -13,22 +13,15 @@ substitution table).
   RAVEN/I-RAVEN/PGM-flavoured difficulty presets;
 * :mod:`~repro.datasets.cvr_svrt` — CVR/SVRT-like relational
   classification items used by the MIMONet examples.
+
+Names resolve on first use (:mod:`repro._lazy`). The workloads import
+these modules themselves, so ``import repro`` loads them all.
 """
 
-from .spec import RpmAttribute, RpmDatasetSpec, RuleType, make_spec
-from .rpm import RpmPanel, RpmProblem, RpmRule, generate_problem, generate_dataset
-from .cvr_svrt import RelationalItem, generate_relational_dataset
+from .._lazy import attach
 
-__all__ = [
-    "RuleType",
-    "RpmAttribute",
-    "RpmDatasetSpec",
-    "make_spec",
-    "RpmRule",
-    "RpmPanel",
-    "RpmProblem",
-    "generate_problem",
-    "generate_dataset",
-    "RelationalItem",
-    "generate_relational_dataset",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "spec": ["RuleType", "RpmAttribute", "RpmDatasetSpec", "make_spec"],
+    "rpm": ["RpmRule", "RpmPanel", "RpmProblem", "generate_problem", "generate_dataset"],
+    "cvr_svrt": ["RelationalItem", "generate_relational_dataset"],
+})

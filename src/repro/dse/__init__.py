@@ -12,64 +12,38 @@ applied once to the winning design, and a full Pareto frontier
 (latency × area × energy proxy) on ``DseReport.pareto``. Stage timings
 (:mod:`.timing`) only grow; a caller diffs two ``timings_snapshot()``
 calls with ``stage_timings_since()``.
+
+Names resolve on first use (:mod:`repro._lazy`); a compile runs every
+module here, so importing the compile pipeline loads them all anyway.
 """
 
-from .accuracy import (
-    DEFAULT_ACCURACY_PROBLEMS,
-    DEFAULT_ACCURACY_SEED,
-    AccuracyResult,
-    accuracy_cache_key,
-    accuracy_cache_stats,
-    clear_accuracy_cache,
-    deployed_workload,
-    evaluate_accuracy,
-)
-from .config import DesignConfig, ExecutionMode, design_config_from_json, design_config_to_json
-from .phase1 import Phase1Result
-from .phase2 import Phase2Result, run_phase2
-from .engine import (
-    DseEngine,
-    DseReport,
-    GeometryCandidate,
-    GeometryEval,
-    ParetoFrontier,
-    ParetoPoint,
-    pareto_filter,
-)
-from .multifidelity import (
-    MultiFidelityOutcome,
-    PrunedCandidate,
-    multifidelity_evaluate,
-)
-from .timing import StageStat, stage_timings_since, timings_snapshot
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_ACCURACY_PROBLEMS",
-    "DEFAULT_ACCURACY_SEED",
-    "AccuracyResult",
-    "accuracy_cache_key",
-    "accuracy_cache_stats",
-    "clear_accuracy_cache",
-    "deployed_workload",
-    "evaluate_accuracy",
-    "DesignConfig",
-    "ExecutionMode",
-    "design_config_to_json",
-    "design_config_from_json",
-    "Phase1Result",
-    "Phase2Result",
-    "run_phase2",
-    "DseEngine",
-    "DseReport",
-    "GeometryCandidate",
-    "GeometryEval",
-    "ParetoFrontier",
-    "ParetoPoint",
-    "pareto_filter",
-    "MultiFidelityOutcome",
-    "PrunedCandidate",
-    "multifidelity_evaluate",
-    "StageStat",
-    "stage_timings_since",
-    "timings_snapshot",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "accuracy": [
+        "DEFAULT_ACCURACY_PROBLEMS",
+        "DEFAULT_ACCURACY_SEED",
+        "AccuracyResult",
+        "accuracy_cache_key",
+        "accuracy_cache_stats",
+        "clear_accuracy_cache",
+        "deployed_workload",
+        "evaluate_accuracy",
+    ],
+    "config": [
+        "DesignConfig", "ExecutionMode", "design_config_to_json", "design_config_from_json",
+    ],
+    "phase1": ["Phase1Result"],
+    "phase2": ["Phase2Result", "run_phase2"],
+    "engine": [
+        "DseEngine",
+        "DseReport",
+        "GeometryCandidate",
+        "GeometryEval",
+        "ParetoFrontier",
+        "ParetoPoint",
+        "pareto_filter",
+    ],
+    "multifidelity": ["MultiFidelityOutcome", "PrunedCandidate", "multifidelity_evaluate"],
+    "timing": ["StageStat", "stage_timings_since", "timings_snapshot"],
+})

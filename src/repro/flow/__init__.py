@@ -5,79 +5,48 @@ execution trace → dataflow graph → two-phase DSE → design config →
 backend instantiation (controller schedule, resource estimate, RTL
 parameters, host code). One call reproduces the paper's "NSAI workload
 (.py) in, deployed accelerator out" story.
+
+Names resolve on first use (:mod:`repro._lazy`). ``import repro`` loads
+only :mod:`.nsflow` and :mod:`.hostcode`; the sweep, ledger, artifact
+store and report modules load when a caller first reads one of their
+names (``from repro.flow import run_sweep``) or imports them.
 """
 
-from .nsflow import CompiledDesign, NSFlow
-from .hostcode import generate_host_code
-from .artifacts import (
-    ArtifactStore,
-    FoldStats,
-    ScenarioArtifacts,
-    fold_stores,
-)
-from .report import (
-    format_table,
-    merge_summary_table,
-    pareto_frontier_table,
-    shard_progress_table,
-    speedup_table,
-    stage_timings_table,
-    sweep_comparison_table,
-    sweep_results_table,
-    sweep_summary,
-)
-from .ledger import (
-    ClaimRecord,
-    LedgerMergeResult,
-    LedgerRecord,
-    MergedRow,
-    RunLedger,
-    merge_ledgers,
-)
-from .sweep import (
-    DEFAULT_LEASE_TIMEOUT_S,
-    ScenarioGrid,
-    ScenarioOutcome,
-    ScenarioSpec,
-    SweepResult,
-    expand_workload_axis,
-    parse_shard,
-    run_sweep,
-    shard_filter,
-    shard_index,
-)
+from .._lazy import attach
 
-__all__ = [
-    "NSFlow",
-    "CompiledDesign",
-    "generate_host_code",
-    "format_table",
-    "pareto_frontier_table",
-    "speedup_table",
-    "stage_timings_table",
-    "sweep_results_table",
-    "sweep_comparison_table",
-    "sweep_summary",
-    "shard_progress_table",
-    "merge_summary_table",
-    "ArtifactStore",
-    "ScenarioArtifacts",
-    "FoldStats",
-    "fold_stores",
-    "ScenarioSpec",
-    "ScenarioGrid",
-    "ScenarioOutcome",
-    "SweepResult",
-    "LedgerRecord",
-    "ClaimRecord",
-    "RunLedger",
-    "MergedRow",
-    "LedgerMergeResult",
-    "merge_ledgers",
-    "expand_workload_axis",
-    "run_sweep",
-    "parse_shard",
-    "shard_filter",
-    "shard_index",
-    "DEFAULT_LEASE_TIMEOUT_S",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "nsflow": ["NSFlow", "CompiledDesign"],
+    "hostcode": ["generate_host_code"],
+    "report": [
+        "format_table",
+        "pareto_frontier_table",
+        "speedup_table",
+        "stage_timings_table",
+        "sweep_results_table",
+        "sweep_comparison_table",
+        "sweep_summary",
+        "shard_progress_table",
+        "merge_summary_table",
+    ],
+    "artifacts": ["ArtifactStore", "ScenarioArtifacts", "FoldStats", "fold_stores"],
+    "sweep": [
+        "ScenarioSpec",
+        "ScenarioGrid",
+        "ScenarioOutcome",
+        "SweepResult",
+        "expand_workload_axis",
+        "run_sweep",
+        "parse_shard",
+        "shard_filter",
+        "shard_index",
+        "DEFAULT_LEASE_TIMEOUT_S",
+    ],
+    "ledger": [
+        "LedgerRecord",
+        "ClaimRecord",
+        "RunLedger",
+        "MergedRow",
+        "LedgerMergeResult",
+        "merge_ledgers",
+    ],
+})

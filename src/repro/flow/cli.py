@@ -78,47 +78,29 @@ DESIGN.md "Pareto frontier semantics").
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
-import socket
 import sys
 
+# Only what the parser itself needs is imported here; each command
+# imports its own dependencies, so `repro compile` never loads the
+# sweep, ledger, store, server or baseline-device modules.
 from ..arch.resources import FPGA_DEVICES
-from ..baselines import baseline_devices
-from ..characterize import characterize_workload
-from ..errors import NSFlowError
-from ..faults import RetryPolicy, arm_faults
-from ..quant import MIXED_PRECISION_PRESETS
-from ..trace.serialize import trace_to_json
-from ..utils import MB
-from ..workloads import available_workloads, build_workload
-from .artifacts import ArtifactStore, fold_stores
-from .client import DEFAULT_POLL_S, ServeClient
-from .ledger import RunLedger, merge_ledgers
-from .nsflow import NSFlow
-from .report import (
-    format_table,
-    job_results_table,
-    job_summary,
-    latency_breakdown_table,
-    merge_summary_table,
-    pareto_frontier_table,
-    provenance,
-    shard_progress_table,
-    stage_timings_table,
-    sweep_comparison_table,
-    sweep_results_table,
-    sweep_summary,
-)
-from .sweep import DEFAULT_LEASE_TIMEOUT_S, ScenarioGrid, run_sweep
 from ..dse.accuracy import DEFAULT_ACCURACY_PROBLEMS, DEFAULT_ACCURACY_SEED
-from ..dse.config import design_config_to_json
 from ..dse.engine import EVALUATION_BACKENDS
-from ..dse.timing import stage_timings_since, timings_snapshot
+from ..errors import NSFlowError
+from ..quant import MIXED_PRECISION_PRESETS
+from ..workloads import available_workloads
 
 __all__ = ["main", "build_parser"]
 
 _DEVICES = FPGA_DEVICES
+
+#: Parser defaults of ``--lease-timeout`` and ``--poll``, equal to
+#: ``repro.flow.sweep.DEFAULT_LEASE_TIMEOUT_S`` and
+#: ``repro.flow.client.DEFAULT_POLL_S`` (tests/flow/test_cli.py holds
+#: them equal), spelled out so building the parser imports neither module.
+_LEASE_TIMEOUT_S = 300.0
+_POLL_S = 0.2
 
 
 def _add_accuracy_flags(p: argparse.ArgumentParser) -> None:
@@ -239,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "the whole grid — several workers can share one "
                           "ledger and dynamically split the work")
     swp.add_argument("--lease-timeout", type=float,
-                     default=DEFAULT_LEASE_TIMEOUT_S, dest="lease_timeout",
+                     default=_LEASE_TIMEOUT_S, dest="lease_timeout",
                      help="seconds a claimed scenario's heartbeat may go "
                           "stale before other workers treat its owner as "
                           "crashed and re-issue the work (default: "
-                          f"{DEFAULT_LEASE_TIMEOUT_S:.0f})")
+                          f"{_LEASE_TIMEOUT_S:.0f})")
     swp.add_argument("--scenario-timeout", type=float, default=None,
                      dest="scenario_timeout", metavar="SECONDS",
                      help="per-scenario wall-clock budget (> 0); a scenario "
@@ -287,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retries for transient ledger/artifact I/O "
                           "(default: 2)")
     srv.add_argument("--lease-timeout", type=float,
-                     default=DEFAULT_LEASE_TIMEOUT_S, dest="lease_timeout",
+                     default=_LEASE_TIMEOUT_S, dest="lease_timeout",
                      help="claim-lease timeout for server-side sweep jobs "
-                          f"(default: {DEFAULT_LEASE_TIMEOUT_S:.0f})")
+                          f"(default: {_LEASE_TIMEOUT_S:.0f})")
     srv.add_argument("--worker-id", default=None, dest="worker_id",
                      help="ledger worker id for server-side sweeps "
                           "(default: serve@<hostname> — deliberately stable "
@@ -333,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated evaluation backends as a grid "
                           f"axis (available: {', '.join(EVALUATION_BACKENDS)})")
     _add_accuracy_flags(sbm)
-    sbm.add_argument("--poll", type=float, default=DEFAULT_POLL_S,
+    sbm.add_argument("--poll", type=float, default=_POLL_S,
                      metavar="SECONDS",
                      help="delay between job-progress polls "
-                          f"(default: {DEFAULT_POLL_S:g})")
+                          f"(default: {_POLL_S:g})")
     sbm.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                      help="give up waiting for the job after this long "
                           "(default: wait forever)")
@@ -367,12 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_workloads() -> int:
+    from .report import format_table
+
     rows = [[name] for name in available_workloads()]
     print(format_table(["Workload"], rows, title="Registered NSAI workloads"))
     return 0
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from ..baselines import baseline_devices
+    from ..characterize import characterize_workload
+    from ..workloads import build_workload
+    from .report import format_table
+
     workload = build_workload(args.workload)
     ch = characterize_workload(workload, baseline_devices())
     rows = [
@@ -393,6 +382,19 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from ..dse.config import design_config_to_json
+    from ..dse.timing import stage_timings_since, timings_snapshot
+    from ..trace.serialize import trace_to_json
+    from ..utils import MB
+    from ..workloads import build_workload
+    from .nsflow import NSFlow
+    from .report import (
+        format_table,
+        latency_breakdown_table,
+        pareto_frontier_table,
+        stage_timings_table,
+    )
+
     if args.pareto_k < 0:
         print(f"error: --pareto-k must be >= 0, got {args.pareto_k}",
               file=sys.stderr)
@@ -503,6 +505,9 @@ def _grid_doc_from_args(args: argparse.Namespace) -> dict | None:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from .client import ServeClient
+    from .report import job_results_table, job_summary, provenance
+
     grid_doc = _grid_doc_from_args(args)
     if grid_doc is None:
         return 1
@@ -560,6 +565,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from ..faults import arm_faults
     from .server import DseServer
 
     if args.max_retries < 0:
@@ -598,6 +604,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import os
+    import socket
+
+    from ..faults import RetryPolicy, arm_faults
+    from .artifacts import ArtifactStore
+    from .ledger import RunLedger
+    from .report import (
+        provenance,
+        shard_progress_table,
+        stage_timings_table,
+        sweep_comparison_table,
+        sweep_results_table,
+        sweep_summary,
+    )
+    from .sweep import ScenarioGrid, run_sweep
+
     try:
         loops = tuple(int(v) for v in _split_csv(args.loops))
     except ValueError:
@@ -706,6 +728,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge_ledgers(args: argparse.Namespace) -> int:
+    from .artifacts import ArtifactStore, fold_stores
+    from .ledger import RunLedger, merge_ledgers
+    from .report import merge_summary_table
+
     missing = [p for p in args.ledgers if not p.exists()]
     if missing:
         print("error: ledger not found: "

@@ -43,9 +43,11 @@ Perf mechanics
   connection is closed when the drain starts (and once more before the
   listener closes) and responses sent while draining say
   ``Connection: close``: Python 3.12's ``Server.wait_closed()`` waits
-  for every open connection. Because a job's ledger survives on disk,
-  re-submitting the same grid after a restart resumes it — the job id
-  is a content hash of the grid.
+  for every open connection. The listener stops accepting before it
+  closes, and a connection accepted in that last loop pass is closed
+  unanswered, as if it had come after the close. Because a job's
+  ledger survives on disk, re-submitting the same grid after a restart
+  resumes it — the job id is a content hash of the grid.
 
 Concurrency model: one asyncio loop owns all bookkeeping (stats, the
 coalescing map, the job table); all pricing — single compiles and whole
@@ -70,7 +72,7 @@ import signal
 import socket
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Coroutine, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
@@ -302,6 +304,8 @@ class DseServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._draining = False
+        #: False once a drain has stopped the listener accepting.
+        self._accepting = True
         #: Connections waiting for their next request line.
         self._idle: set[asyncio.StreamWriter] = set()
 
@@ -340,7 +344,7 @@ class DseServer:
         """Bind, serve until drained, then shut the executors down."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._handle, self.host, self.port)
+        server = await asyncio.start_server(self._accept, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -370,6 +374,7 @@ class DseServer:
                         pending + inflight,
                         return_when=asyncio.ALL_COMPLETED,
                     )
+                await self._stop_accepting(server)
                 # Connections that went idle during the drain; no await
                 # lies between here and the listener's close.
                 self._close_idle()
@@ -380,7 +385,35 @@ class DseServer:
             self._pricer.shutdown(wait=True)
             self._readers.shutdown(wait=True)
 
+    async def _stop_accepting(self, server: asyncio.Server) -> None:
+        """Accept no more connections, and close those accepted too late.
+
+        asyncio accepts a socket in one loop pass and builds its
+        transport in the next; a ``Server.close()`` in between fails the
+        transport (``Server._attach`` asserts) and leaves the socket open
+        and unanswered. With the listener's reader removed nothing more
+        is accepted. One pass later every socket accepted before has its
+        transport, and the pass after that hands each to :meth:`_accept`,
+        which closes it: the client sees the connection end, as it would
+        had it arrived after the listener closed.
+        """
+        self._accepting = False
+        for sock in server.sockets:
+            self._loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+
     # -- HTTP plumbing ---------------------------------------------------------
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Coroutine[None, None, None] | None:
+        """``asyncio.start_server``'s callback: serve the connection, or
+        close it if the listener has stopped accepting."""
+        if not self._accepting:
+            writer.close()
+            return None
+        return self._handle(reader, writer)
 
     def _close_idle(self) -> None:
         for writer in tuple(self._idle):

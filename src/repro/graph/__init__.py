@@ -6,18 +6,15 @@ The Design Architecture Generator turns an execution trace into a
 (inner-loop parallelism), ③ the next loop's graph is fused in at the point
 its first compute unit frees (inter-loop parallelism), ④⑤ runtime
 functions and memory footprints are attached per node.
+
+Names resolve on first use (:mod:`repro._lazy`); a compile never runs
+:mod:`.analysis`, so it never loads it.
 """
 
-from .dataflow import DataflowGraph, DataflowNode, NodeKind
-from .build import build_dataflow_graph, fuse_loops
-from .analysis import GraphStats, graph_stats
+from .._lazy import attach
 
-__all__ = [
-    "DataflowGraph",
-    "DataflowNode",
-    "NodeKind",
-    "build_dataflow_graph",
-    "fuse_loops",
-    "GraphStats",
-    "graph_stats",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "dataflow": ["DataflowGraph", "DataflowNode", "NodeKind"],
+    "build": ["build_dataflow_graph", "fuse_loops"],
+    "analysis": ["GraphStats", "graph_stats"],
+})

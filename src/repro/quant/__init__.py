@@ -10,34 +10,26 @@ components of the workload" (paper Sec. IV-D). This package provides:
 * :class:`~repro.quant.mixed.MixedPrecisionConfig` — the (NN precision,
   symbolic precision) pairs the frontend assigns to workload components,
 * the model memory-footprint model behind Table IV's "Memory" row.
+
+Names resolve on first use (:mod:`repro._lazy`).
 """
 
-from .schemes import (
-    Precision,
-    QuantizedTensor,
-    dequantize,
-    quantization_noise_floor,
-    quantize_array,
-    quantize_rows,
-    quantize_tensor,
-)
-from .mixed import (
-    MixedPrecisionConfig,
-    MIXED_PRECISION_PRESETS,
-    component_footprint_bytes,
-    model_footprint_bytes,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Precision",
-    "QuantizedTensor",
-    "quantize_array",
-    "quantize_rows",
-    "quantize_tensor",
-    "dequantize",
-    "quantization_noise_floor",
-    "MixedPrecisionConfig",
-    "MIXED_PRECISION_PRESETS",
-    "component_footprint_bytes",
-    "model_footprint_bytes",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "schemes": [
+        "Precision",
+        "QuantizedTensor",
+        "quantize_array",
+        "quantize_rows",
+        "quantize_tensor",
+        "dequantize",
+        "quantization_noise_floor",
+    ],
+    "mixed": [
+        "MixedPrecisionConfig",
+        "MIXED_PRECISION_PRESETS",
+        "component_footprint_bytes",
+        "model_footprint_bytes",
+    ],
+})

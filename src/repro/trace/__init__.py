@@ -9,20 +9,15 @@ its dependencies, shapes, lowering hints and cost counters;
 :class:`~repro.trace.tracer.Tracer` builds traces; and
 :mod:`~repro.trace.serialize` round-trips them through JSON and renders the
 Listing-1-style text form.
+
+Names resolve on first use (:mod:`repro._lazy`); a compile never
+serializes a trace, so it never loads :mod:`.serialize`.
 """
 
-from .opnode import ExecutionUnit, OpDomain, Trace, TraceOp, VsaDims
-from .tracer import Tracer
-from .serialize import trace_from_json, trace_to_json, trace_to_listing
+from .._lazy import attach
 
-__all__ = [
-    "TraceOp",
-    "Trace",
-    "OpDomain",
-    "ExecutionUnit",
-    "VsaDims",
-    "Tracer",
-    "trace_to_json",
-    "trace_from_json",
-    "trace_to_listing",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "opnode": ["TraceOp", "Trace", "OpDomain", "ExecutionUnit", "VsaDims"],
+    "tracer": ["Tracer"],
+    "serialize": ["trace_to_json", "trace_from_json", "trace_to_listing"],
+})

@@ -14,40 +14,28 @@ correlation* unbinding followed by similarity search against a codebook
   ``match_prob`` / ``match_prob_multi_batched`` kernels of Listing 1;
 * :mod:`~repro.vsa.resonator` — iterative resonator factorization used by
   the NVSA backend to recover attribute factors from bound scene vectors.
+
+Names resolve on first use (:mod:`repro._lazy`). The workloads compute
+with :mod:`.ops` alone, so a compile never loads the block-code,
+codebook or resonator modules.
 """
 
-from .ops import (
-    bind_power,
-    bundle,
-    circular_convolution,
-    circular_correlation,
-    cosine_similarity,
-    dot_similarity,
-    permute_blocks,
-    random_unitary_vector,
-    random_vector,
-    unit_vector,
-)
-from .blockcode import BlockCodeVector, random_block_code
-from .codebook import Codebook, match_prob, match_prob_multi_batched
-from .resonator import ResonatorNetwork, ResonatorResult
+from .._lazy import attach
 
-__all__ = [
-    "circular_convolution",
-    "circular_correlation",
-    "bundle",
-    "cosine_similarity",
-    "dot_similarity",
-    "permute_blocks",
-    "random_vector",
-    "random_unitary_vector",
-    "bind_power",
-    "unit_vector",
-    "BlockCodeVector",
-    "random_block_code",
-    "Codebook",
-    "match_prob",
-    "match_prob_multi_batched",
-    "ResonatorNetwork",
-    "ResonatorResult",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "ops": [
+        "circular_convolution",
+        "circular_correlation",
+        "bundle",
+        "cosine_similarity",
+        "dot_similarity",
+        "permute_blocks",
+        "random_vector",
+        "random_unitary_vector",
+        "bind_power",
+        "unit_vector",
+    ],
+    "blockcode": ["BlockCodeVector", "random_block_code"],
+    "codebook": ["Codebook", "match_prob", "match_prob_multi_batched"],
+    "resonator": ["ResonatorNetwork", "ResonatorResult"],
+})

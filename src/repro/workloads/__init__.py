@@ -15,6 +15,11 @@ deployment scale for the DAG frontend. The four models are:
 
 :class:`~repro.workloads.scaling.ScalableNsaiWorkload` parameterizes the
 symbolic/neural balance for the Fig. 6 ablation.
+
+Unlike the other sub-packages, this one imports every workload module
+eagerly: importing :mod:`.base` must define every registry class, since
+perfbench's tracer wraps ``build_trace`` on the ``NSAIWorkload``
+subclasses that exist when it installs (DESIGN.md "Import footprint").
 """
 
 from .base import NSAIWorkload, WorkloadProfile

@@ -29,6 +29,18 @@ class TestParser:
         assert not args.no_cache
         assert str(args.cache_dir) == ".nsflow-cache"
 
+    def test_lease_and_poll_defaults_are_the_library_defaults(self):
+        """The parser spells these defaults out so building it imports
+        neither the sweep layer nor the client; they must stay equal."""
+        from repro.flow.client import DEFAULT_POLL_S
+        from repro.flow.sweep import DEFAULT_LEASE_TIMEOUT_S
+
+        parser = build_parser()
+        for argv in (["sweep"], ["serve"]):
+            assert parser.parse_args(argv).lease_timeout == DEFAULT_LEASE_TIMEOUT_S
+        submit = parser.parse_args(["submit", "--server", "http://127.0.0.1:1"])
+        assert submit.poll == DEFAULT_POLL_S
+
     def test_sweep_filter_flags_accumulate(self):
         args = build_parser().parse_args([
             "sweep", "--include", "nvsa@*", "--include", "mimonet@*",

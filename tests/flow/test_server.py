@@ -14,6 +14,7 @@ the job submitted and resumed through ``repro submit``.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import dataclasses
 import http.client
@@ -25,6 +26,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -299,9 +301,7 @@ def test_resumed_job_reports_zero_dse_work(tmp_path):
 
 def test_drain_finishes_inflight_and_rejects_new_work(tmp_path):
     """While a drain waits for an in-flight pricing, new work gets 503;
-    once the server has drained, its listener is gone. No request is
-    sent while the listener closes: asyncio can accept a connection
-    then and never answer or close it."""
+    once the server has drained, its listener is gone."""
     new_work = {"workload": "synth", "overrides": {"seed": 42}}
     with running_server(tmp_path / "cache") as server, \
             _client(server) as client:
@@ -317,6 +317,48 @@ def test_drain_finishes_inflight_and_rejects_new_work(tmp_path):
                 assert inflight.result(timeout=30)["status"] == "ok"
     with pytest.raises(ServeError, match="cannot reach server"):
         client.compile_scenario(new_work)
+
+
+@pytest.mark.parametrize("request_bytes", [HEALTHZ, b""], ids=["request", "silent"])
+def test_a_connection_accepted_as_the_drain_ends_is_closed(tmp_path, request_bytes):
+    """A socket asyncio accepts in the loop pass that ends a drain is
+    closed, not left open and unanswered.
+
+    The client connects (the kernel completes the handshake; nothing is
+    accepted yet) and requests the drain inside one callback on the
+    server's loop, so its next poll runs the drain's end and the accept
+    together: the accepted socket's transport is built after the drain
+    decided to close the listener. ``Server.close()`` at that point
+    fails the transport (``Server._attach`` asserts) and the socket
+    stays open until garbage collection; the client would wait out its
+    timeout. The outcome depends on the loop's order, not on timing.
+    """
+    server = server_module.DseServer(tmp_path / "cache")
+    ready = threading.Event()
+    loops: list[asyncio.AbstractEventLoop] = []
+
+    def on_ready(_server) -> None:
+        loops.append(asyncio.get_running_loop())
+        ready.set()
+
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve(on_ready=on_ready)), daemon=True
+    )
+    thread.start()
+    assert ready.wait(timeout=30)
+    clients: list[socket.socket] = []
+
+    def connect_then_drain() -> None:
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        sock.sendall(request_bytes)
+        clients.append(sock)
+        server.request_drain()
+
+    loops[0].call_soon_threadsafe(connect_then_drain)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    with clients[0] as sock:
+        assert _closed_by_server(sock)
 
 
 @contextlib.contextmanager
