@@ -121,6 +121,36 @@ def _add_accuracy_flags(p: argparse.ArgumentParser) -> None:
                         f"(default: {DEFAULT_ACCURACY_SEED})")
 
 
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The scenario-grid flags shared by sweep/submit, accuracy included."""
+    p.add_argument("--workloads", default=",".join(available_workloads()),
+                   help="comma-separated workload names; entries may be "
+                        "seed-range axes like 'synth:0-99' (one scenario "
+                        "per seed, for workloads with a 'seed' config "
+                        "field). Default: every registered workload")
+    p.add_argument("--devices", default="u250",
+                   help="comma-separated device names "
+                        f"(available: {', '.join(sorted(_DEVICES))})")
+    p.add_argument("--precisions", default="MP",
+                   help="comma-separated mixed-precision presets "
+                        f"(available: {', '.join(MIXED_PRECISION_PRESETS)})")
+    p.add_argument("--loops", default="1",
+                   help="comma-separated inference-loop counts to fuse")
+    p.add_argument("--iter-max", type=int, default=8,
+                   help="Phase II iteration cap for every scenario")
+    p.add_argument("--include", action="append", default=[], metavar="PAT",
+                   help="keep only scenario ids matching this fnmatch "
+                        "pattern (repeatable, e.g. 'nvsa@*')")
+    p.add_argument("--exclude", action="append", default=[], metavar="PAT",
+                   help="drop scenario ids matching this fnmatch pattern "
+                        "(repeatable, e.g. '*@zcu104/*')")
+    p.add_argument("--backends", default="analytic",
+                   help="comma-separated evaluation backends as a grid "
+                        f"axis (available: {', '.join(EVALUATION_BACKENDS)}"
+                        "); result-affecting, part of the cache key")
+    _add_accuracy_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsflow",
@@ -164,35 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a scenario grid (workloads x devices x precisions) "
              "with a persistent compile cache",
     )
-    swp.add_argument("--workloads", default=",".join(available_workloads()),
-                     help="comma-separated workload names; entries may be "
-                          "seed-range axes like 'synth:0-99' (one scenario "
-                          "per seed, for workloads with a 'seed' config "
-                          "field). Default: every registered workload")
-    swp.add_argument("--devices", default="u250",
-                     help="comma-separated device names "
-                          f"(available: {', '.join(sorted(_DEVICES))})")
-    swp.add_argument("--precisions", default="MP",
-                     help="comma-separated mixed-precision presets "
-                          f"(available: {', '.join(MIXED_PRECISION_PRESETS)})")
-    swp.add_argument("--loops", default="1",
-                     help="comma-separated inference-loop counts to fuse")
-    swp.add_argument("--iter-max", type=int, default=8,
-                     help="Phase II iteration cap for every scenario")
-    swp.add_argument("--include", action="append", default=[], metavar="PAT",
-                     help="keep only scenario ids matching this fnmatch "
-                          "pattern (repeatable, e.g. 'nvsa@*')")
-    swp.add_argument("--exclude", action="append", default=[], metavar="PAT",
-                     help="drop scenario ids matching this fnmatch pattern "
-                          "(repeatable, e.g. '*@zcu104/*')")
-    swp.add_argument("--backends", default="analytic",
-                     help="comma-separated evaluation backends as a grid "
-                          f"axis (available: {', '.join(EVALUATION_BACKENDS)}"
-                          "); result-affecting, part of the cache key")
+    _add_grid_flags(swp)
     swp.add_argument("--timings", action="store_true",
                      help="print the full DSE stage-timing table after "
                           "the sweep summary")
-    _add_accuracy_flags(swp)
     swp.add_argument("--cache-dir", type=pathlib.Path,
                      default=pathlib.Path(".nsflow-cache"),
                      help="artifact-store directory (default: .nsflow-cache)")
@@ -291,30 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--server", required=True, metavar="URL",
                      help="base URL of the serve instance, e.g. "
                           "http://127.0.0.1:8177")
-    sbm.add_argument("--workloads", default=",".join(available_workloads()),
-                     help="comma-separated workload names; entries may be "
-                          "seed-range axes like 'synth:0-99'. Default: "
-                          "every registered workload")
-    sbm.add_argument("--devices", default="u250",
-                     help="comma-separated device names "
-                          f"(available: {', '.join(sorted(_DEVICES))})")
-    sbm.add_argument("--precisions", default="MP",
-                     help="comma-separated mixed-precision presets "
-                          f"(available: {', '.join(MIXED_PRECISION_PRESETS)})")
-    sbm.add_argument("--loops", default="1",
-                     help="comma-separated inference-loop counts to fuse")
-    sbm.add_argument("--iter-max", type=int, default=8,
-                     help="Phase II iteration cap for every scenario")
-    sbm.add_argument("--include", action="append", default=[], metavar="PAT",
-                     help="keep only scenario ids matching this fnmatch "
-                          "pattern (repeatable)")
-    sbm.add_argument("--exclude", action="append", default=[], metavar="PAT",
-                     help="drop scenario ids matching this fnmatch pattern "
-                          "(repeatable)")
-    sbm.add_argument("--backends", default="analytic",
-                     help="comma-separated evaluation backends as a grid "
-                          f"axis (available: {', '.join(EVALUATION_BACKENDS)})")
-    _add_accuracy_flags(sbm)
+    _add_grid_flags(sbm)
     sbm.add_argument("--poll", type=float, default=_POLL_S,
                      metavar="SECONDS",
                      help="delay between job-progress polls "
@@ -476,12 +458,12 @@ def _split_csv(text: str) -> tuple[str, ...]:
 
 
 def _grid_doc_from_args(args: argparse.Namespace) -> dict | None:
-    """The sweep-grid request document ``submit`` sends.
+    """The sweep-grid document of the grid flags.
 
-    Built from the CSV grid flags ``submit`` shares with ``sweep``;
-    returns ``None`` (after printing the error) on a malformed --loops.
-    The server re-validates everything through the same
-    :class:`~repro.flow.sweep.ScenarioGrid` the local path uses.
+    ``sweep`` builds its :class:`~repro.flow.sweep.ScenarioGrid` from it
+    and ``submit`` sends it, to be re-validated server-side through the
+    same class. Returns ``None`` (after printing the error) on a
+    malformed --loops.
     """
     try:
         loops = [int(v) for v in _split_csv(args.loops)]
@@ -620,25 +602,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from .sweep import ScenarioGrid, run_sweep
 
-    try:
-        loops = tuple(int(v) for v in _split_csv(args.loops))
-    except ValueError:
-        print(f"error: --loops expects comma-separated integers, "
-              f"got {args.loops!r}", file=sys.stderr)
+    grid_doc = _grid_doc_from_args(args)
+    if grid_doc is None:
         return 1
-    grid = ScenarioGrid(
-        workloads=_split_csv(args.workloads),
-        devices=tuple(d.lower() for d in _split_csv(args.devices)),
-        precisions=_split_csv(args.precisions),
-        loops=loops,
-        iter_maxes=(args.iter_max,),
-        backends=tuple(b.lower() for b in _split_csv(args.backends)),
-        accuracy=args.accuracy,
-        accuracy_problems=args.accuracy_problems,
-        accuracy_seed=args.accuracy_seed,
-        include=tuple(args.include),
-        exclude=tuple(args.exclude),
-    )
+    grid = ScenarioGrid(**grid_doc)
     specs = grid.expand()
     if not specs:
         print("error: grid is empty after include/exclude filtering",

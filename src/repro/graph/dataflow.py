@@ -53,15 +53,6 @@ class DataflowNode:
         return self.op.vsa
 
     @property
-    def weight_bytes(self) -> int:
-        """Stationary-data bytes (layer filters / VSA operand vectors)."""
-        if self.op.gemm is not None:
-            return self.op.gemm.weight_elements * 4
-        if self.op.vsa is not None:
-            return self.op.vsa.n * self.op.vsa.d * 4
-        return 0
-
-    @property
     def output_bytes(self) -> int:
         return self.op.bytes_written
 

@@ -52,6 +52,21 @@ class LayerOp:
     params: dict = field(default_factory=dict)
 
 
+def _layer_op(layer: Layer, shape: tuple[int, ...], deps: tuple[str, ...]) -> LayerOp:
+    """``layer`` applied to an input of ``shape``, reading ``deps``."""
+    return LayerOp(
+        name=layer.name,
+        kind=layer.kind,
+        input_shape=shape,
+        output_shape=layer.output_shape(shape),
+        deps=deps,
+        gemm=layer.gemm_dims(shape),
+        flops=layer.flops(shape),
+        weight_elements=layer.weight_elements(),
+        params=layer.params(),
+    )
+
+
 class BasicBlock:
     """Standard two-conv residual block (optionally downsampling)."""
 
@@ -100,21 +115,8 @@ class BasicBlock:
         ops: list[LayerOp] = []
 
         def emit(layer: Layer, shape: tuple[int, ...], deps: tuple[str, ...]) -> tuple[str, tuple[int, ...]]:
-            out_shape = layer.output_shape(shape)
-            ops.append(
-                LayerOp(
-                    name=layer.name,
-                    kind=layer.kind,
-                    input_shape=shape,
-                    output_shape=out_shape,
-                    deps=deps,
-                    gemm=layer.gemm_dims(shape),
-                    flops=layer.flops(shape),
-                    weight_elements=layer.weight_elements(),
-                    params=layer.params(),
-                )
-            )
-            return layer.name, out_shape
+            ops.append(_layer_op(layer, shape, deps))
+            return layer.name, ops[-1].output_shape
 
         n1, s1 = emit(self.conv1, input_shape, (input_name,))
         n2, s2 = emit(self.bn1, s1, (n1,))
@@ -179,41 +181,15 @@ class ResNet:
         shape = tuple(input_shape)
         last = input_name
         for layer in self.stem:
-            out_shape = layer.output_shape(shape)
-            ops.append(
-                LayerOp(
-                    name=layer.name,
-                    kind=layer.kind,
-                    input_shape=shape,
-                    output_shape=out_shape,
-                    deps=(last,),
-                    gemm=layer.gemm_dims(shape),
-                    flops=layer.flops(shape),
-                    weight_elements=layer.weight_elements(),
-                    params=layer.params(),
-                )
-            )
-            last, shape = layer.name, out_shape
+            ops.append(_layer_op(layer, shape, (last,)))
+            last, shape = layer.name, ops[-1].output_shape
         for block in self.blocks:
             block_ops = block.describe(shape, last)
             ops.extend(block_ops)
             last, shape = block_ops[-1].name, block_ops[-1].output_shape
         for layer in self.head:
-            out_shape = layer.output_shape(shape)
-            ops.append(
-                LayerOp(
-                    name=layer.name,
-                    kind=layer.kind,
-                    input_shape=shape,
-                    output_shape=out_shape,
-                    deps=(last,),
-                    gemm=layer.gemm_dims(shape),
-                    flops=layer.flops(shape),
-                    weight_elements=layer.weight_elements(),
-                    params=layer.params(),
-                )
-            )
-            last, shape = layer.name, out_shape
+            ops.append(_layer_op(layer, shape, (last,)))
+            last, shape = layer.name, ops[-1].output_shape
         return ops
 
     def weight_elements(self) -> int:

@@ -13,6 +13,10 @@ deployment scale for the DAG frontend. The four models are:
 * :class:`~repro.workloads.prae.PraeWorkload` — probabilistic abduction
   and execution on attribute PMFs (symbolic-dominated, no VSA vectors).
 
+NVSA, LVRF and PrAE solve Raven's progressive matrices and share
+:class:`~repro.workloads.nvsa.RpmWorkload`'s perception, accuracy and
+trace steps.
+
 :class:`~repro.workloads.scaling.ScalableNsaiWorkload` parameterizes the
 symbolic/neural balance for the Fig. 6 ablation.
 

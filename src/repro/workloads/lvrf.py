@@ -17,20 +17,16 @@ posterior exactly the way imperfectly learned rules would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from ..datasets.rpm import RpmProblem, generate_dataset
-from ..datasets.spec import RpmAttribute, make_spec
+from ..datasets.rpm import RpmProblem
 from ..errors import ConfigError
-from ..nn.gemm import GemmDims
 from ..nn.layers import WeightSource
 from ..nn.resnet import build_resnet18
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS
-from ..trace.opnode import ExecutionUnit, OpDomain, Trace
+from ..trace.opnode import Trace
 from ..trace.tracer import Tracer
 from ..utils import make_rng
-from .base import NSAIWorkload
-from .nvsa import NvsaReasoner, PerceptionModel
+from .nvsa import NvsaReasoner, PerceptionModel, RpmWorkload
 
 __all__ = ["LvrfConfig", "LvrfWorkload"]
 
@@ -65,28 +61,22 @@ class LvrfConfig:
         return self.blocks * self.block_dim
 
 
-class LvrfWorkload(NSAIWorkload):
+class LvrfWorkload(RpmWorkload):
     """Learned-rule VSA abduction on RPM problems."""
 
     name = "lvrf"
 
     def __init__(self, config: LvrfConfig | None = None):
-        self.config = config or LvrfConfig()
-        spec = make_spec(self.config.dataset)
-        self.spec = spec
-        gen = make_rng(self.config.seed)
-        noise_attrs = [
-            RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
-            for i in range(spec.n_noise_attributes)
-        ]
-        self._all_attrs = list(spec.attributes) + noise_attrs
+        super().__init__(config or LvrfConfig())
+        cfg = self.config
+        gen = make_rng(cfg.seed)
         # Converged learned rules ≈ the algebraic templates (see docstring).
         self.reasoner = NvsaReasoner(
             attributes=self._all_attrs,
-            spec=spec,
-            blocks=self.config.blocks,
-            block_dim=self.config.block_dim,
-            symbolic_precision=self.config.precision.symbolic,
+            spec=self.spec,
+            blocks=cfg.blocks,
+            block_dim=cfg.block_dim,
+            symbolic_precision=cfg.precision.symbolic,
             rng=gen,
         )
         # Frontend weights are drawn only on first read (see WeightSource).
@@ -95,55 +85,15 @@ class LvrfWorkload(NSAIWorkload):
             name="resnet18",
             in_channels=1,
             num_classes=512,
-            base_width=self.config.resnet_width,
+            base_width=cfg.resnet_width,
             rng=self._weights,
         )
-
-    @cached_property
-    def perception(self) -> PerceptionModel:
-        """The default perception channel, drawing after the frontend's weights."""
-        return PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._weights.materialize(),
-        )
-
-    # -- functional interface ------------------------------------------------------
 
     def solve_problem(
         self, problem: RpmProblem, perception: PerceptionModel | None = None
     ) -> int:
         pred, _ = self.reasoner.solve(problem, perception or self.perception)
         return pred
-
-    def accuracy(
-        self,
-        problems: list[RpmProblem],
-        perception: PerceptionModel | None = None,
-    ) -> float:
-        if not problems:
-            raise ConfigError("accuracy needs at least one problem")
-        correct = sum(
-            1
-            for p in problems
-            if self.solve_problem(p, perception) == p.answer_index
-        )
-        return correct / len(problems)
-
-    def evaluate_accuracy(self, n_problems: int, seed: int = 0) -> float | None:
-        """Seeded functional accuracy (see :class:`NSAIWorkload`)."""
-        if n_problems < 1:
-            raise ConfigError(f"n_problems must be >= 1, got {n_problems}")
-        root = make_rng(seed)
-        problems = generate_dataset(self.spec, n_problems, seed=root)
-        perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=root,
-        )
-        return self.accuracy(problems, perception)
 
     # -- memory accounting -----------------------------------------------------------
 
@@ -167,42 +117,17 @@ class LvrfWorkload(NSAIWorkload):
         figure) and posterior-weighted execution.
         """
         cfg = self.config
-        spec = self.spec
         tracer = Tracer(self.name)
-        net_ops = self._frontend.describe(
-            (cfg.batch_panels, 1, cfg.image_size, cfg.image_size)
-        )
-        tail, _ = tracer.record_network(net_ops, input_name="%panels")
+        tail = self._trace_frontend(tracer)
 
         blocks, d = cfg.blocks, cfg.block_dim
         vec = cfg.vector_elements
         n_rules = cfg.n_rules + cfg.extra_rules
-        n_cands = spec.n_candidates
+        n_cands = self.spec.n_candidates
 
         score_names: list[str] = []
         for attr in self._all_attrs:
-            head = tracer.record(
-                kind="linear",
-                domain=OpDomain.NEURAL,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(tail.name,),
-                output_shape=(cfg.batch_panels, attr.n_values),
-                gemm=GemmDims(m=cfg.batch_panels, n=attr.n_values, k=512),
-                params={"attribute": attr.name},
-            )
-            pmf = tracer.record_simd(
-                "softmax", (head.name,), (cfg.batch_panels, attr.n_values),
-                domain=OpDomain.NEURAL,
-            )
-            enc = tracer.record(
-                kind="pmf_to_vsa",
-                domain=OpDomain.SYMBOLIC,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(pmf.name,),
-                output_shape=(cfg.batch_panels, blocks, d),
-                gemm=GemmDims(m=cfg.batch_panels, n=vec, k=attr.n_values),
-                params={"attribute": attr.name},
-            )
+            enc = self._trace_encode(tracer, self._trace_pmf(tracer, tail, attr), attr)
             # Abduction: score all learned rules against both context rows
             # in one batched binding pass.
             rule_bind = tracer.record_binding(
@@ -237,16 +162,7 @@ class LvrfWorkload(NSAIWorkload):
                 flops=2 * n_cands * vec,
                 bytes_read=2 * n_cands * vec * tracer.element_bytes,
             )
-            # Dictionary lookup as a dense GEMM on the array (see nvsa.py).
-            dict_match = tracer.record(
-                kind="match_prob_multi_batched",
-                domain=OpDomain.SYMBOLIC,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(enc.name,),
-                output_shape=(n_cands, cfg.dictionary_atoms),
-                gemm=GemmDims(m=n_cands, n=cfg.dictionary_atoms, k=vec),
-                params={"attribute": attr.name, "dictionary": True},
-            )
+            dict_match = self._trace_dictionary(tracer, enc, attr)
             attr_sum = tracer.record_simd(
                 "sum", (cand_match.name, dict_match.name), (n_cands,)
             )

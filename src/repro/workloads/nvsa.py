@@ -7,12 +7,16 @@ frontend and a VSA backend that performs *probabilistic abduction*
 scoring the candidates). The symbolic algebra uses block codes with
 blockwise circular convolution binding — the workload Listing 1 profiles.
 
-This module provides three cooperating pieces:
+This module provides four cooperating pieces:
 
 * :class:`PerceptionModel` — the simulated perception channel (true
   attribute value → noisy PMF, with the neural precision applied to the
   logits). See DESIGN.md: the paper does not retrain either; Table IV
   accuracy deltas come from quantizing the *pipeline*.
+* :class:`RpmWorkload` — the harness every RPM solver (NVSA, LVRF, PrAE)
+  shares: dataset spec and attributes, perception channels, accuracy,
+  the rule-template vocabulary and the frontend/PMF-head/encode/
+  dictionary trace steps.
 * :class:`NvsaReasoner` — the functional VSA abduction/execution engine
   built on fractional-power codebooks, with a symbolic-precision
   quantization hook on every stored vector. It computes every
@@ -26,6 +30,7 @@ This module provides three cooperating pieces:
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -36,7 +41,7 @@ from ..datasets.spec import RpmAttribute, RpmDatasetSpec, make_spec
 from ..errors import ConfigError
 from ..nn.gemm import GemmDims
 from ..nn.layers import WeightSource
-from ..nn.resnet import build_resnet18
+from ..nn.resnet import ResNet, build_resnet18
 from ..quant import (
     MixedPrecisionConfig,
     MIXED_PRECISION_PRESETS,
@@ -44,13 +49,16 @@ from ..quant import (
     quantize_array,
     quantize_rows,
 )
-from ..trace.opnode import ExecutionUnit, OpDomain, Trace
+from ..trace.opnode import ExecutionUnit, OpDomain, Trace, TraceOp
 from ..trace.tracer import Tracer
 from ..utils import make_rng
 from ..vsa import ops as vops
 from .base import NSAIWorkload
 
-__all__ = ["NvsaConfig", "PerceptionModel", "NvsaReasoner", "NvsaWorkload"]
+__all__ = [
+    "NvsaConfig", "PerceptionModel", "RpmWorkload", "rule_templates",
+    "NvsaReasoner", "NvsaWorkload",
+]
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,6 @@ class NvsaConfig:
             raise ConfigError("block code needs blocks >= 1 and block_dim >= 8")
         if self.dictionary_atoms < 1:
             raise ConfigError("dictionary_atoms must be >= 1")
-
-    @property
-    def spec(self) -> RpmDatasetSpec:
-        return make_spec(self.dataset)
 
     @property
     def vector_elements(self) -> int:
@@ -168,8 +172,158 @@ class PerceptionModel:
         return e / e.sum(axis=1, keepdims=True)
 
 
-#: Rule template vocabulary used by the reasoner: (kind, parameter).
+#: Rule template vocabulary used by the reasoners: (kind, parameter).
 RuleTemplate = tuple[str, int]
+
+
+def rule_templates(spec: RpmDatasetSpec, attr: RpmAttribute) -> list[RuleTemplate]:
+    """The rule hypotheses abduction scores for one attribute."""
+    templates: list[RuleTemplate] = [("constant", 0)]
+    for d in spec.progression_steps:
+        if 2 * abs(d) < attr.n_values:
+            templates.append(("progression", d))
+    for sign in spec.arithmetic_signs:
+        templates.append(("arithmetic", sign))
+    templates.append(("distribute_three", 0))
+    return templates
+
+
+class RpmWorkload(NSAIWorkload):
+    """An RPM solver: a CNN frontend emits per-attribute PMFs through a
+    perception channel, and a symbolic reasoner abduces rules from them.
+
+    The base holds what NVSA, LVRF and PrAE share: the dataset spec, the
+    attribute list (noise attributes last), the default and seeded
+    perception channels, accuracy, and the trace steps around the rule
+    stage. It draws nothing. Each subclass draws in its own order and
+    must set ``self._weights`` (the frontend's :class:`WeightSource`) and
+    ``self._frontend`` in its ``__init__``, because that order fixes every
+    weight (DESIGN.md, "Deferred weight draws"). Subclasses keep their own
+    ``build_trace``, which is what perfbench's tracer wraps.
+    """
+
+    _weights: WeightSource
+    _frontend: ResNet
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.spec = make_spec(config.dataset)
+        self._all_attrs = list(self.spec.attributes) + [
+            RpmAttribute(f"noise_{i}", self.spec.noise_attribute_values)
+            for i in range(self.spec.n_noise_attributes)
+        ]
+
+    def _perception(self, rng: np.random.Generator) -> PerceptionModel:
+        return PerceptionModel(
+            confidence=self.config.confidence,
+            noise=self.spec.perception_noise,
+            neural_precision=self.config.precision.neural,
+            rng=rng,
+        )
+
+    @cached_property
+    def perception(self) -> PerceptionModel:
+        """The default perception channel, drawing after the frontend's weights."""
+        return self._perception(self._weights.materialize())
+
+    # -- functional task interface ---------------------------------------------
+
+    @abc.abstractmethod
+    def solve_problem(
+        self, problem: RpmProblem, perception: PerceptionModel | None = None
+    ) -> int:
+        """Predicted candidate index for one RPM problem."""
+
+    def accuracy(
+        self,
+        problems: list[RpmProblem],
+        perception: PerceptionModel | None = None,
+    ) -> float:
+        """Fraction of problems answered correctly."""
+        if not problems:
+            raise ConfigError("accuracy needs at least one problem")
+        correct = sum(
+            1
+            for p in problems
+            if self.solve_problem(p, perception) == p.answer_index
+        )
+        return correct / len(problems)
+
+    def evaluate_accuracy(self, n_problems: int, seed: int = 0) -> float | None:
+        """Seeded functional accuracy (see :class:`NSAIWorkload`).
+
+        The problem set and a fresh perception channel share one stream
+        derived from ``seed``; everything else the solver reads was drawn
+        at construction from the workload config (a reasoner's codebooks
+        are built from its bases on first use), so the result is a pure
+        function of (config, n_problems, seed), whatever earlier calls
+        consumed of the workload's own streams.
+        """
+        if n_problems < 1:
+            raise ConfigError(f"n_problems must be >= 1, got {n_problems}")
+        root = make_rng(seed)
+        problems = generate_dataset(self.spec, n_problems, seed=root)
+        return self.accuracy(problems, self._perception(root))
+
+    # -- shared trace steps ------------------------------------------------------
+
+    def _trace_frontend(self, tracer: Tracer) -> TraceOp:
+        """The frontend over the whole panel batch; returns its tail op."""
+        cfg = self.config
+        net_ops = self._frontend.describe(
+            (cfg.batch_panels, 1, cfg.image_size, cfg.image_size)
+        )
+        tail, _ = tracer.record_network(net_ops, input_name="%panels")
+        return tail
+
+    def _trace_pmf(self, tracer: Tracer, tail: TraceOp, attr: RpmAttribute) -> TraceOp:
+        """PMF head: (batch, width) @ (width, n_values) + softmax."""
+        batch = self.config.batch_panels
+        head = tracer.record(
+            kind="linear",
+            domain=OpDomain.NEURAL,
+            unit=ExecutionUnit.ARRAY_NN,
+            inputs=(tail.name,),
+            output_shape=(batch, attr.n_values),
+            gemm=GemmDims(m=batch, n=attr.n_values, k=tail.output_shape[-1]),
+            params={"attribute": attr.name},
+        )
+        return tracer.record_simd(
+            "softmax", (head.name,), (batch, attr.n_values), domain=OpDomain.NEURAL
+        )
+
+    def _trace_encode(self, tracer: Tracer, pmf: TraceOp, attr: RpmAttribute) -> TraceOp:
+        """PMF → VSA encode: a (batch × n_values) @ (n_values × vec) GEMM."""
+        cfg = self.config
+        return tracer.record(
+            kind="pmf_to_vsa",
+            domain=OpDomain.SYMBOLIC,
+            unit=ExecutionUnit.ARRAY_NN,
+            inputs=(pmf.name,),
+            output_shape=(cfg.batch_panels, cfg.blocks, cfg.block_dim),
+            gemm=GemmDims(m=cfg.batch_panels, n=cfg.vector_elements, k=attr.n_values),
+            params={"attribute": attr.name},
+        )
+
+    def _trace_dictionary(self, tracer: Tracer, enc: TraceOp, attr: RpmAttribute) -> TraceOp:
+        """Scene-dictionary lookup (the big match_prob_multi_batched of
+        Listing 1): every candidate row queried against the dictionary.
+
+        This is a dense (candidates × atoms) similarity matrix — a GEMM,
+        so it maps onto the array ("Other GEMMs" in the paper's operation
+        taxonomy), not the SIMD unit.
+        """
+        cfg = self.config
+        n_cands = self.spec.n_candidates
+        return tracer.record(
+            kind="match_prob_multi_batched",
+            domain=OpDomain.SYMBOLIC,
+            unit=ExecutionUnit.ARRAY_NN,
+            inputs=(enc.name,),
+            output_shape=(n_cands, cfg.dictionary_atoms),
+            gemm=GemmDims(m=n_cands, n=cfg.dictionary_atoms, k=cfg.vector_elements),
+            params={"attribute": attr.name, "dictionary": True},
+        )
 
 
 class _Operand:
@@ -318,18 +472,7 @@ class NvsaReasoner:
             self.symbolic_precision,
         )
 
-    # -- rule templates -----------------------------------------------------------
-
-    def rule_templates(self, attr: RpmAttribute) -> list[RuleTemplate]:
-        """The rule hypotheses abduction scores for one attribute."""
-        templates: list[RuleTemplate] = [("constant", 0)]
-        for d in self.spec.progression_steps:
-            if 2 * abs(d) < attr.n_values:
-                templates.append(("progression", d))
-        for sign in self.spec.arithmetic_signs:
-            templates.append(("arithmetic", sign))
-        templates.append(("distribute_three", 0))
-        return templates
+    # -- rule fit -----------------------------------------------------------------
 
     def _row_fit(
         self,
@@ -390,7 +533,7 @@ class NvsaReasoner:
 
             attr_scores = np.zeros(n_cands)
             weight_total = 0.0
-            for template in self.rule_templates(attr):
+            for template in rule_templates(self.spec, attr):
                 # Abduction: how well does this rule explain rows 1 and 2?
                 if template[0] == "distribute_three":
                     prior = float(_sim(_Operand(bundle0 / 3.0), _Operand(bundle1 / 3.0)))
@@ -411,27 +554,22 @@ class NvsaReasoner:
         return int(np.argmax(scores)), scores
 
 
-class NvsaWorkload(NSAIWorkload):
+class NvsaWorkload(RpmWorkload):
     """End-to-end NVSA: perception + VSA abduction/execution."""
 
     name = "nvsa"
 
     def __init__(self, config: NvsaConfig | None = None):
-        self.config = config or NvsaConfig()
-        spec = self.config.spec
-        gen = make_rng(self.config.seed)
-        noise_attrs = [
-            RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
-            for i in range(spec.n_noise_attributes)
-        ]
-        self._all_attrs = list(spec.attributes) + noise_attrs
+        super().__init__(config or NvsaConfig())
+        cfg = self.config
+        gen = make_rng(cfg.seed)
         self.reasoner = NvsaReasoner(
             attributes=self._all_attrs,
-            spec=spec,
-            blocks=self.config.blocks,
-            block_dim=self.config.block_dim,
-            symbolic_precision=self.config.precision.symbolic,
-            rule_weight_power=self.config.rule_weight_power,
+            spec=self.spec,
+            blocks=cfg.blocks,
+            block_dim=cfg.block_dim,
+            symbolic_precision=cfg.precision.symbolic,
+            rule_weight_power=cfg.rule_weight_power,
             rng=gen,
         )
         # Tracing and accuracy never read the frontend's weights, so they
@@ -441,21 +579,9 @@ class NvsaWorkload(NSAIWorkload):
             name="resnet18",
             in_channels=1,
             num_classes=512,
-            base_width=self.config.resnet_width,
+            base_width=cfg.resnet_width,
             rng=self._weights,
         )
-
-    @cached_property
-    def perception(self) -> PerceptionModel:
-        """The default perception channel, drawing after the frontend's weights."""
-        return PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.config.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._weights.materialize(),
-        )
-
-    # -- functional task interface ---------------------------------------------
 
     def solve_problem(
         self, problem: RpmProblem, perception: PerceptionModel | None = None
@@ -463,42 +589,6 @@ class NvsaWorkload(NSAIWorkload):
         """Predicted candidate index for one RPM problem."""
         pred, _ = self.reasoner.solve(problem, perception or self.perception)
         return pred
-
-    def accuracy(
-        self,
-        problems: list[RpmProblem],
-        perception: PerceptionModel | None = None,
-    ) -> float:
-        """Fraction of problems answered correctly."""
-        if not problems:
-            raise ConfigError("accuracy needs at least one problem")
-        correct = sum(
-            1
-            for p in problems
-            if self.solve_problem(p, perception) == p.answer_index
-        )
-        return correct / len(problems)
-
-    def evaluate_accuracy(self, n_problems: int, seed: int = 0) -> float | None:
-        """Seeded functional accuracy (see :class:`NSAIWorkload`).
-
-        The problem set and a fresh perception channel share one stream
-        derived from ``seed``; the reasoner's bases are drawn at
-        construction from the workload config (its codebooks are built
-        from them on first use), so the result is a pure function of
-        (config, n_problems, seed).
-        """
-        if n_problems < 1:
-            raise ConfigError(f"n_problems must be >= 1, got {n_problems}")
-        root = make_rng(seed)
-        problems = generate_dataset(self.config.spec, n_problems, seed=root)
-        perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.config.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=root,
-        )
-        return self.accuracy(problems, perception)
 
     # -- memory accounting -------------------------------------------------------
 
@@ -524,51 +614,21 @@ class NvsaWorkload(NSAIWorkload):
         the AdArray folding exploits.
         """
         cfg = self.config
-        spec = cfg.spec
         tracer = Tracer(self.name)
-
-        # Neural frontend over the whole panel batch.
-        net_ops = self._frontend.describe(
-            (cfg.batch_panels, 1, cfg.image_size, cfg.image_size)
-        )
-        tail, _ = tracer.record_network(net_ops, input_name="%panels")
+        tail = self._trace_frontend(tracer)
 
         blocks, d = cfg.blocks, cfg.block_dim
         vec_elems = cfg.vector_elements
-        n_cands = spec.n_candidates
+        n_cands = self.spec.n_candidates
 
         final_scores: list[str] = []
         for attr in self._all_attrs:
-            # PMF head: (batch, 512) @ (512, n_values) + softmax.
-            head = tracer.record(
-                kind="linear",
-                domain=OpDomain.NEURAL,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(tail.name,),
-                output_shape=(cfg.batch_panels, attr.n_values),
-                gemm=GemmDims(m=cfg.batch_panels, n=attr.n_values, k=512),
-                params={"attribute": attr.name},
-            )
-            pmf = tracer.record_simd(
-                "softmax", (head.name,), (cfg.batch_panels, attr.n_values),
-                domain=OpDomain.NEURAL,
-            )
-            # PMF → VSA encode: a (batch × n_values) @ (n_values × vec) GEMM.
-            enc = tracer.record(
-                kind="pmf_to_vsa",
-                domain=OpDomain.SYMBOLIC,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(pmf.name,),
-                output_shape=(cfg.batch_panels, blocks, d),
-                gemm=GemmDims(m=cfg.batch_panels, n=vec_elems, k=attr.n_values),
-                params={"attribute": attr.name},
-            )
+            enc = self._trace_encode(tracer, self._trace_pmf(tracer, tail, attr), attr)
 
             rule_score_names: list[str] = []
             # NVSA abduces rules over both rows and columns of the grid.
             n_groups = 4  # two complete rows + two complete columns
-            for template in self.reasoner.rule_templates(attr):
-                kind, param = template
+            for kind, param in rule_templates(self.spec, attr):
                 # Abduction: rule fit on the complete row/column groups.
                 prior_bind = tracer.record_binding(
                     (enc.name,),
@@ -602,20 +662,7 @@ class NvsaWorkload(NSAIWorkload):
                 )
                 rule_score_names.append(weighted.name)
 
-            # Scene-dictionary lookup (the big match_prob_multi_batched of
-            # Listing 1): every candidate row queried against the dictionary.
-            # This is a dense (candidates × atoms) similarity matrix — a
-            # GEMM, so it maps onto the array ("Other GEMMs" in the paper's
-            # operation taxonomy), not the SIMD unit.
-            dict_match = tracer.record(
-                kind="match_prob_multi_batched",
-                domain=OpDomain.SYMBOLIC,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(enc.name,),
-                output_shape=(n_cands, cfg.dictionary_atoms),
-                gemm=GemmDims(m=n_cands, n=cfg.dictionary_atoms, k=vec_elems),
-                params={"attribute": attr.name, "dictionary": True},
-            )
+            dict_match = self._trace_dictionary(tracer, enc, attr)
             attr_sum = tracer.record_simd(
                 "sum", tuple(rule_score_names) + (dict_match.name,), (n_cands,)
             )

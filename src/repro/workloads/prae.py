@@ -20,22 +20,19 @@ The probabilistic rule semantics over a row of PMFs (p, q, r):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from ..datasets.rpm import RpmProblem, generate_dataset
-from ..datasets.spec import RpmAttribute, make_spec
+from ..datasets.rpm import RpmProblem
 from ..errors import ConfigError
-from ..nn.gemm import GemmDims
 from ..nn.layers import WeightSource
 from ..nn.resnet import build_small_cnn
 from ..quant import MixedPrecisionConfig, MIXED_PRECISION_PRESETS, quantize_array, quantize_rows
-from ..trace.opnode import ExecutionUnit, OpDomain, Trace
+from ..trace.opnode import Trace
 from ..trace.tracer import Tracer
 from ..utils import make_rng
-from .base import NSAIWorkload
-from .nvsa import PerceptionModel
+from .nvsa import PerceptionModel, RpmWorkload, rule_templates
 
 __all__ = ["PraeConfig", "PraeWorkload"]
 
@@ -83,20 +80,13 @@ def _arithmetic_indices(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(mask, k[mask])
 
 
-class PraeWorkload(NSAIWorkload):
+class PraeWorkload(RpmWorkload):
     """Probabilistic abduction + execution on attribute PMFs."""
 
     name = "prae"
 
     def __init__(self, config: PraeConfig | None = None):
-        self.config = config or PraeConfig()
-        spec = make_spec(self.config.dataset)
-        self.spec = spec
-        noise_attrs = [
-            RpmAttribute(f"noise_{i}", spec.noise_attribute_values)
-            for i in range(spec.n_noise_attributes)
-        ]
-        self._all_attrs = list(spec.attributes) + noise_attrs
+        super().__init__(config or PraeConfig())
         # Frontend weights are drawn only on first read (see WeightSource).
         self._weights = WeightSource(make_rng(self.config.seed))
         self._frontend = build_small_cnn(
@@ -108,30 +98,10 @@ class PraeWorkload(NSAIWorkload):
             rng=self._weights,
         )
 
-    @cached_property
-    def perception(self) -> PerceptionModel:
-        """The default perception channel, drawing after the frontend's weights."""
-        return PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=self._weights.materialize(),
-        )
-
     # -- probabilistic rule engine ---------------------------------------------
 
     def _quant(self, arr: np.ndarray) -> np.ndarray:
         return quantize_array(arr, self.config.precision.symbolic)
-
-    def _rule_templates(self, attr: RpmAttribute) -> list[tuple[str, int]]:
-        templates: list[tuple[str, int]] = [("constant", 0)]
-        for d in self.spec.progression_steps:
-            if 2 * abs(d) < attr.n_values:
-                templates.append(("progression", d))
-        for sign in self.spec.arithmetic_signs:
-            templates.append(("arithmetic", sign))
-        templates.append(("distribute_three", 0))
-        return templates
 
     def _row_prob(
         self, template: tuple[str, int], p: np.ndarray, q: np.ndarray, r: np.ndarray
@@ -212,7 +182,7 @@ class PraeWorkload(NSAIWorkload):
 
             attr_scores = np.zeros(n_cands)
             weight_total = 0.0
-            for template in self._rule_templates(attr):
+            for template in rule_templates(self.spec, attr):
                 if template[0] == "distribute_three":
                     # Rows share a value multiset: compare mass profiles.
                     prior = float(np.sum(np.minimum(mass0, mass1)))
@@ -227,39 +197,6 @@ class PraeWorkload(NSAIWorkload):
             if weight_total > 0:
                 scores += attr_scores / weight_total
         return scores
-
-    def accuracy(
-        self,
-        problems: list[RpmProblem],
-        perception: PerceptionModel | None = None,
-    ) -> float:
-        if not problems:
-            raise ConfigError("accuracy needs at least one problem")
-        correct = sum(
-            1
-            for p in problems
-            if self.solve_problem(p, perception) == p.answer_index
-        )
-        return correct / len(problems)
-
-    def evaluate_accuracy(self, n_problems: int, seed: int = 0) -> float | None:
-        """Seeded functional accuracy (see :class:`NSAIWorkload`).
-
-        One seeded stream drives both the problem generator and a fresh
-        perception channel, so the result never depends on how much of the
-        workload's own RNG prior calls consumed.
-        """
-        if n_problems < 1:
-            raise ConfigError(f"n_problems must be >= 1, got {n_problems}")
-        root = make_rng(seed)
-        problems = generate_dataset(self.spec, n_problems, seed=root)
-        perception = PerceptionModel(
-            confidence=self.config.confidence,
-            noise=self.spec.perception_noise,
-            neural_precision=self.config.precision.neural,
-            rng=root,
-        )
-        return self.accuracy(problems, perception)
 
     # -- memory accounting -------------------------------------------------------------
 
@@ -279,33 +216,16 @@ class PraeWorkload(NSAIWorkload):
         deliberately *not* batched, because that is PrAE's documented
         execution behaviour and the source of its GPU inefficiency.
         """
-        cfg = self.config
         tracer = Tracer(self.name)
-        net_ops = self._frontend.describe(
-            (cfg.batch_panels, 1, cfg.image_size, cfg.image_size)
-        )
-        tail, _ = tracer.record_network(net_ops, input_name="%panels")
+        tail = self._trace_frontend(tracer)
 
         n_cands = self.spec.n_candidates
         score_names: list[str] = []
         for attr in self._all_attrs:
             nv = attr.n_values
-            head = tracer.record(
-                kind="linear",
-                domain=OpDomain.NEURAL,
-                unit=ExecutionUnit.ARRAY_NN,
-                inputs=(tail.name,),
-                output_shape=(cfg.batch_panels, nv),
-                gemm=GemmDims(m=cfg.batch_panels, n=nv, k=256),
-                params={"attribute": attr.name},
-            )
-            pmf = tracer.record_simd(
-                "softmax", (head.name,), (cfg.batch_panels, nv),
-                domain=OpDomain.NEURAL,
-            )
+            pmf = self._trace_pmf(tracer, tail, attr)
             rule_names: list[str] = []
-            for template in self._rule_templates(attr):
-                kind, param = template
+            for kind, param in rule_templates(self.spec, attr):
                 if kind == "arithmetic":
                     # O(n²·n) joint-probability contraction, per row.
                     prior_flops = 2 * 2 * nv * nv

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from ..errors import ConfigError
 from .base import NSAIWorkload
 from .lvrf import LvrfConfig, LvrfWorkload
@@ -15,44 +13,28 @@ from .synth import SynthConfig, SynthWorkload
 
 __all__ = ["available_workloads", "build_workload", "workload_config"]
 
-_FACTORIES: dict[str, Callable[..., NSAIWorkload]] = {
-    "nvsa": lambda **kw: NvsaWorkload(NvsaConfig(**kw)) if kw else NvsaWorkload(),
-    "mimonet": lambda **kw: MimoNetWorkload(MimoNetConfig(**kw)) if kw else MimoNetWorkload(),
-    "lvrf": lambda **kw: LvrfWorkload(LvrfConfig(**kw)) if kw else LvrfWorkload(),
-    "prae": lambda **kw: PraeWorkload(PraeConfig(**kw)) if kw else PraeWorkload(),
-    "scalable_nsai": lambda **kw: (
-        ScalableNsaiWorkload(ScalableConfig(**kw)) if kw else ScalableNsaiWorkload()
-    ),
-    "synth": lambda **kw: SynthWorkload(SynthConfig(**kw)) if kw else SynthWorkload(),
-}
-
-#: Config dataclass per registry name. The sweep layer resolves these to
-#: build cache keys without paying for workload construction (weights,
-#: codebooks) on warm-cache paths.
-_CONFIG_TYPES: dict[str, type] = {
-    "nvsa": NvsaConfig,
-    "mimonet": MimoNetConfig,
-    "lvrf": LvrfConfig,
-    "prae": PraeConfig,
-    "scalable_nsai": ScalableConfig,
-    "synth": SynthConfig,
+#: Workload class and config dataclass per registry name, in Table I order.
+#: The sweep layer resolves configs alone to build cache keys without
+#: paying for workload construction on warm-cache paths.
+_REGISTRY: dict[str, tuple[type[NSAIWorkload], type]] = {
+    "nvsa": (NvsaWorkload, NvsaConfig),
+    "mimonet": (MimoNetWorkload, MimoNetConfig),
+    "lvrf": (LvrfWorkload, LvrfConfig),
+    "prae": (PraeWorkload, PraeConfig),
+    "scalable_nsai": (ScalableNsaiWorkload, ScalableConfig),
+    "synth": (SynthWorkload, SynthConfig),
 }
 
 
 def available_workloads() -> list[str]:
     """Registry names, in Table I order."""
-    return list(_FACTORIES)
+    return list(_REGISTRY)
 
 
 def build_workload(name: str, **config_overrides) -> NSAIWorkload:
     """Instantiate a workload by registry name with config overrides."""
-    try:
-        factory = _FACTORIES[name.lower()]
-    except KeyError as exc:
-        raise ConfigError(
-            f"unknown workload {name!r}; available: {', '.join(_FACTORIES)}"
-        ) from exc
-    return factory(**config_overrides)
+    config = workload_config(name, **config_overrides)
+    return _REGISTRY[name.lower()][0](config)
 
 
 def workload_config(name: str, **config_overrides):
@@ -64,10 +46,10 @@ def workload_config(name: str, **config_overrides):
     scenario misses the artifact cache.
     """
     try:
-        config_type = _CONFIG_TYPES[name.lower()]
+        _, config_type = _REGISTRY[name.lower()]
     except KeyError as exc:
         raise ConfigError(
-            f"unknown workload {name!r}; available: {', '.join(_CONFIG_TYPES)}"
+            f"unknown workload {name!r}; available: {', '.join(_REGISTRY)}"
         ) from exc
     try:
         return config_type(**config_overrides)

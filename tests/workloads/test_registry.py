@@ -6,7 +6,8 @@ from repro import NSFlow
 from repro.dse import clear_accuracy_cache
 from repro.errors import ConfigError
 from repro.quant import MIXED_PRECISION_PRESETS
-from repro.workloads import available_workloads, build_workload
+from repro.trace.serialize import trace_fingerprint
+from repro.workloads import available_workloads, build_workload, workload_config
 
 
 class TestRegistry:
@@ -26,6 +27,14 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             build_workload("bert")
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_bad_override_is_a_config_error(self, name):
+        # The CLI catches ConfigError, not TypeError: an unknown field must
+        # fail the same way whether it resolves a config or builds.
+        for resolve in (build_workload, workload_config):
+            with pytest.raises(ConfigError, match="bad config override"):
+                resolve(name, bogus=1)
 
     def test_every_workload_traces_and_profiles(self, weight_draws):
         # Tracing needs layer shapes, never weight values: building,
@@ -66,3 +75,24 @@ class TestRegistry:
         finally:
             clear_accuracy_cache()
         assert weight_draws == ["mimocnn.conv0", "mimocnn.conv1", "mimocnn.fc"]
+
+
+#: Default-config trace fingerprints (``length=32``) and component element
+#: counts of the RPM solvers. Goldens pin reports only, so these are what
+#: fail when a trace op's name, params or order moves.
+RPM_PINS = {
+    "nvsa": ("b008e145ca95b4b68a177bbe888fadf5",
+             {"neural": 11_456_860, "symbolic": 5_300_224}),
+    "lvrf": ("e475f24a40ccfbaee4a4291f961a9811",
+             {"neural": 11_456_860, "symbolic": 4_751_360}),
+    "prae": ("4bdfc86ade95f8d84114bce643ce66d8",
+             {"neural": 327_996, "symbolic": 1_582}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RPM_PINS))
+def test_rpm_trace_and_elements_are_pinned(name):
+    fingerprint, elements = RPM_PINS[name]
+    wl = build_workload(name)
+    assert trace_fingerprint(wl.build_trace(), length=32) == fingerprint
+    assert wl.component_elements() == elements
